@@ -10,9 +10,10 @@ distributions of two starting points:
 
 * ``tv_bounded`` -- deterministic: cut the support at a length where at most
   epsilon/4 of the mass remains (``length_bound``), enumerate all words up to
-  that length, and classify each word by comparing the two probabilities
-  computed in k-bit floating point with k chosen so each is within relative
-  epsilon/8 of the truth.  The exact masses of the two classes then pin the
+  that length with the package's prefix walker, and classify each word by
+  comparing the two probabilities computed in k-bit floating point with k
+  chosen so each is within relative epsilon/8 of the truth.  The exact masses
+  of the two classes, carried as integers beside the k-bit twins, then pin the
   distance to within epsilon/2, with no randomness and no cycle restriction.
 
 Sampling uses exact dyadic-interval refinement against rational cumulative
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
 from .exact import DEFAULT_NODE_BUDGET, require_acyclic
-from .floatk import FloatK, RoundedModel, precision_for
+from .floatk import RoundedModel, precision_for
 from .model import (
     ONE,
     ZERO,
@@ -42,9 +43,12 @@ from .model import (
     advance,
     as_fraction,
     check_distribution,
+    common_denominator,
+    depth_total,
     max_support_length,
-    sparsify,
+    scale,
     stop_mass,
+    walk_prefixes,
     word_probability,
 )
 
@@ -393,69 +397,6 @@ class BoundedEstimate:
     words_enumerated: int
 
 
-def _bounded_walk(
-    lmc: Lmc,
-    pi1: InitialDistribution,
-    pi2: InitialDistribution,
-    max_len: int,
-    precision: int,
-    budget: int,
-) -> Iterator[tuple[tuple[str, ...], Fraction, Fraction, FloatK, FloatK]]:
-    """Enumerate all words of length at most ``max_len`` reachable under either
-    start, yielding exact and k-bit stop probabilities side by side.
-
-    Prunes subtrees where both exact prefix vectors vanish: their k-bit twins
-    vanish too (rounding preserves zero versus positive), so every pruned word
-    would be classified as a tie with zero mass on both sides.
-    """
-    if budget < 1:
-        raise DomainError(f"node budget must be positive, got {budget}")
-    model = RoundedModel(lmc, precision)
-    alphabet = lmc.alphabet
-    nlabels = len(alphabet)
-    rows = lmc.sparse_rows
-    eow = lmc.eow
-    v1 = sparsify(pi1.weights)
-    v2 = sparsify(pi2.weights)
-    f1 = model.initial(pi1)
-    f2 = model.initial(pi2)
-    nodes = 1
-    yield (), stop_mass(v1, eow), stop_mass(v2, eow), model.stop_mass(f1), model.stop_mass(f2)
-    prefix: list[str] = []
-    stack: list[list] = [[v1, v2, f1, f2, 0]]
-    while stack:
-        frame = stack[-1]
-        li = frame[4]
-        if li == nlabels or (len(prefix) == max_len and li == 0):
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        frame[4] = li + 1
-        n1 = advance(frame[0], rows[li])
-        n2 = advance(frame[1], rows[li])
-        if not n1 and not n2:
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the node budget of {budget} "
-                f"(length cutoff {max_len}, precision {precision})",
-                nodes_visited=nodes,
-            )
-        g1 = model.advance(frame[2], li)
-        g2 = model.advance(frame[3], li)
-        prefix.append(alphabet[li])
-        stack.append([n1, n2, g1, g2, 0])
-        yield (
-            tuple(prefix),
-            stop_mass(n1, eow),
-            stop_mass(n2, eow),
-            model.stop_mass(g1),
-            model.stop_mass(g2),
-        )
-
-
 def tv_bounded(
     lmc: Lmc,
     pi1: InitialDistribution,
@@ -482,15 +423,46 @@ def tv_bounded(
     rounding_budget = epsilon / 8
     cutoff = length_bound(lmc, tail_budget, step_cap=step_cap)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
-    mass1_lt = ZERO
-    mass2_ge = ZERO
+    den, rows, eow = lmc.integer_form
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    model = RoundedModel(lmc, precision)
+
+    def step(node, depth):
+        # Prune where both exact prefix vectors vanish: their k-bit twins vanish
+        # too (rounding keeps zero apart from positive), so every pruned word
+        # would be a tie with zero mass on both sides.
+        if depth == cutoff:
+            return None
+        v1, v2, f1, f2 = node
+        children = []
+        for li, r in enumerate(rows):
+            n1 = advance(v1, r)
+            n2 = advance(v2, r)
+            children.append(
+                (n1, n2, model.advance(f1, li), model.advance(f2, li)) if n1 or n2 else None
+            )
+        return children
+
+    exact_roots = (scale(pi1.weights, den_pi), scale(pi2.weights, den_pi))
+    root = (*exact_roots, model.initial(pi1), model.initial(pi2))
+    # Exact stop masses are integers over den_pi * den**(depth + 1).
+    below: defaultdict[int, int] = defaultdict(int)
+    at_least: defaultdict[int, int] = defaultdict(int)
     count = 0
-    for _, p1, p2, fp1, fp2 in _bounded_walk(lmc, pi1, pi2, cutoff, precision, budget):
-        count += 1
-        if fp1 < fp2:
-            mass1_lt += p1
-        else:
-            mass2_ge += p2
+    try:
+        for path, (v1, v2, f1, f2) in walk_prefixes(root, step, budget):
+            count += 1
+            if model.stop_mass(f1) < model.stop_mass(f2):
+                below[len(path)] += stop_mass(v1, eow)
+            else:
+                at_least[len(path)] += stop_mass(v2, eow)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{exc} (length cutoff {cutoff}, precision {precision})",
+            nodes_visited=exc.nodes_visited,
+        ) from None
+    mass1_lt = depth_total(below, den_pi * den, den)
+    mass2_ge = depth_total(at_least, den_pi * den, den)
     return BoundedEstimate(
         estimate=1 - mass1_lt - mass2_ge,
         mass1_lt=mass1_lt,

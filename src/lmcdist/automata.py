@@ -17,8 +17,9 @@ distance instances, pinning the hardness of distance computation:
 * ``pa_to_lmc`` -- optimization: for a probabilistic automaton it builds an
   instance whose distance equals a certified ``bound`` exactly when no word
   is accepted with probability above 1/2, and strictly exceeds it otherwise.
-  ``find_majority_witness`` searches for such a word; one witness yields an
-  explicit event separating the two distributions beyond the bound.
+  ``find_majority_witness`` searches for such a word, shortest first, with
+  the package's prefix walker; one witness yields an explicit event
+  separating the two distributions beyond the bound.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from .model import (
     Lmc,
     Matrix,
     Word,
+    advance,
     as_fraction,
+    common_denominator,
+    integer_rows,
+    scale,
+    sparse_matrices,
+    stop_mass,
+    walk_prefixes,
 )
 
 #: Labels appended to the input alphabet by both reductions.
@@ -264,36 +272,32 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     """Shortest word accepted with probability strictly above 1/2, trying
     lengths 0..max_len in alphabet order; None if none exists in that range.
 
-    Exhaustive (k^max_len words), so keep ``max_len`` small; no loss of
-    exactness, only of patience.
+    A depth-first walk of the prefix tree on integer vectors (see
+    ``model.walk_prefixes``); once a witness is found only strictly shorter
+    words are searched, so the first witness of the shortest length wins.
+    Exhaustive (k^max_len words) when no witness exists, so keep ``max_len``
+    small; no loss of exactness, only of patience.
     """
-    half = Fraction(1, 2)
-    n = len(pa.states)
-    layer: list[tuple[tuple[str, ...], list[Fraction]]] = [((), list(pa.initial))]
-    for length in range(max_len + 1):
-        for word, vec in layer:
-            acc = sum(
-                (p for p, flag in zip(vec, pa.accepting_vector) if flag), ZERO
-            )
-            if acc > half:
-                return word
-        if length == max_len:
-            break
-        nxt = []
-        for word, vec in layer:
-            for li, label in enumerate(pa.alphabet):
-                mat = pa.matrices[li]
-                nxt.append(
-                    (
-                        word + (label,),
-                        [
-                            sum((vec[i] * mat[i][j] for i in range(n) if vec[i]), ZERO)
-                            for j in range(n)
-                        ],
-                    )
-                )
-        layer = nxt
-    return None
+    den, rows = integer_rows(sparse_matrices(pa.matrices))
+    den_pi = common_denominator(pa.initial)
+    flags = tuple(1 if flag else 0 for flag in pa.accepting_vector)
+    limit = max_len
+
+    def step(vec, depth):
+        return None if depth >= limit else [advance(vec, r) for r in rows]
+
+    witness = None
+    scales = [den_pi]  # the denominator of a prefix vector, per depth
+    for path, vec in walk_prefixes(scale(pa.initial, den_pi), step):
+        depth = len(path)
+        if depth > limit:
+            continue
+        if depth == len(scales):
+            scales.append(scales[-1] * den)
+        if 2 * stop_mass(vec, flags) > scales[depth]:
+            witness = tuple(pa.alphabet[li] for li in path)
+            limit = depth - 1
+    return witness
 
 
 # -- reductions -----------------------------------------------------------------

@@ -4,8 +4,11 @@ The total variation distance between the word distributions of two starting
 points is half the sum of |p1(w) - p2(w)| over all words; equivalently it is
 the advantage p1(W) - p2(W) of the event W = {w : p1(w) >= p2(w)} (ties are
 put into W throughout this package).  For acyclic chains the support is
-finite, so these quantities are computed exactly by depth-first enumeration in
-alphabet order, pruning prefixes that are unreachable under both starts.
+finite, so these quantities are computed exactly by the package's prefix
+walker (``model.walk_prefixes``): depth-first in alphabet order, on integer
+prefix vectors over a common denominator, pruning prefixes that are
+unreachable under both starts.  Sums are kept per depth as integers and turned
+into one Fraction at the end.
 
 Also here:
 
@@ -19,24 +22,27 @@ Also here:
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain as _chain
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, DomainError, OracleInfeasibleError
+from .errors import DomainError, OracleInfeasibleError
 from .model import (
     ZERO,
     InitialDistribution,
     Lmc,
-    Word,
     advance,
     check_distribution,
+    common_denominator,
+    depth_total,
     is_acyclic,
-    sparsify,
+    scale,
     stop_mass,
     support_lengths,
+    walk_prefixes,
 )
 
 #: Default cap on enumeration-tree nodes (prefixes visited).
@@ -94,58 +100,45 @@ def require_acyclic(lmc: Lmc) -> None:
         )
 
 
-def _support_words(
+def _pair_walk(
     lmc: Lmc,
     pi1: InitialDistribution,
     pi2: InitialDistribution,
     budget: int,
     max_len: int | None = None,
-) -> Iterator[tuple[tuple[str, ...], Fraction, Fraction]]:
-    """Depth-first enumeration of words with positive probability under either
-    start.  Yields (word, p1, p2); prunes subtrees where both prefix vectors
-    vanish; every visited prefix counts against ``budget``.
+) -> tuple[int, Iterator[tuple[list[int], int, int]]]:
+    """The prefix walk under both starts, for words up to ``max_len``.
+
+    Returns ``(base, words)``.  ``words`` yields ``(path, s1, s2)`` for every
+    word with positive probability under either start, where ``path`` is as
+    in ``walk_prefixes`` and s1, s2 are the word's two probabilities as
+    integers over ``base * L**len(path)`` (L from ``Lmc.integer_form``).
+    Subtrees where both prefix vectors vanish are pruned; every visited
+    prefix counts against ``budget``.
     """
-    if budget < 1:
-        raise DomainError(f"node budget must be positive, got {budget}")
-    alphabet = lmc.alphabet
-    nlabels = len(alphabet)
-    rows = lmc.sparse_rows
-    eow = lmc.eow
-    v1 = sparsify(pi1.weights)
-    v2 = sparsify(pi2.weights)
-    nodes = 1
-    p1 = stop_mass(v1, eow)
-    p2 = stop_mass(v2, eow)
-    if p1 or p2:
-        yield (), p1, p2
-    prefix: list[str] = []
-    # Frame: [vector under pi1, vector under pi2, next label index to try].
-    stack: list[list] = [[v1, v2, 0]]
-    while stack:
-        frame = stack[-1]
-        li = frame[2]
-        if li == nlabels or (max_len is not None and len(prefix) == max_len and li == 0):
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        frame[2] = li + 1
-        n1 = advance(frame[0], rows[li])
-        n2 = advance(frame[1], rows[li])
-        if not n1 and not n2:
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the node budget of {budget}",
-                nodes_visited=nodes,
-            )
-        prefix.append(alphabet[li])
-        stack.append([n1, n2, 0])
-        p1 = stop_mass(n1, eow)
-        p2 = stop_mass(n2, eow)
-        if p1 or p2:
-            yield tuple(prefix), p1, p2
+    den, rows, eow = lmc.integer_form
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+
+    def step(node, depth):
+        if depth == max_len:
+            return None
+        v1, v2 = node
+        children = []
+        for r in rows:
+            n1 = advance(v1, r)
+            n2 = advance(v2, r)
+            children.append((n1, n2) if n1 or n2 else None)
+        return children
+
+    def words():
+        root = (scale(pi1.weights, den_pi), scale(pi2.weights, den_pi))
+        for path, (v1, v2) in walk_prefixes(root, step, budget):
+            s1 = stop_mass(v1, eow)
+            s2 = stop_mass(v2, eow)
+            if s1 or s2:
+                yield path, s1, s2
+
+    return den_pi * den, words()
 
 
 def tv_distance_acyclic(
@@ -163,33 +156,39 @@ def tv_distance_acyclic(
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    gap_total = ZERO
+    base, words = _pair_walk(lmc, pi1, pi2, budget)
+    # Per-depth integer sums (see ``_pair_walk``).
+    gap, mass_1, mass_2 = defaultdict(int), defaultdict(int), defaultdict(int)
     count = 0
-    mass_1 = ZERO
-    mass_2 = ZERO
-    words: list[tuple[str, ...]] | None = []
+    listed: list[tuple[str, ...]] | None = []
     enumerated = 0
-    for word, p1, p2 in _support_words(lmc, pi1, pi2, budget):
+    for path, s1, s2 in words:
         enumerated += 1
-        if p1 >= p2:
-            gap_total += p1 - p2
+        depth = len(path)
+        if s1 >= s2:
+            gap[depth] += s1 - s2
+            mass_1[depth] += s1
+            mass_2[depth] += s2
             count += 1
-            mass_1 += p1
-            mass_2 += p2
-            if words is not None:
+            if listed is not None:
                 if count <= WITNESS_WORD_CAP:
-                    words.append(word)
+                    listed.append(tuple(lmc.alphabet[li] for li in path))
                 else:
-                    words = None
+                    listed = None
         else:
-            gap_total += p2 - p1
+            gap[depth] += s2 - s1
+    ratio = lmc.integer_form[0]
     witness = WitnessSummary(
         word_count=count,
-        mass_1=mass_1,
-        mass_2=mass_2,
-        words=tuple(words) if words is not None else None,
+        mass_1=depth_total(mass_1, base, ratio),
+        mass_2=depth_total(mass_2, base, ratio),
+        words=tuple(listed) if listed is not None else None,
     )
-    return DistanceReport(distance=gap_total / 2, witness=witness, enumerated_words=enumerated)
+    return DistanceReport(
+        distance=depth_total(gap, base, ratio) / 2,
+        witness=witness,
+        enumerated_words=enumerated,
+    )
 
 
 def lk_distance_acyclic(
@@ -208,12 +207,12 @@ def lk_distance_acyclic(
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    total = ZERO
-    for _, p1, p2 in _support_words(lmc, pi1, pi2, budget):
-        gap = p1 - p2 if p1 >= p2 else p2 - p1
-        if gap:
-            total += gap**k
-    return total
+    base, words = _pair_walk(lmc, pi1, pi2, budget)
+    sums: defaultdict[int, int] = defaultdict(int)  # per depth
+    for path, s1, s2 in words:
+        if s1 != s2:
+            sums[len(path)] += abs(s1 - s2) ** k
+    return depth_total(sums, base**k, lmc.integer_form[0] ** k)
 
 
 def _support_length_from(lmc: Lmc, starts: Sequence[int]) -> int:
@@ -221,6 +220,12 @@ def _support_length_from(lmc: Lmc, starts: Sequence[int]) -> int:
     lengths = support_lengths(lmc)
     finite = [lengths[i] for i in starts if lengths[i] is not None]
     return max(finite, default=0)
+
+
+def _integer(x: Fraction) -> int:
+    if x.denominator != 1:
+        raise ArithmeticError(f"certificate value {x} is not an integer")
+    return x.numerator
 
 
 def threshold_decide_acyclic(
@@ -235,11 +240,15 @@ def threshold_decide_acyclic(
 
     Let D be the product of every denominator appearing in the two starting
     distributions, the transition matrices, the end-of-word vector and tau,
-    and let n be the length of the longest support word.  Scaling each word's
-    probability gap to the integer D**(n+2-|w|) |(p1 - p2) applied to w| and
-    summing gives an integer equal to 2 D**(n+2) distance; comparing it with
-    2 D**(n+2) tau (plus 1 when strict) decides the question with no division
-    at all.  Both sides are returned so the decision can be audited.
+    and let n be the length of the longest support word.  The certificate
+    compares lhs = 2 D**(n+2) distance with rhs = 2 D**(n+2) tau (plus 1 when
+    strict), two integers, so the decision needs no division at all.  Both
+    sides are returned so the decision can be audited.
+
+    The walk itself runs on the smaller denominators of the prefix walker:
+    one integer difference vector per prefix, over L_pi * L**d at depth d
+    (L and L_pi the lcms of the chain's and the starts' denominators).  Its
+    per-depth sums give 2 * distance exactly, which is then rescaled to lhs.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -247,82 +256,29 @@ def threshold_decide_acyclic(
     tau = Fraction(tau)
     if not (0 <= tau <= 1):
         raise DomainError(f"threshold must lie in [0, 1], got {tau}")
-    if budget < 1:
-        raise DomainError(f"node budget must be positive, got {budget}")
 
-    entries = list(
-        _chain(
-            pi1.weights,
-            pi2.weights,
-            lmc.eow,
-            (p for mat in lmc.matrices for row in mat for p in row),
-            (tau,),
-        )
+    entries = (p for rows in lmc.sparse_rows for row in rows for _, p in row)
+    denom_product = math.prod(
+        f.denominator for f in _chain(pi1.weights, pi2.weights, lmc.eow, entries, (tau,))
     )
-    denom_product = 1
-    for f in entries:
-        denom_product *= f.denominator
     starts = sorted(set(pi1.support()) | set(pi2.support()))
     n = _support_length_from(lmc, starts)
 
-    def scaled_int(x: Fraction) -> int:
-        scaled = x * denom_product
-        assert scaled.denominator == 1
-        return scaled.numerator
+    den, rows, eow = lmc.integer_form
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    diff = scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)
 
-    int_eow = [scaled_int(e) for e in lmc.eow]
-    int_rows = tuple(
-        tuple(
-            tuple((j, scaled_int(p)) for j, p in row_pairs)
-            for row_pairs in label_rows
-        )
-        for label_rows in lmc.sparse_rows
-    )
-    diff0 = {
-        i: scaled_int(pi1.weights[i] - pi2.weights[i])
-        for i in range(lmc.n_states)
-        if pi1.weights[i] != pi2.weights[i]
-    }
-    powers = [denom_product**j for j in range(n + 1)]
+    def step(vec, depth):
+        if depth == n:
+            return None
+        return [advance(vec, r) or None for r in rows]
 
-    def eow_dot(vec: dict[int, int]) -> int:
-        return sum(x * int_eow[i] for i, x in vec.items() if int_eow[i])
-
-    def step(vec: dict[int, int], rows) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, x in vec.items():
-            for j, p in rows[i]:
-                out[j] = out.get(j, 0) + x * p
-        return {j: v for j, v in out.items() if v}
-
-    lhs = abs(eow_dot(diff0)) * powers[n]
-    nodes = 1
-    nlabels = len(lmc.alphabet)
-    stack: list[list] = [[diff0, 0, 0]]  # [vector, depth, next label]
-    while stack:
-        frame = stack[-1]
-        depth, li = frame[1], frame[2]
-        if li == nlabels or depth == n:
-            stack.pop()
-            continue
-        frame[2] = li + 1
-        child = step(frame[0], int_rows[li])
-        if not child:
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the node budget of {budget}",
-                nodes_visited=nodes,
-            )
-        contribution = abs(eow_dot(child))
-        if contribution:
-            lhs += contribution * powers[n - depth - 1]
-        stack.append([child, depth + 1, 0])
-
-    rhs_fraction = 2 * tau * Fraction(denom_product) ** (n + 2)
-    assert rhs_fraction.denominator == 1
-    rhs = rhs_fraction.numerator + (1 if strict else 0)
+    gaps: defaultdict[int, int] = defaultdict(int)
+    for path, vec in walk_prefixes(diff, step, budget):
+        gaps[len(path)] += abs(stop_mass(vec, eow))
+    power = denom_product ** (n + 2)
+    lhs = _integer(depth_total(gaps, den_pi * den, den) * power)
+    rhs = _integer(2 * tau * power) + (1 if strict else 0)
     return ThresholdCertificate(
         decision=lhs >= rhs,
         lhs_integer=lhs,
@@ -397,19 +353,23 @@ def brute_force_best_event(
     """
     if max_len < 0:
         raise DomainError(f"length cutoff must be nonnegative, got {max_len}")
-    found: list[tuple[tuple[str, ...], Fraction]] = []
-    for word, p1, p2 in _support_words(lmc, pi1, pi2, budget, max_len=max_len):
-        found.append((word, p1 - p2))
+    base, words = _pair_walk(lmc, pi1, pi2, budget, max_len=max_len)
+    ratio = lmc.integer_form[0]
+    # Gaps on the common scale base * ratio**max_len.
+    found: list[tuple[tuple[str, ...], int]] = []
+    for path, s1, s2 in words:
+        word = tuple(lmc.alphabet[li] for li in path)
+        found.append((word, (s1 - s2) * ratio ** (max_len - len(path))))
         if len(found) > support_cap:
             raise OracleInfeasibleError(
                 f"more than {support_cap} support words of length <= {max_len}; "
                 f"the exhaustive-subset oracle only handles tiny supports"
             )
     m = len(found)
-    best_value = ZERO
+    best_value = 0
     best_size = 0
     best_mask = 0
-    value = ZERO
+    value = 0
     size = 0
     mask = 0
     # Walk all subsets in Gray-code order so each step flips a single word.
@@ -425,4 +385,4 @@ def brute_force_best_event(
         if value > best_value or (value == best_value and size > best_size):
             best_value, best_size, best_mask = value, size, mask
     chosen = tuple(word for i, (word, _) in enumerate(found) if (best_mask >> i) & 1)
-    return chosen, best_value
+    return chosen, Fraction(best_value, base * ratio**max_len)

@@ -212,51 +212,6 @@ def precision_for(max_word_length: int, state_count: int, relative_error: Fracti
     return k
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Bookkeeping for the rounding-error guarantee of a whole evaluation.
-
-    Valid when ``2**precision >= 2 * (max_word_length + 1) * state_count /
-    relative_error``; then every word probability of length up to
-    ``max_word_length``, evaluated with rounding after each scalar operation,
-    stays within the relative error.  ``gamma(i)`` is the standard worst-case
-    relative error after i roundings: i*u / (1 - i*u) with u = 2**-precision.
-    """
-
-    precision: int
-    max_word_length: int
-    state_count: int
-    relative_error: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "relative_error", as_fraction(self.relative_error, "relative error")
-        )
-        if self.precision < 1:
-            raise DomainError(f"precision must be >= 1, got {self.precision}")
-        if self.relative_error <= 0:
-            raise DomainError("relative error must be positive")
-        need = (
-            Fraction(2 * (self.max_word_length + 1) * self.state_count)
-            / self.relative_error
-        )
-        if (1 << self.precision) < need:
-            raise DomainError(
-                f"precision {self.precision} is too small: 2**k must be at least {need}"
-            )
-
-    def gamma(self, roundings: int) -> Fraction:
-        """Worst-case relative error bound after the given number of roundings."""
-        if roundings < 0:
-            raise DomainError(f"rounding count must be nonnegative, got {roundings}")
-        x = Fraction(roundings, 1 << self.precision)
-        if x >= 1:
-            raise DomainError(
-                f"{roundings} roundings at precision {self.precision} exhaust the budget"
-            )
-        return x / (1 - x)
-
-
 class RoundedModel:
     """A chain with all probabilities rounded to k bits, evaluated in k-bit
     arithmetic with one rounding per scalar operation.

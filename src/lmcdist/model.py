@@ -15,21 +15,27 @@ Contents:
 * ``tail_mass`` -- exact probability of emitting a word longer than n.
 * ``disjoint_union`` -- embed two chains in one state space so that a single
   analysis can compare their induced distributions.
+* ``walk_prefixes`` -- the one depth-first prefix walker behind every exact
+  enumeration in the package, on integer vectors over a common denominator
+  (``Lmc.integer_form``), with ``depth_total`` to read per-depth sums out as
+  one Fraction.
 
 Probabilities are ``fractions.Fraction`` throughout; floats are rejected so
-that no silent rounding can creep in.  All model types are frozen and safe to
-share between threads.
+that no silent rounding can creep in.  The walker's integers are the same
+rationals times a known power of the common denominator, so it is exact too.
+All model types are frozen and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,6 +49,9 @@ Word = Sequence[str]
 #: Sparse row form: for each source state, the (target, probability) pairs
 #: with a nonzero probability.
 SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
+
+#: Sparse rows scaled by a common denominator to integers.
+IntRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
@@ -187,54 +196,37 @@ class Lmc:
     @cached_property
     def sparse_rows(self) -> tuple[SparseRows, ...]:
         """Per label, per source state: nonzero (target, probability) pairs."""
-        return tuple(
-            tuple(
-                tuple((j, p) for j, p in enumerate(row) if p)
-                for row in mat
-            )
-            for mat in self.matrices
-        )
+        return sparse_matrices(self.matrices)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[IntRows, ...], tuple[int, ...]]:
+        """``(L, rows, eow)``: L is the lcm of every transition and end-of-word
+        denominator, ``rows`` the sparse rows and ``eow`` the end-of-word
+        vector, both multiplied by L into integers."""
+        den, rows = integer_rows(self.sparse_rows, common_denominator(self.eow))
+        return den, rows, tuple(_times(e, den) for e in self.eow)
 
     @cached_property
     def sparse_cols(self) -> tuple[SparseRows, ...]:
         """Per label, per target state: nonzero (source, probability) pairs."""
-        out = []
-        for mat in self.matrices:
-            cols: list[list[tuple[int, Fraction]]] = [[] for _ in self.states]
-            for i, row in enumerate(mat):
-                for j, p in enumerate(row):
-                    if p:
-                        cols[j].append((i, p))
-            out.append(tuple(tuple(c) for c in cols))
-        return tuple(out)
+        return sparse_matrices([tuple(zip(*mat)) for mat in self.matrices])
 
     @cached_property
     def combined_rows(self) -> SparseRows:
         """Sparse rows of the label-summed transition matrix."""
-        n = self.n_states
-        sums = [[ZERO] * n for _ in range(n)]
-        for mat in self.matrices:
-            for i, row in enumerate(mat):
-                for j, p in enumerate(row):
-                    if p:
-                        sums[i][j] += p
-        return tuple(
-            tuple((j, p) for j, p in enumerate(row) if p)
-            for row in sums
-        )
+        summed = [
+            [sum(cells) for cells in zip(*(mat[i] for mat in self.matrices))]
+            for i in range(self.n_states)
+        ]
+        return sparse_matrices([summed])[0]
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Per state: targets reachable by one positive-probability step."""
-        out = []
-        for i in range(self.n_states):
-            targets: set[int] = set()
-            for mat in self.matrices:
-                for j, p in enumerate(mat[i]):
-                    if p > 0:
-                        targets.add(j)
-            out.append(tuple(sorted(targets)))
-        return tuple(out)
+        return tuple(
+            tuple(sorted({j for rows in self.sparse_rows for j, p in rows[i] if p > 0}))
+            for i in range(self.n_states)
+        )
 
 
 @dataclass(frozen=True)
@@ -287,25 +279,135 @@ def sparsify(weights: Sequence[Fraction]) -> dict[int, Fraction]:
     return {i: w for i, w in enumerate(weights) if w}
 
 
-def advance(vec: dict[int, Fraction], rows: SparseRows) -> dict[int, Fraction]:
-    """One step of vector-times-matrix in sparse form."""
-    out: dict[int, Fraction] = {}
+def sparse_matrices(matrices: Sequence[Matrix]) -> tuple[SparseRows, ...]:
+    """Per matrix, per row: the nonzero (column, entry) pairs."""
+    return tuple(
+        tuple(tuple((j, p) for j, p in enumerate(row) if p) for row in mat)
+        for mat in matrices
+    )
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators (1 when there are none)."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def _times(x: Fraction, den: int) -> int:
+    """x * den for a den that x's denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def integer_rows(
+    sparse: Sequence[SparseRows], den: int = 1
+) -> tuple[int, tuple[IntRows, ...]]:
+    """The lcm of ``den`` and every entry's denominator, and the sparse rows
+    multiplied by it into integers."""
+    den = math.lcm(den, common_denominator(p for rows in sparse for row in rows for _, p in row))
+    return den, tuple(
+        tuple(tuple((j, _times(p, den)) for j, p in row) for row in rows) for rows in sparse
+    )
+
+
+def scale(weights: Sequence[Fraction], den: int) -> dict[int, int]:
+    """Sparse integer vector of ``weights`` times ``den``; every denominator
+    must divide ``den``."""
+    return {i: _times(w, den) for i, w in enumerate(weights) if w}
+
+
+def advance(vec: dict, rows: SparseRows | IntRows) -> dict:
+    """One step of vector-times-matrix in sparse form (Fractions or ints)."""
+    out: dict = {}
     for i, x in vec.items():
         for j, p in rows[i]:
             prev = out.get(j)
             out[j] = x * p if prev is None else prev + x * p
-    # Sums of positive terms cannot cancel, but keep corrupt models safe:
+    # Difference vectors can cancel; sums of positive terms cannot.
     return {j: v for j, v in out.items() if v}
 
 
-def stop_mass(vec: dict[int, Fraction], eow: Sequence[Fraction]) -> Fraction:
-    """Probability of stopping right now, given the sparse prefix vector."""
-    total = ZERO
+def stop_mass(vec: dict, eow: Sequence) -> Fraction | int:
+    """Probability of stopping right now, given the sparse prefix vector.
+
+    Integer in, integer out: with an integer vector over ``L_pi * L**d`` and
+    the end-of-word vector times L, the result is over ``L_pi * L**(d+1)``.
+    """
+    total = 0
     for i, x in vec.items():
         e = eow[i]
         if e:
             total += x * e
     return total
+
+
+# -- the prefix walker -------------------------------------------------------
+#
+# Every exact enumeration in the package (distance, power sums, threshold
+# certificates, the subset oracle, the bounded-length estimator and the
+# majority-witness search) walks one tree: the root is the empty word and a
+# word's children are its one-letter extensions in alphabet order.  Vectors
+# travel as integers over a common denominator: with L the lcm of the chain's
+# transition and end-of-word denominators (``Lmc.integer_form``) and L_pi the
+# lcm of the start denominators, a prefix vector at depth d is an integer
+# vector over L_pi * L**d and its stop mass an integer over L_pi * L**(d+1).
+# Deciding p1(w) >= p2(w) is then one integer comparison, and sums are kept
+# per depth and turned into a single Fraction at the end (``depth_total``).
+
+
+def walk_prefixes(
+    root: Any,
+    step: Callable[[Any, int], Sequence[Any] | None],
+    budget: int | None = None,
+) -> Iterator[tuple[list[int], Any]]:
+    """Depth-first walk of the prefix tree from ``root``, in alphabet order.
+
+    Yields ``(path, node)`` for the root and then for every node that
+    ``step`` produces; ``path`` holds the label indices from the root and is
+    reused by the walk, so copy it to keep it.  After a node is yielded,
+    ``step(node, depth)`` gives its children, one per label with None for a
+    pruned child, or None to prune the whole subtree.  Every yielded node
+    counts against ``budget`` (None: no cap); the first node past it raises
+    ``BudgetExceededError``.
+    """
+    if budget is not None and budget < 1:
+        raise DomainError(f"node budget must be positive, got {budget}")
+    path: list[int] = []
+    yield path, root
+    children = step(root, 0)
+    if children is None:
+        return
+    nodes = 1
+    stack = [iter(enumerate(children))]
+    while stack:
+        for li, child in stack[-1]:
+            if child is not None:
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(
+                f"enumeration exceeded the node budget of {budget}",
+                nodes_visited=nodes,
+            )
+        path.append(li)
+        yield path, child
+        children = step(child, len(path))
+        if children is None:
+            path.pop()
+        else:
+            stack.append(iter(enumerate(children)))
+
+
+def depth_total(sums: Mapping[int, int], base: int, ratio: int) -> Fraction:
+    """The sum over d of ``sums[d] / (base * ratio**d)`` as one Fraction."""
+    top = max(sums, default=0)
+    num = 0
+    for d in range(top + 1):
+        num = num * ratio + sums.get(d, 0)
+    return Fraction(num, base * ratio**top)
 
 
 def check_distribution(lmc: Lmc, pi: InitialDistribution, name: str = "initial distribution") -> None:
@@ -329,8 +431,8 @@ def validate(lmc: Lmc) -> list[str]:
     """
     problems: list[str] = []
     for li, label in enumerate(lmc.alphabet):
-        for i, row in enumerate(lmc.matrices[li]):
-            for j, p in enumerate(row):
+        for i, row in enumerate(lmc.sparse_rows[li]):
+            for j, p in row:
                 if not (0 <= p <= 1):
                     problems.append(
                         f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
@@ -342,9 +444,7 @@ def validate(lmc: Lmc) -> list[str]:
                 f"end-of-word probability at state {lmc.states[i]} is {e}, outside [0, 1]"
             )
     for i in range(lmc.n_states):
-        total = lmc.eow[i]
-        for mat in lmc.matrices:
-            total += sum(mat[i], ZERO)
+        total = lmc.eow[i] + sum(p for rows in lmc.sparse_rows for _, p in rows[i])
         if total != 1:
             problems.append(
                 f"outgoing probability at state {lmc.states[i]} sums to {total}, expected 1"
@@ -383,7 +483,7 @@ def word_probability(lmc: Lmc, pi: InitialDistribution, word: Word) -> Fraction:
         vec = advance(vec, lmc.sparse_rows[li])
         if not vec:
             return ZERO
-    return stop_mass(vec, lmc.eow)
+    return Fraction(stop_mass(vec, lmc.eow))
 
 
 def _topological_order(lmc: Lmc) -> list[int] | None:

@@ -212,6 +212,27 @@ def random_acyclic_instance(
     return lmc, random_distribution(rng, lmc), random_distribution(rng, lmc)
 
 
+def random_pa(rng: random.Random, max_states: int = 4, n_labels: int = 2) -> Pa:
+    """A random probabilistic automaton started in a rejecting state, with
+    quarter-step weights so that acceptance probabilities often sit near 1/2."""
+    n = rng.randint(2, max_states)
+    states = tuple(f"u{i}" for i in range(n))
+
+    def row() -> tuple[Fraction, ...]:
+        cells = [0] * n
+        for _ in range(4):
+            cells[rng.randrange(n)] += 1
+        return tuple(Fraction(c, 4) for c in cells)
+
+    return Pa(
+        states=states,
+        alphabet=("x", "y")[:n_labels],
+        matrices=tuple(tuple(row() for _ in states) for _ in range(n_labels)),
+        initial=(Fraction(1),) + (Fraction(0),) * (n - 1),
+        accepting=frozenset(q for q in states[1:] if rng.random() < 0.5),
+    )
+
+
 def relabeled_copy(lmc: Lmc, pi: InitialDistribution, prefix: str = "t") -> tuple[Lmc, InitialDistribution]:
     """The same chain with states renamed and reordered (reversed order)."""
     names = {s: f"{prefix}{i}" for i, s in enumerate(lmc.states)}

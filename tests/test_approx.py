@@ -23,8 +23,9 @@ from lmcdist import (
     tv_sample_acyclic,
     word_probability,
 )
-from lmcdist.approx import BitStream, _bounded_walk
-from lmcdist.floatk import precision_for
+from lmcdist.approx import BitStream
+from lmcdist.floatk import RoundedModel, precision_for
+from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
 
 from helpers import (
     half_distance_instance,
@@ -240,7 +241,33 @@ def test_bounded_walk_keeps_floats_in_relative_band():
         lmc, pi1, pi2 = random_acyclic_instance(rng)
         cutoff = 4
         k = precision_for(cutoff, lmc.n_states, theta)
-        for _, p1, p2, f1, f2 in _bounded_walk(lmc, pi1, pi2, cutoff, k, 10**6):
-            for exact, fp in ((p1, f1), (p2, f2)):
+        model = RoundedModel(lmc, k)
+        den, rows, eow = lmc.integer_form
+        den_pi = common_denominator([*pi1.weights, *pi2.weights])
+
+        # The twin walk of tv_bounded: exact integer vectors with k-bit twins.
+        def step(node, depth):
+            if depth == cutoff:
+                return None
+            v1, v2, f1, f2 = node
+            children = []
+            for li, r in enumerate(rows):
+                n1, n2 = advance(v1, r), advance(v2, r)
+                children.append(
+                    (n1, n2, model.advance(f1, li), model.advance(f2, li)) if n1 or n2 else None
+                )
+            return children
+
+        root = (
+            scale(pi1.weights, den_pi),
+            scale(pi2.weights, den_pi),
+            model.initial(pi1),
+            model.initial(pi2),
+        )
+        for path, (v1, v2, f1, f2) in walk_prefixes(root, step, 10**6):
+            over = den_pi * den ** (len(path) + 1)
+            p1 = Fraction(stop_mass(v1, eow), over)
+            p2 = Fraction(stop_mass(v2, eow), over)
+            for exact, fp in ((p1, model.stop_mass(f1)), (p2, model.stop_mass(f2))):
                 assert (exact == 0) == fp.is_zero
                 assert exact * (1 - theta) <= fp.value <= exact * (1 + theta)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lmcdist import (
     DomainError,
-    ErrorBudget,
     FloatK,
     RoundedModel,
     fp_add,
@@ -186,25 +185,6 @@ def test_precision_for_monotone():
     assert precision_for(10, 4, Fraction(1, 16)) >= base
     assert precision_for(5, 8, Fraction(1, 16)) >= base
     assert precision_for(5, 4, Fraction(1, 64)) >= base
-
-
-def test_error_budget_gamma():
-    budget = ErrorBudget(
-        precision=10,
-        max_word_length=12,
-        state_count=3,
-        relative_error=Fraction(1, 8),
-    )
-    u = Fraction(1, 2**10)
-    assert budget.gamma(1) == u / (1 - u)
-    assert budget.gamma(5) == 5 * u / (1 - 5 * u)
-    with pytest.raises(DomainError):
-        ErrorBudget(
-            precision=3,
-            max_word_length=12,
-            state_count=3,
-            relative_error=Fraction(1, 8),
-        )
 
 
 ###############################################################################

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lmcdist import (
+    BudgetExceededError,
     DomainError,
     InitialDistribution,
     Lmc,
@@ -17,6 +18,7 @@ from lmcdist import (
     validate,
     word_probability,
 )
+from lmcdist.model import depth_total, walk_prefixes
 
 from helpers import (
     half_distance_instance,
@@ -104,6 +106,34 @@ def test_negative_and_oversized_probabilities_flagged():
     assert any("end-of-word" in p and "outside [0, 1]" in p for p in problems)
     oversized = Lmc.from_transitions(["u"], ["a"], [], {"u": Fraction(3, 2)})
     assert any("outside [0, 1]" in p for p in validate(oversized))
+
+
+def test_validate_reports_violations_in_a_fixed_order():
+    # Ranges by label, source and target; then end-of-word ranges; then row
+    # sums by state; then states that cannot stop.
+    lmc = Lmc.from_transitions(
+        ["u", "v", "w", "x"],
+        ["a", "b"],
+        [
+            ("u", "b", "w", Fraction(3, 2)),
+            ("u", "a", "v", Fraction(-1, 2)),
+            ("v", "a", "w", Fraction(1, 3)),
+            ("v", "b", "u", Fraction(1, 3)),
+            ("x", "a", "x", 1),
+            ("w", "a", "u", Fraction(-1, 4)),
+        ],
+        {"v": Fraction(1, 6), "w": Fraction(3, 2)},
+    )
+    assert validate(lmc) == [
+        "transition u --a--> v has probability -1/2, outside [0, 1]",
+        "transition w --a--> u has probability -1/4, outside [0, 1]",
+        "transition u --b--> w has probability 3/2, outside [0, 1]",
+        "end-of-word probability at state w is 3/2, outside [0, 1]",
+        "outgoing probability at state v sums to 5/6, expected 1",
+        "outgoing probability at state w sums to 5/4, expected 1",
+        "state x has no positive-probability path to a state that can end the word",
+    ]
+    assert lmc.successors == ((2,), (0, 2), (), (3,))  # positive steps only
 
 
 ###############################################################################
@@ -235,3 +265,50 @@ def test_random_cyclic_chains_are_valid():
     for _ in range(20):
         lmc = random_cyclic_lmc(rng)
         assert validate(lmc) == []
+
+
+###############################################################################
+# The prefix walker
+###############################################################################
+
+
+def _binary_step(max_depth, pruned=()):
+    """Children of a word over {0, 1}: the extended words, with the words in
+    ``pruned`` cut off, and nothing below ``max_depth``."""
+
+    def step(word, depth):
+        if depth == max_depth:
+            return None
+        return [None if word + (li,) in pruned else word + (li,) for li in (0, 1)]
+
+    return step
+
+
+def test_walk_is_depth_first_in_alphabet_order():
+    visited = [(tuple(path), word) for path, word in walk_prefixes((), _binary_step(2))]
+    assert [word for _, word in visited] == [
+        (), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)
+    ]
+    assert all(path == word for path, word in visited)
+
+
+def test_walk_prunes_children_and_subtrees():
+    step = _binary_step(3, pruned={(0,), (1, 1, 0)})
+    words = [word for _, word in walk_prefixes((), step)]
+    assert words == [(), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 1)]
+
+
+def test_walk_budget_counts_visited_nodes():
+    assert len(list(walk_prefixes((), _binary_step(2), budget=7))) == 7
+    with pytest.raises(BudgetExceededError) as info:
+        list(walk_prefixes((), _binary_step(2), budget=6))
+    assert info.value.nodes_visited == 7
+    with pytest.raises(DomainError):
+        list(walk_prefixes((), _binary_step(2), budget=0))
+
+
+def test_depth_total_combines_scales():
+    # 1/6 + 5/(6*4) + 0 + 7/(6*4**3)
+    sums = {0: 1, 1: 5, 3: 7}
+    assert depth_total(sums, 6, 4) == Fraction(1, 6) + Fraction(5, 24) + Fraction(7, 384)
+    assert depth_total({}, 6, 4) == 0
