@@ -10,7 +10,7 @@ distributions of two starting points:
 
 * ``tv_bounded`` -- deterministic: cut the support at a length where at most
   epsilon/4 of the mass remains (``length_bound``), enumerate all words up to
-  that length with the package's prefix walker, and classify each word by
+  that length with the package's depth-first walk, and classify each word by
   comparing the two probabilities computed in k-bit floating point with k
   chosen so each is within relative epsilon/8 of the truth.  The exact masses
   of the two classes, carried as integers beside the k-bit twins, then pin the
@@ -460,6 +460,7 @@ def tv_bounded(
         raise BudgetExceededError(
             f"{exc} (length cutoff {cutoff}, precision {precision})",
             nodes_visited=exc.nodes_visited,
+            depth=exc.depth,
         ) from None
     mass1_lt = depth_total(below, den_pi * den, den)
     mass2_ge = depth_total(at_least, den_pi * den, den)

@@ -18,7 +18,8 @@ distance instances, pinning the hardness of distance computation:
   instance whose distance equals a certified ``bound`` exactly when no word
   is accepted with probability above 1/2, and strictly exceeds it otherwise.
   ``find_majority_witness`` searches for such a word, shortest first, with
-  the package's prefix walker; one witness yields an explicit event
+  the package's merging breadth-first walk, skipping prefixes that can no
+  longer reach acceptance above 1/2; one witness yields an explicit event
   separating the two distributions beyond the bound.
 """
 
@@ -42,10 +43,12 @@ from .model import (
     as_fraction,
     common_denominator,
     integer_rows,
+    least_word,
     scale,
     sparse_matrices,
     stop_mass,
-    walk_prefixes,
+    vector_key,
+    walk_layers,
 )
 
 #: Labels appended to the input alphabet by both reductions.
@@ -268,36 +271,61 @@ def acceptance_probability(pa: Pa, word: Word) -> Fraction:
     )
 
 
+def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...]]:
+    """``live[r]``: 0/1 flags of the states that can reach an accepting state
+    within r letters (``rows`` as in ``advance``), for r = 0, 1, ... until
+    the flags stop growing; the last entry then holds for every larger r."""
+    live = [tuple(accepting)]
+    while True:
+        prev = live[-1]
+        grown = tuple(
+            1 if prev[i] or any(prev[j] for r in rows for j, _ in r[i]) else 0
+            for i in range(len(prev))
+        )
+        if grown == prev:
+            return live
+        live.append(grown)
+
+
 def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     """Shortest word accepted with probability strictly above 1/2, trying
     lengths 0..max_len in alphabet order; None if none exists in that range.
 
-    A depth-first walk of the prefix tree on integer vectors (see
-    ``model.walk_prefixes``); once a witness is found only strictly shorter
-    words are searched, so the first witness of the shortest length wins.
-    Exhaustive (k^max_len words) when no witness exists, so keep ``max_len``
-    small; no loss of exactness, only of patience.
+    A breadth-first walk of the prefix tree on integer vectors that merges
+    prefixes with equal vectors (``model.walk_layers``).  The first witness
+    in the first layer that has one is the answer: layers are ordered by
+    the least word reaching each node.  A prefix at depth d is dropped when
+    twice its mass on the states that can still reach an accepting state
+    within the max_len - d letters left is at most its scale, because no
+    extension can then be accepted with more than that mass.
     """
+    if max_len < 0:
+        return None
     den, rows = integer_rows(sparse_matrices(pa.matrices))
     den_pi = common_denominator(pa.initial)
     flags = tuple(1 if flag else 0 for flag in pa.accepting_vector)
-    limit = max_len
+    live = _live_flags(rows, flags)
+    scales = [den_pi]  # the denominator of a prefix vector, per depth
 
     def step(vec, depth):
-        return None if depth >= limit else [advance(vec, r) for r in rows]
-
-    witness = None
-    scales = [den_pi]  # the denominator of a prefix vector, per depth
-    for path, vec in walk_prefixes(scale(pa.initial, den_pi), step):
-        depth = len(path)
-        if depth > limit:
-            continue
-        if depth == len(scales):
+        if depth == max_len:
+            return None
+        left = live[min(max_len - depth - 1, len(live) - 1)]
+        if depth + 1 == len(scales):
             scales.append(scales[-1] * den)
-        if 2 * stop_mass(vec, flags) > scales[depth]:
-            witness = tuple(pa.alphabet[li] for li in path)
-            limit = depth - 1
-    return witness
+        children = []
+        for r in rows:
+            child = advance(vec, r)
+            children.append(child if 2 * stop_mass(child, left) > scales[depth + 1] else None)
+        return children
+
+    edges = []
+    for layer in walk_layers(scale(pa.initial, den_pi), step, vector_key):
+        edges.append(layer.edges)
+        for at, vec in enumerate(layer.nodes):
+            if 2 * stop_mass(vec, flags) > scales[layer.depth]:
+                return tuple(pa.alphabet[li] for li in least_word(edges, layer.depth, at))
+    return None
 
 
 # -- reductions -----------------------------------------------------------------

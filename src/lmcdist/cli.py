@@ -491,7 +491,8 @@ def build_parser() -> _Parser:
             "--budget",
             type=int,
             default=DEFAULT_NODE_BUDGET,
-            help="enumeration node budget (default %(default)s)",
+            help="enumeration node budget: distinct prefix vectors for exact, lk "
+            "and threshold, prefixes for bounded (default %(default)s)",
         )
 
     p = command("validate", _cmd_validate, "check a chain file; exit 1 if invalid")

@@ -21,12 +21,17 @@ class ParseError(ValueError):
 class BudgetExceededError(RuntimeError):
     """An enumeration or construction hit its node/state cap before finishing.
 
-    ``nodes_visited`` carries how far the computation got when it stopped.
+    ``nodes_visited`` carries how far the computation got when it stopped,
+    and ``depth`` the word length (prefix-tree depth) it had reached, when
+    the computation walks words.
     """
 
-    def __init__(self, message: str, *, nodes_visited: int | None = None):
+    def __init__(
+        self, message: str, *, nodes_visited: int | None = None, depth: int | None = None
+    ):
         super().__init__(message)
         self.nodes_visited = nodes_visited
+        self.depth = depth
 
 
 class OracleInfeasibleError(BudgetExceededError):

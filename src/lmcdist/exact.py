@@ -4,11 +4,14 @@ The total variation distance between the word distributions of two starting
 points is half the sum of |p1(w) - p2(w)| over all words; equivalently it is
 the advantage p1(W) - p2(W) of the event W = {w : p1(w) >= p2(w)} (ties are
 put into W throughout this package).  For acyclic chains the support is
-finite, so these quantities are computed exactly by the package's prefix
-walker (``model.walk_prefixes``): depth-first in alphabet order, on integer
-prefix vectors over a common denominator, pruning prefixes that are
-unreachable under both starts.  Sums are kept per depth as integers and turned
-into one Fraction at the end.
+finite, so these quantities are computed exactly by walking the prefix tree
+on integer prefix vectors over a common denominator, pruning prefixes that
+are unreachable under both starts.  The walk is breadth-first and merges
+prefixes with equal vectors (``model.walk_layers``), so it costs one step per
+distinct vector pair, not per word; sums are weighted by the number of words
+behind each pair, kept per depth as integers and turned into one Fraction at
+the end.  The exhaustive-subset oracle walks every word depth-first instead
+(``model.walk_prefixes``), which keeps it an independent route.
 
 Also here:
 
@@ -23,7 +26,7 @@ Also here:
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain as _chain
@@ -33,6 +36,7 @@ from .errors import DomainError, OracleInfeasibleError
 from .model import (
     ZERO,
     InitialDistribution,
+    Layer,
     Lmc,
     advance,
     check_distribution,
@@ -40,12 +44,16 @@ from .model import (
     depth_total,
     is_acyclic,
     scale,
+    spell_words,
     stop_mass,
     support_lengths,
+    vector_key,
+    walk_layers,
     walk_prefixes,
 )
 
-#: Default cap on enumeration-tree nodes (prefixes visited).
+#: Default cap on enumeration nodes: distinct prefix vectors (or vector
+#: pairs) for the merged walks, prefixes for the depth-first ones.
 DEFAULT_NODE_BUDGET = 10**7
 
 #: Witness word lists larger than this are summarized by count/mass only.
@@ -100,23 +108,12 @@ def require_acyclic(lmc: Lmc) -> None:
         )
 
 
-def _pair_walk(
-    lmc: Lmc,
-    pi1: InitialDistribution,
-    pi2: InitialDistribution,
-    budget: int,
-    max_len: int | None = None,
-) -> tuple[int, Iterator[tuple[list[int], int, int]]]:
-    """The prefix walk under both starts, for words up to ``max_len``.
-
-    Returns ``(base, words)``.  ``words`` yields ``(path, s1, s2)`` for every
-    word with positive probability under either start, where ``path`` is as
-    in ``walk_prefixes`` and s1, s2 are the word's two probabilities as
-    integers over ``base * L**len(path)`` (L from ``Lmc.integer_form``).
-    Subtrees where both prefix vectors vanish are pruned; every visited
-    prefix counts against ``budget``.
-    """
-    den, rows, eow = lmc.integer_form
+def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, max_len: int | None):
+    """``(base, root, step)`` of the prefix walk under both starts, for words
+    up to ``max_len``: a node is the pair of integer prefix vectors, and a
+    child where both vectors vanish is pruned.  Stop masses at depth d are
+    integers over ``base * L**d`` (L from ``Lmc.integer_form``)."""
+    den, rows, _ = lmc.integer_form
     den_pi = common_denominator([*pi1.weights, *pi2.weights])
 
     def step(node, depth):
@@ -130,15 +127,59 @@ def _pair_walk(
             children.append((n1, n2) if n1 or n2 else None)
         return children
 
+    root = (scale(pi1.weights, den_pi), scale(pi2.weights, den_pi))
+    return den_pi * den, root, step
+
+
+def _pair_key(node):
+    return vector_key(node[0]), vector_key(node[1])
+
+
+def _pair_layers(
+    lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, budget: int
+) -> tuple[int, Iterator[tuple[Layer, list[tuple[int, int]]]]]:
+    """The merged walk under both starts (``model.walk_layers``).
+
+    Returns ``(base, layers)``; ``layers`` yields each layer with the two
+    stop masses ``(s1, s2)`` of each of its nodes, as integers over
+    ``base * L**depth``.  Each node stands for ``layer.counts[i]`` words, and
+    every distinct vector pair counts against ``budget``.
+    """
+    base, root, step = _pair_start(lmc, pi1, pi2, None)
+    eow = lmc.integer_form[2]
+
+    def layers():
+        for layer in walk_layers(root, step, _pair_key, budget):
+            yield layer, [(stop_mass(v1, eow), stop_mass(v2, eow)) for v1, v2 in layer.nodes]
+
+    return base, layers()
+
+
+def _pair_walk(
+    lmc: Lmc,
+    pi1: InitialDistribution,
+    pi2: InitialDistribution,
+    budget: int,
+    max_len: int | None = None,
+) -> tuple[int, Iterator[tuple[list[int], int, int]]]:
+    """The depth-first walk under both starts, one node per word.
+
+    Returns ``(base, words)``.  ``words`` yields ``(path, s1, s2)`` for every
+    word with positive probability under either start, where ``path`` is as
+    in ``walk_prefixes`` and s1, s2 are as in ``_pair_layers``.  Every
+    visited prefix counts against ``budget``.
+    """
+    base, root, step = _pair_start(lmc, pi1, pi2, max_len)
+    eow = lmc.integer_form[2]
+
     def words():
-        root = (scale(pi1.weights, den_pi), scale(pi2.weights, den_pi))
         for path, (v1, v2) in walk_prefixes(root, step, budget):
             s1 = stop_mass(v1, eow)
             s2 = stop_mass(v2, eow)
             if s1 or s2:
                 yield path, s1, s2
 
-    return den_pi * den, words()
+    return base, words()
 
 
 def tv_distance_acyclic(
@@ -152,37 +193,49 @@ def tv_distance_acyclic(
     Enumerates the full (finite) support, so the chain must be acyclic.  The
     report carries the maximizing event W = {w : p1(w) >= p2(w)} restricted to
     support words; its masses satisfy distance = mass_1 - mass_2 exactly.
+    Words with equal prefix vectors are walked once (``_pair_layers``), and
+    ``budget`` caps the distinct vector pairs.  The listed witness words are
+    in the order of a depth-first walk: each word before its extensions,
+    siblings in alphabet order.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    base, words = _pair_walk(lmc, pi1, pi2, budget)
-    # Per-depth integer sums (see ``_pair_walk``).
-    gap, mass_1, mass_2 = defaultdict(int), defaultdict(int), defaultdict(int)
+    base, layers = _pair_layers(lmc, pi1, pi2, budget)
+    # Per-depth integer sums (see ``_pair_layers``).
+    gap, mass_1, mass_2 = {}, {}, {}
     count = 0
-    listed: list[tuple[str, ...]] | None = []
     enumerated = 0
-    for path, s1, s2 in words:
-        enumerated += 1
-        depth = len(path)
-        if s1 >= s2:
-            gap[depth] += s1 - s2
-            mass_1[depth] += s1
-            mass_2[depth] += s2
-            count += 1
-            if listed is not None:
-                if count <= WITNESS_WORD_CAP:
-                    listed.append(tuple(lmc.alphabet[li] for li in path))
-                else:
-                    listed = None
-        else:
-            gap[depth] += s2 - s1
+    edges: list | None = []  # per depth, while the witness words may be listed
+    hits: list[tuple[int, int]] = []  # (depth, index) of the witness nodes
+    for layer, stops in layers:
+        depth = layer.depth
+        g = m1 = m2 = 0
+        for at, ((s1, s2), c) in enumerate(zip(stops, layer.counts)):
+            if not (s1 or s2):
+                continue
+            enumerated += c
+            if s1 >= s2:
+                g += c * (s1 - s2)
+                m1 += c * s1
+                m2 += c * s2
+                count += c
+                if edges is not None:
+                    hits.append((depth, at))
+            else:
+                g += c * (s2 - s1)
+        gap[depth], mass_1[depth], mass_2[depth] = g, m1, m2
+        if edges is not None:
+            edges.append(layer.edges)
+            if count > WITNESS_WORD_CAP:
+                edges = None
+    listed = None if edges is None else tuple(spell_words(edges, hits, lmc.alphabet))
     ratio = lmc.integer_form[0]
     witness = WitnessSummary(
         word_count=count,
         mass_1=depth_total(mass_1, base, ratio),
         mass_2=depth_total(mass_2, base, ratio),
-        words=tuple(listed) if listed is not None else None,
+        words=listed,
     )
     return DistanceReport(
         distance=depth_total(gap, base, ratio) / 2,
@@ -200,18 +253,19 @@ def lk_distance_acyclic(
 ) -> Fraction:
     """Exact k-th power-sum distance: sum over words of |p1(w) - p2(w)|^k.
 
-    For k = 1 this is twice the total variation distance.
+    For k = 1 this is twice the total variation distance.  Walked like
+    ``tv_distance_acyclic``, with the same budget.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"exponent must be an integer >= 1, got {k!r}")
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    base, words = _pair_walk(lmc, pi1, pi2, budget)
-    sums: defaultdict[int, int] = defaultdict(int)  # per depth
-    for path, s1, s2 in words:
-        if s1 != s2:
-            sums[len(path)] += abs(s1 - s2) ** k
+    base, layers = _pair_layers(lmc, pi1, pi2, budget)
+    sums = {
+        layer.depth: sum(c * abs(s1 - s2) ** k for (s1, s2), c in zip(stops, layer.counts))
+        for layer, stops in layers
+    }
     return depth_total(sums, base**k, lmc.integer_form[0] ** k)
 
 
@@ -247,8 +301,10 @@ def threshold_decide_acyclic(
 
     The walk itself runs on the smaller denominators of the prefix walker:
     one integer difference vector per prefix, over L_pi * L**d at depth d
-    (L and L_pi the lcms of the chain's and the starts' denominators).  Its
-    per-depth sums give 2 * distance exactly, which is then rescaled to lhs.
+    (L and L_pi the lcms of the chain's and the starts' denominators), with
+    prefixes of equal difference vector merged (``model.walk_layers``; the
+    budget caps the distinct vectors).  Its per-depth sums give 2 * distance
+    exactly, which is then rescaled to lhs.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -273,9 +329,10 @@ def threshold_decide_acyclic(
             return None
         return [advance(vec, r) or None for r in rows]
 
-    gaps: defaultdict[int, int] = defaultdict(int)
-    for path, vec in walk_prefixes(diff, step, budget):
-        gaps[len(path)] += abs(stop_mass(vec, eow))
+    gaps = {
+        layer.depth: sum(c * abs(stop_mass(vec, eow)) for vec, c in zip(layer.nodes, layer.counts))
+        for layer in walk_layers(diff, step, vector_key, budget)
+    }
     power = denom_product ** (n + 2)
     lhs = _integer(depth_total(gaps, den_pi * den, den) * power)
     rhs = _integer(2 * tau * power) + (1 if strict else 0)

@@ -15,10 +15,15 @@ Contents:
 * ``tail_mass`` -- exact probability of emitting a word longer than n.
 * ``disjoint_union`` -- embed two chains in one state space so that a single
   analysis can compare their induced distributions.
-* ``walk_prefixes`` -- the one depth-first prefix walker behind every exact
-  enumeration in the package, on integer vectors over a common denominator
-  (``Lmc.integer_form``), with ``depth_total`` to read per-depth sums out as
-  one Fraction.
+* ``walk_layers`` -- the breadth-first prefix walk behind the exact
+  distance, power sums, threshold certificates and the majority-witness
+  search: one entry per distinct prefix vector (or vector pair) per depth,
+  weighted by how many words reach it.
+* ``walk_prefixes`` -- the depth-first walk, one node per word, kept for the
+  exhaustive-subset oracle and the k-bit bounded estimator, whose nodes
+  depend on the word and not only on its exact vectors.
+* Both walk integer vectors over a common denominator (``Lmc.integer_form``);
+  ``depth_total`` reads per-depth sums out as one Fraction.
 
 Probabilities are ``fractions.Fraction`` throughout; floats are rejected so
 that no silent rounding can creep in.  The walker's integers are the same
@@ -33,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, DomainError
 
@@ -339,18 +344,25 @@ def stop_mass(vec: dict, eow: Sequence) -> Fraction | int:
     return total
 
 
-# -- the prefix walker -------------------------------------------------------
+# -- the prefix walkers ------------------------------------------------------
 #
-# Every exact enumeration in the package (distance, power sums, threshold
-# certificates, the subset oracle, the bounded-length estimator and the
-# majority-witness search) walks one tree: the root is the empty word and a
-# word's children are its one-letter extensions in alphabet order.  Vectors
-# travel as integers over a common denominator: with L the lcm of the chain's
-# transition and end-of-word denominators (``Lmc.integer_form``) and L_pi the
-# lcm of the start denominators, a prefix vector at depth d is an integer
-# vector over L_pi * L**d and its stop mass an integer over L_pi * L**(d+1).
-# Deciding p1(w) >= p2(w) is then one integer comparison, and sums are kept
-# per depth and turned into a single Fraction at the end (``depth_total``).
+# Every exact enumeration in the package walks one tree: the root is the empty
+# word and a word's children are its one-letter extensions in alphabet order.
+# Vectors travel as integers over a common denominator: with L the lcm of the
+# chain's transition and end-of-word denominators (``Lmc.integer_form``) and
+# L_pi the lcm of the start denominators, a prefix vector at depth d is an
+# integer vector over L_pi * L**d and its stop mass an integer over
+# L_pi * L**(d+1).  Deciding p1(w) >= p2(w) is then one integer comparison,
+# and sums are kept per depth and turned into a single Fraction at the end
+# (``depth_total``).
+#
+# What happens after a prefix w depends on w only through its vectors, so
+# words that reach equal vectors are interchangeable.  ``walk_layers`` walks
+# depth by depth and keeps one entry per distinct node with the number of
+# words that reach it; callers weight every sum by that multiplicity.  On the
+# reduction instances of the paper thousands of words collapse to a few
+# hundred entries.  ``walk_prefixes`` visits every word and stays for the
+# callers whose nodes carry more than the exact vectors.
 
 
 def walk_prefixes(
@@ -368,8 +380,7 @@ def walk_prefixes(
     counts against ``budget`` (None: no cap); the first node past it raises
     ``BudgetExceededError``.
     """
-    if budget is not None and budget < 1:
-        raise DomainError(f"node budget must be positive, got {budget}")
+    _check_budget(budget)
     path: list[int] = []
     yield path, root
     children = step(root, 0)
@@ -388,10 +399,7 @@ def walk_prefixes(
             continue
         nodes += 1
         if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the node budget of {budget}",
-                nodes_visited=nodes,
-            )
+            raise _over_budget(budget, nodes, len(path) + 1)
         path.append(li)
         yield path, child
         children = step(child, len(path))
@@ -399,6 +407,146 @@ def walk_prefixes(
             path.pop()
         else:
             stack.append(iter(enumerate(children)))
+
+
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 1:
+        raise DomainError(f"node budget must be positive, got {budget}")
+
+
+def _over_budget(budget: int, nodes: int, depth: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"enumeration exceeded the node budget of {budget} at depth {depth}",
+        nodes_visited=nodes,
+        depth=depth,
+    )
+
+
+def vector_key(vec: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """A sparse vector's sorted items: equal vectors, equal keys."""
+    return tuple(sorted(vec.items()))
+
+
+#: Per node of a layer: its (parent index, label index) edges.
+Edges = list[list[tuple[int, int]]]
+
+
+@dataclass(frozen=True)
+class Layer:
+    """The distinct nodes at one depth of ``walk_layers``.
+
+    ``counts[i]`` is the number of words that reach ``nodes[i]`` and
+    ``edges[i]`` its ``(parent index, label index)`` pairs into the previous
+    layer, in walk order.  Nodes are ordered by the least word (in alphabet
+    order) that reaches them, so each node's first edge spells that word.
+    """
+
+    depth: int
+    nodes: list
+    counts: list[int]
+    edges: Edges
+
+
+def walk_layers(
+    root: Any,
+    step: Callable[[Any, int], Sequence[Any] | None],
+    key: Callable[[Any], Hashable],
+    budget: int | None = None,
+) -> Iterator[Layer]:
+    """Breadth-first walk of the prefix tree from ``root``, merging nodes.
+
+    ``step`` is as in ``walk_prefixes``; children with equal ``key`` become
+    one node, whose count is the sum of the counts of the parents they come
+    from.  Yields one ``Layer`` per depth, the root alone first, and stops
+    after the first empty layer.  Every distinct node counts against
+    ``budget`` (None: no cap); the first node past it raises
+    ``BudgetExceededError`` with the count and the depth it reached.
+    """
+    _check_budget(budget)
+    layer = Layer(0, [root], [1], [[]])
+    visited = 1
+    while layer.nodes:
+        yield layer
+        depth = layer.depth + 1
+        index: dict[Hashable, int] = {}
+        nodes: list = []
+        counts: list[int] = []
+        edges: Edges = []
+        for parent, (node, count) in enumerate(zip(layer.nodes, layer.counts)):
+            children = step(node, depth - 1)
+            if children is None:
+                continue
+            for li, child in enumerate(children):
+                if child is None:
+                    continue
+                k = key(child)
+                at = index.get(k)
+                if at is None:
+                    visited += 1
+                    if budget is not None and visited > budget:
+                        raise _over_budget(budget, visited, depth)
+                    index[k] = len(nodes)
+                    nodes.append(child)
+                    counts.append(count)
+                    edges.append([(parent, li)])
+                else:
+                    counts[at] += count
+                    edges[at].append((parent, li))
+        layer = Layer(depth, nodes, counts, edges)
+
+
+def least_word(edges: Sequence[Edges], depth: int, at: int) -> list[int]:
+    """The least word reaching node ``at`` of layer ``depth``, as label
+    indices; ``edges[d]`` is the ``edges`` list of layer d."""
+    word = []
+    for d in range(depth, 0, -1):
+        at, li = edges[d][at][0]
+        word.append(li)
+    word.reverse()
+    return word
+
+
+def spell_words(
+    edges: Sequence[Edges], targets: Iterable[tuple[int, int]], labels: Sequence[str]
+) -> list[tuple[str, ...]]:
+    """Every word that reaches one of the ``targets`` (``(depth, index)``
+    pairs), in the order of a depth-first walk: each word before its
+    extensions, siblings in label order.  ``edges`` is as in ``least_word``.
+
+    A depth-first walk over the targets' ancestors only, so it visits each
+    prefix of a returned word once and builds each word once.
+    """
+    wanted = set(targets)
+    top = max((d for d, _ in wanted), default=-1)
+    needed: list[set[int]] = [set() for _ in range(top + 1)]
+    for d, at in wanted:
+        needed[d].add(at)
+    # Forward edges among the ancestors: (depth, index) -> [(label, child)].
+    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for d in range(top, 0, -1):
+        for at in needed[d]:
+            for parent, li in edges[d][at]:
+                needed[d - 1].add(parent)
+                children.setdefault((d - 1, parent), []).append((li, at))
+    for out in children.values():
+        out.sort()
+    words = [()] if (0, 0) in wanted else []
+    path: list[str] = []
+    stack = [iter(children.get((0, 0), ()))]
+    while stack:
+        for li, at in stack[-1]:
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(labels[li])
+        node = (len(path), at)
+        if node in wanted:
+            words.append(tuple(path))
+        stack.append(iter(children.get(node, ())))
+    return words
 
 
 def depth_total(sums: Mapping[int, int], base: int, ratio: int) -> Fraction:

@@ -115,6 +115,41 @@ def at_most_half_pa() -> Pa:
     )
 
 
+def twin_letter_instance() -> tuple[Lmc, InitialDistribution, InitialDistribution]:
+    """A three-state line where ``a`` and ``b`` do the same thing: every
+    word of one length reaches the same prefix vectors.  The first start
+    emits each of the four two-letter words with probability 1/4, the
+    second each one-letter word with probability 1/2: distance 1, six
+    support words, and three distinct prefix-vector pairs (depths 0-2)
+    against seven prefixes."""
+    half = Fraction(1, 2)
+    lmc = Lmc.from_transitions(
+        ["s0", "s1", "s2"],
+        ["a", "b"],
+        [(f"s{i}", a, f"s{i + 1}", half) for i in (0, 1) for a in ("a", "b")],
+        {"s2": 1},
+    )
+    return (
+        lmc,
+        InitialDistribution.dirac(lmc, "s0"),
+        InitialDistribution.dirac(lmc, "s1"),
+    )
+
+
+def split_letters(lmc: Lmc) -> Lmc:
+    """The chain with every label ``a`` split into ``a`` and ``a'``, each
+    taking half of each ``a`` transition: every word has 2**len twins that
+    reach the same prefix vectors, with the original probability shared
+    evenly among them."""
+    alphabet = tuple(lmc.alphabet) + tuple(f"{a}'" for a in lmc.alphabet)
+    transitions = []
+    for src, label, tgt, prob in lmc.transition_records():
+        transitions.append((src, label, tgt, prob / 2))
+        transitions.append((src, f"{label}'", tgt, prob / 2))
+    eow = {s: e for s, e in zip(lmc.states, lmc.eow) if e}
+    return Lmc.from_transitions(lmc.states, alphabet, transitions, eow)
+
+
 def all_two_state_nfas() -> list[Nfa]:
     """Every NFA with states {A, B}, alphabet {x, y}, initial A: all 256
     transition sets crossed with all 4 accepting sets."""
@@ -245,3 +280,19 @@ def relabeled_copy(lmc: Lmc, pi: InitialDistribution, prefix: str = "t") -> tupl
     copy = Lmc.from_transitions(new_states, lmc.alphabet, transitions, eow)
     weights = {names[s]: w for s, w in zip(lmc.states, pi.weights) if w}
     return copy, InitialDistribution.from_map(copy, weights)
+
+
+def late_branch_pa() -> Pa:
+    """Three states: ``x`` sends the start to a rejecting sink and ``y`` to an
+    accepting one, so ``y`` is the only shortest majority witness and every
+    word starting with ``x`` is accepted with probability 0."""
+    one, zero = Fraction(1), Fraction(0)
+    to_rej = ((zero, one, zero), (zero, one, zero), (zero, zero, one))
+    to_acc = ((zero, zero, one), (zero, one, zero), (zero, zero, one))
+    return Pa(
+        states=("start", "rej", "acc"),
+        alphabet=("x", "y"),
+        matrices=(to_rej, to_acc),
+        initial=(one, zero, zero),
+        accepting=frozenset({"acc"}),
+    )

@@ -24,6 +24,7 @@ from lmcdist import (
     validate,
     word_probability,
 )
+from lmcdist import automata
 from lmcdist.automata import _solve_linear
 
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     always_accepting_pa,
     at_most_half_pa,
     example_nfa,
+    late_branch_pa,
 )
 
 ###############################################################################
@@ -161,6 +163,23 @@ def test_majority_witness_search():
     assert find_majority_witness(pa, 3) == ("x",)
 
 
+def test_majority_witness_search_skips_dead_branches(monkeypatch):
+    # Every word starting with x is rejected for sure, so a sound prune drops
+    # that whole branch at the root.  A search that exhausts it first takes
+    # about 2**16 prefix steps at this length.
+    calls = 0
+    real_advance = automata.advance
+
+    def counting_advance(vec, rows):
+        nonlocal calls
+        calls += 1
+        return real_advance(vec, rows)
+
+    monkeypatch.setattr(automata, "advance", counting_advance)
+    assert find_majority_witness(late_branch_pa(), 16) == ("y",)
+    assert calls <= 16
+
+
 ###############################################################################
 # Counting reduction (NFA -> distance instance)
 ###############################################################################
@@ -187,6 +206,20 @@ def test_nfa_reduction_identity_on_machine_sample():
         count = count_accepted_words(machine, 2)
         d = tv_distance_acyclic(out.lmc, out.pi1, out.pi2).distance
         assert d == out.baseline_gap + Fraction(4 - count, 4 * 4)
+
+
+def test_nfa_reduction_count_through_merged_walk():
+    # 40,960 support words collapse to a few hundred distinct prefix-vector
+    # pairs, so a budget far below the word count suffices.
+    nfa = example_nfa()
+    red = nfa_to_lmc(nfa, 14)
+    report = tv_distance_acyclic(red.lmc, red.pi1, red.pi2, budget=1000)
+    assert report.enumerated_words == 40960
+    p = red.params
+    count = count_from_distance(
+        red.baseline_gap, report.distance, p["word_length"], p["alphabet_size"], p["state_count"]
+    )
+    assert count == count_accepted_words(nfa, 14) == 8192
 
 
 def test_nfa_reduction_input_checks():

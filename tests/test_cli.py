@@ -220,6 +220,13 @@ def test_exit_code_2_on_budget(half_files, capsys):
     code, out, err = run(capsys, "exact", *half_files, "--budget", "1")
     assert (code, out) == (2, "")
     assert "budget" in err
+    assert "at depth 1" in err
+
+
+def test_exit_code_1_on_nonpositive_budget(half_files, capsys):
+    code, out, err = run(capsys, "exact", *half_files, "--budget", "0")
+    assert (code, out) == (1, "")
+    assert "budget must be positive" in err
 
 
 def test_exit_code_1_on_domain_errors(tmp_path, half_files, capsys):

@@ -21,6 +21,7 @@ from lmcdist import (
 
 from helpers import (
     half_distance_instance,
+    twin_letter_instance,
     worked_example_pair,
     random_acyclic_instance,
     relabeled_copy,
@@ -81,6 +82,29 @@ def test_budget_is_enforced():
     lmc, pi1, pi2 = half_distance_instance()
     with pytest.raises(BudgetExceededError):
         tv_distance_acyclic(lmc, pi1, pi2, budget=1)
+
+
+def test_budget_counts_distinct_vector_pairs():
+    lmc, pi1, pi2 = twin_letter_instance()
+    report = tv_distance_acyclic(lmc, pi1, pi2, budget=3)
+    assert report.distance == 1
+    assert report.enumerated_words == 6
+    assert report.witness.words == (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
+    assert lk_distance_acyclic(lmc, pi1, pi2, 2, budget=3) == Fraction(3, 4)
+    for run in (
+        lambda budget: tv_distance_acyclic(lmc, pi1, pi2, budget=budget),
+        lambda budget: lk_distance_acyclic(lmc, pi1, pi2, 2, budget=budget),
+    ):
+        with pytest.raises(BudgetExceededError, match="at depth 2") as info:
+            run(2)
+        assert (info.value.nodes_visited, info.value.depth) == (3, 2)
+    # The threshold walk merges difference vectors: one per depth here too.
+    assert threshold_decide_acyclic(lmc, pi1, pi2, 1, strict=False, budget=3).decision
+    with pytest.raises(BudgetExceededError) as info:
+        threshold_decide_acyclic(lmc, pi1, pi2, 1, budget=2)
+    assert (info.value.nodes_visited, info.value.depth) == (3, 2)
+    with pytest.raises(DomainError):
+        tv_distance_acyclic(lmc, pi1, pi2, budget=0)
 
 
 ###############################################################################

@@ -1,0 +1,70 @@
+"""Golden CLI output: the ``--json`` stdout of the enumerating commands,
+pinned byte for byte by SHA-256.
+
+The digests were recorded before the exact commands moved from the
+depth-first walker to the layered one, so any change to a report (a field,
+a digit, the order of the witness words) fails here.  Inputs are written
+under fixed relative names, which the manifest records.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lmcdist.automata import nfa_to_lmc
+from lmcdist.cli import main
+from lmcdist.formats import save_distribution, save_lmc, save_pa
+
+from helpers import at_most_half_pa, example_nfa, late_branch_pa
+
+#: command arguments (after the input files) -> SHA-256 of the stdout
+PAIR_GOLDEN = {
+    ("exact",): "15c87d21c8795c448859a0cea9f6c027422a51e6214fe310299578b52ec232f3",
+    ("exact", "--words"): "233edecdee221bb8f99972474b071962f0cee40e8800178f56eefa15aaa7a70a",
+    ("lk", "-k", "2"): "c7c4e93cd102612079a1495bef87af77c72bf7dbcc71c6131685c9fc4c7078cd",
+    ("threshold", "--tau", "{distance}", "--strict"): "2a6187e978459639383ccba856ef2f34dc15df087c25091970afaa3079330464",
+    ("threshold", "--tau", "{distance}", "--non-strict"): "7fab9c962afa75c69530c58b35e359dc5a01086f1d3967d51abca2f7f688de79",
+}
+
+PA_GOLDEN = {
+    ("late.json", "--max-len", "6"): "6b88488eb7387e53401d154050f0842e001759b12fbe340055b7923d7f8c2def",
+    ("half.json", "--max-len", "6"): "95b2770b9808344905bda829adace650095c6976c4811bbbbf65311a007f4e38",
+}
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    red = nfa_to_lmc(example_nfa(), 4)
+    save_lmc(red.lmc, "lmc.json")
+    save_distribution(red.pi1, red.lmc, "pi1.json")
+    save_distribution(red.pi2, red.lmc, "pi2.json")
+    save_pa(late_branch_pa(), "late.json")
+    save_pa(at_most_half_pa(), "half.json")
+
+
+def _stdout(capsys, *args):
+    code = main([*args, "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pair_commands_are_byte_identical(inputs, capsys):
+    out = _stdout(capsys, "exact", "lmc.json", "pi1.json", "pi2.json")
+    distance = json.loads(out)["results"]["distance"]["rational"]
+    got = {}
+    for args in PAIR_GOLDEN:
+        filled = [a.format(distance=distance) for a in args]
+        got[args] = _digest(_stdout(capsys, filled[0], "lmc.json", "pi1.json", "pi2.json", *filled[1:]))
+    assert got == PAIR_GOLDEN
+
+
+def test_pa_witness_is_byte_identical(inputs, capsys):
+    got = {args: _digest(_stdout(capsys, "pa-witness", *args)) for args in PA_GOLDEN}
+    assert got == PA_GOLDEN

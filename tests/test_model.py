@@ -18,7 +18,7 @@ from lmcdist import (
     validate,
     word_probability,
 )
-from lmcdist.model import depth_total, walk_prefixes
+from lmcdist.model import depth_total, least_word, spell_words, walk_layers, walk_prefixes
 
 from helpers import (
     half_distance_instance,
@@ -302,9 +302,47 @@ def test_walk_budget_counts_visited_nodes():
     assert len(list(walk_prefixes((), _binary_step(2), budget=7))) == 7
     with pytest.raises(BudgetExceededError) as info:
         list(walk_prefixes((), _binary_step(2), budget=6))
-    assert info.value.nodes_visited == 7
+    assert (info.value.nodes_visited, info.value.depth) == (7, 2)
     with pytest.raises(DomainError):
         list(walk_prefixes((), _binary_step(2), budget=0))
+
+
+def _weight_layers(max_depth, budget=None):
+    """Binary words merged by their number of 1s."""
+    return list(walk_layers((), _binary_step(max_depth), sum, budget))
+
+
+def test_layers_merge_equal_keys_in_least_word_order():
+    layers = _weight_layers(3)
+    assert [layer.depth for layer in layers] == [0, 1, 2, 3]
+    # Node i of layer d holds the words with i ones: C(d, i) of them, least
+    # word 0...01...1, reached from the node with one 1 fewer by letter 1
+    # before the node with as many by letter 0.
+    assert [layer.nodes for layer in layers] == [
+        [()],
+        [(0,), (1,)],
+        [(0, 0), (0, 1), (1, 1)],
+        [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)],
+    ]
+    assert [layer.counts for layer in layers] == [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1]]
+    assert layers[2].edges == [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]
+    edges = [layer.edges for layer in layers]
+    assert least_word(edges, 3, 2) == [0, 1, 1]
+    assert spell_words(edges, [(2, 1)], "ab") == [("a", "b"), ("b", "a")]
+    # Targets at several depths come out in depth-first order.
+    assert spell_words(edges, [(3, 3), (1, 0), (2, 1), (0, 0)], "ab") == [
+        (), ("a",), ("a", "b"), ("b", "a"), ("b", "b", "b")
+    ]
+    assert spell_words(edges, [], "ab") == []
+
+
+def test_layers_budget_counts_distinct_nodes():
+    assert len(_weight_layers(2, budget=6)) == 3
+    with pytest.raises(BudgetExceededError, match="at depth 2") as info:
+        _weight_layers(2, budget=5)
+    assert (info.value.nodes_visited, info.value.depth) == (6, 2)
+    with pytest.raises(DomainError):
+        _weight_layers(2, budget=0)
 
 
 def test_depth_total_combines_scales():

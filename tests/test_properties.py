@@ -9,14 +9,25 @@ from hypothesis import strategies as st
 
 from lmcdist import (
     acceptance_probability,
+    disjoint_union,
     find_majority_witness,
     lk_distance_acyclic,
+    nfa_to_lmc,
     threshold_decide_acyclic,
     tv_distance_acyclic,
     word_probability,
 )
+from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
 
-from helpers import random_acyclic_instance, random_pa
+from helpers import (
+    all_two_state_nfas,
+    random_acyclic_instance,
+    random_acyclic_lmc,
+    random_distribution,
+    random_pa,
+    relabeled_copy,
+    split_letters,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -66,3 +77,54 @@ def _shortest_majority_word(pa, max_len):
 def test_majority_witness_matches_shortest_first_brute_force(seed, max_len):
     pa = random_pa(random.Random(seed))
     assert find_majority_witness(pa, max_len) == _shortest_majority_word(pa, max_len)
+
+
+def _instance(kind, rng):
+    """A random acyclic instance; every kind but "plain" has words that
+    reach equal prefix vectors, so the merged walk really merges."""
+    if kind == "plain":
+        return random_acyclic_instance(rng)
+    if kind == "nfa":
+        red = nfa_to_lmc(rng.choice(all_two_state_nfas()), rng.randint(1, 3))
+        return red.lmc, red.pi1, red.pi2
+    lmc = split_letters(random_acyclic_lmc(rng, max_states=4))
+    if kind == "union":
+        pi = random_distribution(rng, lmc)
+        lmc, _, _ = disjoint_union(lmc, pi, *relabeled_copy(lmc, pi))
+    return lmc, random_distribution(rng, lmc), random_distribution(rng, lmc)
+
+
+def _depth_first_words(lmc, pi1, pi2):
+    """(word, p1, p2) for every support word, one walker node per word."""
+    base, words = _pair_walk(lmc, pi1, pi2, budget=10**6)
+    ratio = lmc.integer_form[0]
+    out = []
+    for path, s1, s2 in words:
+        den = base * ratio ** len(path)
+        out.append((tuple(lmc.alphabet[li] for li in path), Fraction(s1, den), Fraction(s2, den)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(["plain", "split", "union", "nfa"]))
+def test_merged_walk_matches_depth_first_walk(seed, kind):
+    lmc, pi1, pi2 = _instance(kind, random.Random(seed))
+    words = _depth_first_words(lmc, pi1, pi2)
+    won = [(w, p1, p2) for w, p1, p2 in words if p1 >= p2]
+    distance = sum(abs(p1 - p2) for _, p1, p2 in words) / 2
+    expected = DistanceReport(
+        distance=distance,
+        witness=WitnessSummary(
+            word_count=len(won),
+            mass_1=sum(p1 for _, p1, _ in won),
+            mass_2=sum(p2 for _, _, p2 in won),
+            words=tuple(w for w, _, _ in won) if len(won) <= WITNESS_WORD_CAP else None,
+        ),
+        enumerated_words=len(words),
+    )
+    assert tv_distance_acyclic(lmc, pi1, pi2) == expected
+    for k in (1, 2, 3):
+        power_sum = sum(abs(p1 - p2) ** k for _, p1, p2 in words)
+        assert lk_distance_acyclic(lmc, pi1, pi2, k) == power_sum
+    cert = threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 3))
+    assert cert.lhs_integer == 2 * cert.denominator_product ** (cert.support_length + 2) * distance
