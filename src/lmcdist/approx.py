@@ -19,15 +19,22 @@ distributions of two starting points:
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
 approximation in the statistical estimator is the finite sample size.  The
-logarithms needed for sample sizes and fallback length bounds are certified
-rational upper bounds (truncated series plus an explicit remainder term), so
-every derived count errs on the safe side.
+integer thresholds of every choice are computed once per sampler, and a word
+is drawn in one loop that reads the bit stream's buffer directly; it consumes
+exactly the bits of a one-choice-at-a-time refinement, so a seed replays the
+same words and estimates.  Each distinct sampled word is classified once, by
+the sign of its integer (p1 - p2) stop mass.  The logarithms needed for
+sample sizes and fallback length bounds are certified rational upper bounds
+(truncated series plus an explicit remainder term), so every derived count
+errs on the safe side.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +56,7 @@ from .model import (
     scale,
     stop_mass,
     walk_prefixes,
-    word_probability,
+    word_probability,  # noqa: F401 -- kept importable here for callers and tracers
 )
 
 #: Fixed default seed: identical invocations give identical results.
@@ -139,46 +146,29 @@ class BitStream:
         return self.bits(1)
 
 
-def _choose(stream: BitStream, cum: list[int], total: int) -> int:
-    """Pick bucket i with probability (cum[i+1] - cum[i]) / total, exactly.
-
-    Draws bits to refine a dyadic interval until it fits inside one bucket of
-    [0, 1).  The first draw takes ceil(log2(total)) bits at once (for
-    power-of-two totals that already decides), then single bits.
-    """
-    if len(cum) == 2:
-        return 0
-    width = max(1, (total - 1).bit_length())
-    a = stream.bits(width)
-    scale = 1 << width
-    while True:
-        lo = a * total
-        hi = lo + total
-        for i in range(len(cum) - 1):
-            upper = cum[i + 1] * scale
-            if lo < upper:
-                if hi <= upper:
-                    return i
-                break
-        a = (a << 1) | stream.bit()
-        scale <<= 1
-
-
 class _Sampler:
-    """Ancestral sampler for one (chain, start) pair with exact thresholds."""
+    """Ancestral sampler for one (chain, start) pair with exact thresholds.
+
+    Each choice (the start table, then one table per state) picks outcome i
+    with probability (cum[i+1] - cum[i]) / total by dyadic refinement: read
+    ``width = ceil(log2(total))`` bits as ``a``; the interval
+    [a*total, (a+1)*total) over ``total << width`` lies in one bucket or
+    straddles one bound, and then each further bit halves it until it fits.
+    Power-of-two totals always decide on the first read; a one-outcome table
+    reads nothing.
+    """
 
     def __init__(self, lmc: Lmc, pi: InitialDistribution):
         check_distribution(lmc, pi)
-        self.lmc = lmc
-        # Initial-state table.
-        self._init_states = [i for i, w in enumerate(pi.weights) if w > 0]
-        self._init_cum, self._init_total = self._cumulative(
-            [pi.weights[i] for i in self._init_states], "the initial distribution"
+        # Outcomes: (None, state) at the start, then None = stop or
+        # (label, target) per state.
+        starts = [i for i, w in enumerate(pi.weights) if w > 0]
+        self._start = self._table(
+            [(None, i) for i in starts],
+            [pi.weights[i] for i in starts],
+            "the initial distribution",
         )
-        # Per-state outcome tables: None = stop, else (label, target).
-        self._outcomes: list[list[tuple[str, int] | None]] = []
-        self._cums: list[list[int]] = []
-        self._totals: list[int] = []
+        self._tables = []
         for i in range(lmc.n_states):
             outs: list[tuple[str, int] | None] = []
             probs: list[Fraction] = []
@@ -190,42 +180,75 @@ class _Sampler:
                     if p > 0:
                         outs.append((label, j))
                         probs.append(p)
-            cum, total = self._cumulative(probs, f"state {lmc.states[i]!r}")
-            self._outcomes.append(outs)
-            self._cums.append(cum)
-            self._totals.append(total)
+            self._tables.append(self._table(outs, probs, f"state {lmc.states[i]!r}"))
 
     @staticmethod
-    def _cumulative(probs: list[Fraction], where: str) -> tuple[list[int], int]:
+    def _table(outs: list, probs: list[Fraction], where: str) -> tuple:
+        """``(outcomes, uppers, total, width, bounds)``: ``uppers`` are the
+        integer cumulative weights over ``total`` (cum[1:]), ``bounds`` the
+        same shifted left by the first read's ``width``."""
         if not probs:
             raise DomainError(f"cannot sample: {where} has no positive outcome")
-        den = math.lcm(*(p.denominator for p in probs))
-        cum = [0]
-        for p in probs:
-            cum.append(cum[-1] + p.numerator * (den // p.denominator))
-        if cum[-1] != den:
+        total = math.lcm(*(p.denominator for p in probs))
+        uppers = list(itertools.accumulate(p.numerator * (total // p.denominator) for p in probs))
+        if uppers[-1] != total:
             raise DomainError(
                 f"cannot sample: probabilities at {where} sum to "
-                f"{Fraction(cum[-1], den)}, expected 1"
+                f"{Fraction(uppers[-1], total)}, expected 1"
             )
-        return cum, den
+        width = max(1, (total - 1).bit_length())
+        return outs, uppers, total, width, [u << width for u in uppers]
 
     def draw(self, stream: BitStream, max_len: int) -> tuple[str, ...]:
-        state = self._init_states[_choose(stream, self._init_cum, self._init_total)]
+        # The stream's buffer lives in locals for the whole word and is
+        # written back on the way out; ``drawn`` counts every bit that
+        # entered it, so the bits used are ``drawn - avail``.
+        getrandbits = stream._rng.getrandbits
+        buf = stream._buffer
+        avail = drawn = stream._available
+        tables = self._tables
+        outs, uppers, total, width, bounds = self._start
         word: list[str] = []
-        while True:
-            pick = self._outcomes[state][
-                _choose(stream, self._cums[state], self._totals[state])
-            ]
-            if pick is None:
-                return tuple(word)
-            label, target = pick
-            word.append(label)
-            if len(word) > max_len:
-                raise LengthExceededError(
-                    f"trajectory exceeded {max_len} letters", prefix=tuple(word)
-                )
-            state = target
+        try:
+            while True:
+                if total == 1:
+                    i = 0
+                else:
+                    while avail < width:
+                        buf = (buf & ((1 << avail) - 1)) << 64 | getrandbits(64)
+                        avail += 64
+                        drawn += 64
+                    avail -= width
+                    lo = (buf >> avail & ((1 << width) - 1)) * total
+                    i = bisect_right(bounds, lo)
+                    if lo + total > bounds[i]:
+                        shift = width
+                        while True:
+                            if not avail:
+                                buf = getrandbits(64)
+                                avail = 64
+                                drawn += 64
+                            avail -= 1
+                            lo = (lo << 1) + total if buf >> avail & 1 else lo << 1
+                            shift += 1
+                            i = bisect_right(uppers, lo >> shift)
+                            if lo + total <= uppers[i] << shift:
+                                break
+                pick = outs[i]
+                if pick is None:
+                    return tuple(word)
+                label, target = pick
+                if label is not None:
+                    word.append(label)
+                    if len(word) > max_len:
+                        raise LengthExceededError(
+                            f"trajectory exceeded {max_len} letters", prefix=tuple(word)
+                        )
+                outs, uppers, total, width, bounds = tables[target]
+        finally:
+            stream._buffer = buf & ((1 << avail) - 1)
+            stream._available = avail
+            stream.bits_consumed += drawn - avail
 
 
 def sample_word(
@@ -290,9 +313,9 @@ def tv_sample_acyclic(
     """Estimate the distance to within epsilon with confidence 1 - delta.
 
     Draws ``sample_count(epsilon, delta)`` words from each start with the
-    exact sampler, classifies each sampled word by an exact comparison of its
-    two probabilities, and combines the two empirical fractions.  One seeded
-    bit stream drives both sides, so a fixed seed replays exactly.
+    exact sampler and classifies each sampled word by the sign of p1 - p2,
+    computed exactly in integers, then combines the two empirical fractions.
+    One seeded bit stream drives both sides, so a fixed seed replays exactly.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -302,25 +325,27 @@ def tv_sample_acyclic(
     stream = BitStream(seed)
     sampler1 = _Sampler(lmc, pi1)
     sampler2 = _Sampler(lmc, pi2)
-    memo: dict[tuple[str, ...], tuple[Fraction, Fraction]] = {}
+    # (pi1 - pi2) as an integer vector over L_pi; after a word w it is
+    # (p1 - p2)'s prefix vector over L_pi * L**len(w), and its stop mass has
+    # the sign of p1(w) - p2(w).
+    _, rows, eow = lmc.integer_form
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    diff = scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)
+    label_rows = {label: rows[li] for label, li in lmc.label_index.items()}
+    memo: dict[tuple[str, ...], bool] = {}
 
-    def probs(word: tuple[str, ...]) -> tuple[Fraction, Fraction]:
+    def first_below(word: tuple[str, ...]) -> bool:
+        """Whether p1(word) < p2(word); ties count as not below."""
         hit = memo.get(word)
         if hit is None:
-            hit = (word_probability(lmc, pi1, word), word_probability(lmc, pi2, word))
-            memo[word] = hit
+            vec = diff
+            for label in word:
+                vec = advance(vec, label_rows[label])
+            hit = memo[word] = stop_mass(vec, eow) < 0
         return hit
 
-    hits1 = 0
-    for _ in range(m):
-        p1, p2 = probs(sampler1.draw(stream, horizon))
-        if p1 < p2:
-            hits1 += 1
-    hits2 = 0
-    for _ in range(m):
-        p1, p2 = probs(sampler2.draw(stream, horizon))
-        if p1 >= p2:
-            hits2 += 1
+    hits1 = sum(first_below(sampler1.draw(stream, horizon)) for _ in range(m))
+    hits2 = sum(not first_below(sampler2.draw(stream, horizon)) for _ in range(m))
     p_hat_1 = Fraction(hits1, m)
     p_hat_2 = Fraction(hits2, m)
     return SampleEstimate(

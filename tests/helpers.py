@@ -6,10 +6,12 @@ so every test is deterministic run to run.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from lmcdist import InitialDistribution, Lmc, Nfa, Pa, disjoint_union
+from lmcdist.errors import LengthExceededError
 
 # ---------------------------------------------------------------------------
 # Hand-built fixtures
@@ -296,3 +298,102 @@ def late_branch_pa() -> Pa:
         initial=(one, zero, zero),
         accepting=frozenset({"acc"}),
     )
+
+
+def wide_denominator_instance() -> tuple[Lmc, InitialDistribution, InitialDistribution]:
+    """A five-state acyclic chain whose start table and first three states
+    have odd outcome totals between 2**69 and 2**71 (11**20, 3**44, 5**30,
+    7**25), so the sampler's first reads span two 64-bit refills.  A read
+    that wide almost never straddles a bucket bound (chance about 2**-70 per
+    bound), so state ``s3`` splits evenly three ways: its total 3 makes half
+    of its first two-bit reads refine bit by bit."""
+    d0, d1, d2, e = 3**44, 5**30, 7**25, 11**20
+    lmc = Lmc.from_transitions(
+        ["s0", "s1", "s2", "s3", "s4"],
+        ["a", "b"],
+        [
+            ("s0", "a", "s1", Fraction(d0 // 3 + 1, d0)),
+            ("s0", "b", "s2", Fraction(d0 // 3 + 2, d0)),
+            ("s1", "a", "s3", Fraction(d1 // 2 + 1, d1)),
+            ("s1", "b", "s2", Fraction(d1 // 7 + 3, d1)),
+            ("s2", "a", "s3", Fraction(d2 // 5 + 1, d2)),
+            ("s2", "b", "s3", Fraction(2 * (d2 // 5) + 1, d2)),
+            ("s3", "a", "s4", Fraction(1, 3)),
+            ("s3", "b", "s4", Fraction(1, 3)),
+        ],
+        {
+            "s0": Fraction(d0 - 2 * (d0 // 3) - 3, d0),
+            "s1": Fraction(d1 - d1 // 2 - d1 // 7 - 4, d1),
+            "s2": Fraction(d2 - 3 * (d2 // 5) - 2, d2),
+            "s3": Fraction(1, 3),
+            "s4": 1,
+        },
+    )
+    pi1 = InitialDistribution.from_map(lmc, {"s0": Fraction(e // 3 + 1, e), "s1": Fraction(e - e // 3 - 1, e)})
+    pi2 = InitialDistribution.from_map(lmc, {"s0": Fraction(e // 2 + 1, e), "s2": Fraction(e - e // 2 - 1, e)})
+    return lmc, pi1, pi2
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler
+# ---------------------------------------------------------------------------
+
+
+def reference_choose(stream, cum: list[int], total: int) -> int:
+    """Pick bucket i with probability (cum[i+1] - cum[i]) / total, exactly.
+
+    The sampler's original one-call-per-step chooser, kept as the reference
+    that the inlined draw loop must match bit for bit.  Draws bits to refine
+    a dyadic interval until it fits inside one bucket of [0, 1).  The first
+    draw takes ceil(log2(total)) bits at once (for power-of-two totals that
+    already decides), then single bits.
+    """
+    if len(cum) == 2:
+        return 0
+    width = max(1, (total - 1).bit_length())
+    a = stream.bits(width)
+    scale = 1 << width
+    while True:
+        lo = a * total
+        hi = lo + total
+        for i in range(len(cum) - 1):
+            upper = cum[i + 1] * scale
+            if lo < upper:
+                if hi <= upper:
+                    return i
+                break
+        a = (a << 1) | stream.bit()
+        scale <<= 1
+
+
+def reference_cumulative(probs: list[Fraction]) -> tuple[list[int], int]:
+    """Cumulative integer weights of ``probs`` over the lcm of their
+    denominators, and that lcm: the tables ``reference_choose`` reads."""
+    total = math.lcm(*(p.denominator for p in probs))
+    cum = [0]
+    for p in probs:
+        cum.append(cum[-1] + p.numerator * (total // p.denominator))
+    return cum, total
+
+
+def reference_draw(lmc: Lmc, pi: InitialDistribution, stream, max_len: int) -> tuple[str, ...]:
+    """One word drawn with ``reference_choose``, one call per choice: the
+    start state, then per state the outcomes stop (if it can), then each
+    positive transition in label order and target order."""
+    starts = [i for i, w in enumerate(pi.weights) if w > 0]
+    state = starts[reference_choose(stream, *reference_cumulative([pi.weights[i] for i in starts]))]
+    word: list[str] = []
+    while True:
+        outs: list[tuple[str, int] | None] = [None] if lmc.eow[state] else []
+        probs = [lmc.eow[state]] if lmc.eow[state] else []
+        for li, label in enumerate(lmc.alphabet):
+            for j, p in lmc.sparse_rows[li][state]:
+                outs.append((label, j))
+                probs.append(p)
+        pick = outs[reference_choose(stream, *reference_cumulative(probs))]
+        if pick is None:
+            return tuple(word)
+        word.append(pick[0])
+        if len(word) > max_len:
+            raise LengthExceededError("trajectory too long", prefix=tuple(word))
+        state = pick[1]

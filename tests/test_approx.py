@@ -31,6 +31,7 @@ from helpers import (
     half_distance_instance,
     worked_example_union,
     random_acyclic_instance,
+    reference_draw,
 )
 
 ###############################################################################
@@ -111,6 +112,28 @@ def test_sample_word_length_cap():
     with pytest.raises(LengthExceededError) as err:
         sample_word(lmc, pi, BitStream(1), 0)
     assert err.value.prefix == ("a",)
+    # A cycle with a choice at every state: the cap trips after bits were
+    # drawn, and the stream still accounts for every one of them.
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cyclic = Lmc.from_transitions(
+        ["u", "v"],
+        ["a", "b"],
+        [("u", "a", "v", third), ("u", "b", "u", third), ("v", "a", "u", half)],
+        {"u": third, "v": half},
+    )
+    pi = InitialDistribution.dirac(cyclic, "u")
+    stream, ref = BitStream(5), BitStream(5)
+    for _ in range(40):
+        with pytest.raises(LengthExceededError) as err:
+            while True:
+                sample_word(cyclic, pi, stream, 2)
+        with pytest.raises(LengthExceededError) as ref_err:
+            while True:
+                reference_draw(cyclic, pi, ref, 2)
+        assert err.value.prefix == ref_err.value.prefix
+        assert len(err.value.prefix) == 3
+        assert stream.bits_consumed == ref.bits_consumed > 0
+    assert stream.bits(64) == ref.bits(64)
 
 
 def test_sampled_words_match_model_probabilities():

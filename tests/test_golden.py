@@ -1,10 +1,12 @@
 """Golden CLI output: the ``--json`` stdout of the enumerating commands,
 pinned byte for byte by SHA-256.
 
-The digests were recorded before the exact commands moved from the
-depth-first walker to the layered one, so any change to a report (a field,
-a digit, the order of the witness words) fails here.  Inputs are written
-under fixed relative names, which the manifest records.
+The enumerating digests were recorded before the exact commands moved from
+the depth-first walker to the layered one, and the ``sample`` digests before
+the sampler's draw loop was inlined, so any change to a report (a field, a
+digit, the order of the witness words, one bit more or less drawn from a
+seeded stream) fails here.  Inputs are written under fixed relative names,
+which the manifest records.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from lmcdist.automata import nfa_to_lmc
 from lmcdist.cli import main
 from lmcdist.formats import save_distribution, save_lmc, save_pa
 
-from helpers import at_most_half_pa, example_nfa, late_branch_pa
+from helpers import at_most_half_pa, example_nfa, late_branch_pa, wide_denominator_instance
 
 #: command arguments (after the input files) -> SHA-256 of the stdout
 PAIR_GOLDEN = {
@@ -32,6 +34,15 @@ PA_GOLDEN = {
     ("half.json", "--max-len", "6"): "95b2770b9808344905bda829adace650095c6976c4811bbbbf65311a007f4e38",
 }
 
+#: sample arguments (the chain prefix, then options) -> SHA-256 of the stdout.
+#: The ``wide`` chain's large odd totals make draws span two 64-bit refills;
+#: its small state refines bit by bit (``wide_denominator_instance``).
+SAMPLE_GOLDEN = {
+    ("", "--eps", "1/10", "--delta", "1/20", "--seed", "1"): "ae221917473b2ec48ee8a1923e19e48c21cbc321fa2527b9d866f4a04d9cceef",
+    ("", "--eps", "1/10", "--delta", "1/20", "--seed", "5"): "6d1d44c63a50ee3a2a4c00eac7b825f5918251226ec003c1e17abde3f4c7df6a",
+    ("wide-", "--eps", "1/5", "--delta", "1/10", "--seed", "3"): "31a24551bbb6ca1c75bc9c098860d7c0083e0ca9b4f653a5409ff0f3c03b236f",
+}
+
 
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
@@ -42,6 +53,10 @@ def inputs(tmp_path, monkeypatch):
     save_distribution(red.pi2, red.lmc, "pi2.json")
     save_pa(late_branch_pa(), "late.json")
     save_pa(at_most_half_pa(), "half.json")
+    wide, w1, w2 = wide_denominator_instance()
+    save_lmc(wide, "wide-lmc.json")
+    save_distribution(w1, wide, "wide-pi1.json")
+    save_distribution(w2, wide, "wide-pi2.json")
 
 
 def _stdout(capsys, *args):
@@ -68,3 +83,11 @@ def test_pair_commands_are_byte_identical(inputs, capsys):
 def test_pa_witness_is_byte_identical(inputs, capsys):
     got = {args: _digest(_stdout(capsys, "pa-witness", *args)) for args in PA_GOLDEN}
     assert got == PA_GOLDEN
+
+
+def test_sample_is_byte_identical(inputs, capsys):
+    got = {}
+    for prefix, *options in SAMPLE_GOLDEN:
+        files = [f"{prefix}{name}.json" for name in ("lmc", "pi1", "pi2")]
+        got[(prefix, *options)] = _digest(_stdout(capsys, "sample", *files, *options))
+    assert got == SAMPLE_GOLDEN

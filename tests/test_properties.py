@@ -1,4 +1,5 @@
-"""Property tests: results of the prefix walker against independent routes."""
+"""Property tests: results of the prefix walker and of the sampler against
+independent routes."""
 
 import itertools
 import random
@@ -8,15 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmcdist import (
+    InitialDistribution,
+    Lmc,
     acceptance_probability,
     disjoint_union,
     find_majority_witness,
     lk_distance_acyclic,
     nfa_to_lmc,
+    sample_count,
     threshold_decide_acyclic,
     tv_distance_acyclic,
+    tv_sample_acyclic,
     word_probability,
 )
+from lmcdist.approx import BitStream, _Sampler
 from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
 
 from helpers import (
@@ -25,6 +31,9 @@ from helpers import (
     random_acyclic_lmc,
     random_distribution,
     random_pa,
+    reference_choose,
+    reference_cumulative,
+    reference_draw,
     relabeled_copy,
     split_letters,
 )
@@ -128,3 +137,79 @@ def test_merged_walk_matches_depth_first_walk(seed, kind):
         assert lk_distance_acyclic(lmc, pi1, pi2, k) == power_sum
     cert = threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 3))
     assert cert.lhs_integer == 2 * cert.denominator_product ** (cert.support_length + 2) * distance
+
+
+@st.composite
+def weight_lists(draw):
+    """1-6 positive integer weights with a total from 2 to 2**80, powers of
+    two included."""
+    total = draw(st.one_of(st.integers(2, 2**80), st.integers(1, 80).map(lambda k: 2**k)))
+    n = min(draw(st.integers(1, 6)), total)
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=n - 1, max_size=n - 1, unique=True))
+    bounds = [0, *sorted(cuts), total]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_lists(), seeds)
+def test_sampler_step_matches_reference_chooser(weights, seed):
+    # One state "u" whose outcomes are stop, a0, a1, ... with the given
+    # weights, all letters leading to a stopping sink: each draw is one choice.
+    total = sum(weights)
+    probs = [Fraction(w, total) for w in weights]
+    labels = [f"a{k}" for k in range(len(weights) - 1)]
+    lmc = Lmc.from_transitions(
+        ["u", "t"],
+        labels or ["a0"],
+        [("u", label, "t", p) for label, p in zip(labels, probs[1:])],
+        {"u": probs[0], "t": 1},
+    )
+    sampler = _Sampler(lmc, InitialDistribution.dirac(lmc, "u"))
+    stream, ref = BitStream(seed), BitStream(seed)
+    cum, den = reference_cumulative(probs)
+    got, expected = [], []
+    for _ in range(20):
+        word = sampler.draw(stream, 1)
+        got.append(labels.index(word[0]) + 1 if word else 0)
+        expected.append(reference_choose(ref, cum, den))
+    assert got == expected
+    assert stream.bits_consumed == ref.bits_consumed
+    # The draw loop wrote the stream's buffer back: both streams go on alike.
+    assert [stream.bits(n) for n in (1, 7, 64, 65)] == [ref.bits(n) for n in (1, 7, 64, 65)]
+
+
+def _reference_estimate(lmc, pi1, pi2, epsilon, delta, seed):
+    """(estimate, p_hat_1, p_hat_2) from reference draws and Fraction
+    comparisons of ``word_probability``."""
+    m = sample_count(epsilon, delta)
+    stream = BitStream(seed)
+    horizon = lmc.n_states
+
+    def compare(pi):
+        word = reference_draw(lmc, pi, stream, horizon)
+        return word_probability(lmc, pi1, word), word_probability(lmc, pi2, word)
+
+    below = [p1 < p2 for p1, p2 in (compare(pi1) for _ in range(m))]
+    at_least = [p1 >= p2 for p1, p2 in (compare(pi2) for _ in range(m))]
+    p_hat_1, p_hat_2 = Fraction(sum(below), m), Fraction(sum(at_least), m)
+    return 1 - p_hat_1 - p_hat_2, p_hat_1, p_hat_2
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(["plain", "split", "union", "twin"]))
+def test_sample_estimate_matches_reference_estimator(seed, kind):
+    rng = random.Random(seed)
+    if kind == "twin":
+        # A chain against its relabelled copy: every word is a tie.
+        lmc = random_acyclic_lmc(rng, max_states=4)
+        pi = random_distribution(rng, lmc)
+        lmc, pi1, pi2 = disjoint_union(lmc, pi, *relabeled_copy(lmc, pi))
+    else:
+        lmc, pi1, pi2 = _instance(kind, rng)
+    epsilon, delta = Fraction(1, 4), Fraction(1, 4)
+    est = tv_sample_acyclic(lmc, pi1, pi2, epsilon, delta, seed=seed)
+    assert (est.estimate, est.p_hat_1, est.p_hat_2) == _reference_estimate(
+        lmc, pi1, pi2, epsilon, delta, seed
+    )
+    if kind == "twin":
+        assert (est.p_hat_1, est.p_hat_2) == (0, 1)
