@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
-from .exact import DEFAULT_NODE_BUDGET, require_acyclic
-from .floatk import RoundedModel, precision_for
+from .exact import DEFAULT_NODE_BUDGET, _pair_start, require_acyclic
+from .floatk import RoundedModel, floor_log2, precision_for
 from .model import (
     ONE,
     ZERO,
@@ -97,16 +97,7 @@ def ln_upper(x: Fraction | int, terms: int = _LN_TERMS) -> Fraction:
         raise DomainError(f"logarithm bound requires an argument >= 1, got {x}")
     if x == 1:
         return ZERO
-    num, den = x.numerator, x.denominator
-
-    def at_least_pow2(t: int) -> bool:
-        return num >= den << t if t >= 0 else num << -t >= den
-
-    e = num.bit_length() - den.bit_length()
-    if not at_least_pow2(e):
-        e -= 1
-    elif at_least_pow2(e + 1):
-        e += 1
+    e = floor_log2(x)
     reduced = x / (ONE * 2**e)  # in [1, 2)
     ln2_up = 2 * _atanh_upper(Fraction(1, 3), terms)
     t = (reduced - 1) / (reduced + 1)  # in [0, 1/3)
@@ -428,7 +419,6 @@ def tv_bounded(
     pi2: InitialDistribution,
     epsilon: Fraction | int,
     budget: int = DEFAULT_NODE_BUDGET,
-    step_cap: int = 1024,
 ) -> BoundedEstimate:
     """Deterministically estimate the distance to within epsilon/2.
 
@@ -446,31 +436,27 @@ def tv_bounded(
     check_distribution(lmc, pi2, "second initial distribution")
     tail_budget = epsilon / 4
     rounding_budget = epsilon / 8
-    cutoff = length_bound(lmc, tail_budget, step_cap=step_cap)
+    cutoff = length_bound(lmc, tail_budget)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
-    den, rows, eow = lmc.integer_form
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    den, _, eow = lmc.integer_form
+    base, exact_root, exact_step = _pair_start(lmc, pi1, pi2, cutoff)
     model = RoundedModel(lmc, precision)
 
     def step(node, depth):
-        # Prune where both exact prefix vectors vanish: their k-bit twins vanish
-        # too (rounding keeps zero apart from positive), so every pruned word
-        # would be a tie with zero mass on both sides.
-        if depth == cutoff:
-            return None
+        # The exact step prunes where both exact prefix vectors vanish: their
+        # k-bit twins vanish too (rounding keeps zero apart from positive), so
+        # every pruned word would be a tie with zero mass on both sides.
         v1, v2, f1, f2 = node
-        children = []
-        for li, r in enumerate(rows):
-            n1 = advance(v1, r)
-            n2 = advance(v2, r)
-            children.append(
-                (n1, n2, model.advance(f1, li), model.advance(f2, li)) if n1 or n2 else None
-            )
-        return children
+        children = exact_step((v1, v2), depth)
+        if children is None:
+            return None
+        return [
+            None if pair is None else (*pair, model.advance(f1, li), model.advance(f2, li))
+            for li, pair in enumerate(children)
+        ]
 
-    exact_roots = (scale(pi1.weights, den_pi), scale(pi2.weights, den_pi))
-    root = (*exact_roots, model.initial(pi1), model.initial(pi2))
-    # Exact stop masses are integers over den_pi * den**(depth + 1).
+    root = (*exact_root, model.initial(pi1), model.initial(pi2))
+    # Exact stop masses are integers over base * den**depth.
     below: defaultdict[int, int] = defaultdict(int)
     at_least: defaultdict[int, int] = defaultdict(int)
     count = 0
@@ -487,8 +473,8 @@ def tv_bounded(
             nodes_visited=exc.nodes_visited,
             depth=exc.depth,
         ) from None
-    mass1_lt = depth_total(below, den_pi * den, den)
-    mass2_ge = depth_total(at_least, den_pi * den, den)
+    mass1_lt = depth_total(below, base, den)
+    mass2_ge = depth_total(at_least, base, den)
     return BoundedEstimate(
         estimate=1 - mass1_lt - mass2_ge,
         mass1_lt=mass1_lt,

@@ -315,8 +315,7 @@ def _cmd_bounded(ns: argparse.Namespace) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     report.param("epsilon", ns.eps)
     report.param("budget", ns.budget)
-    report.param("step_cap", ns.step_cap)
-    est = tv_bounded(lmc, pi1, pi2, ns.eps, budget=ns.budget, step_cap=ns.step_cap)
+    est = tv_bounded(lmc, pi1, pi2, ns.eps, budget=ns.budget)
     report.rational("estimate", est.estimate)
     report.rational("error_bound", ns.eps / 2, "guaranteed absolute error at most")
     report.field("length_cutoff", est.length_cutoff)
@@ -561,13 +560,6 @@ def build_parser() -> _Parser:
     pair_args(p)
     p.add_argument("--eps", type=_rational, required=True, help="target accuracy")
     budget_arg(p)
-    p.add_argument(
-        "--step-cap",
-        type=int,
-        default=1024,
-        help="iterations of the exact tail recurrence before the closed-form "
-        "fallback (default %(default)s)",
-    )
 
     p = command(
         "from-nfa",

@@ -18,7 +18,6 @@ distance estimator relies on.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -72,18 +71,6 @@ class FloatK:
             return Fraction(self.mantissa << self.exponent)
         return Fraction(self.mantissa, 1 << -self.exponent)
 
-    def encode(self) -> str:
-        return f"{self.mantissa}*2^{self.exponent}@{self.precision}"
-
-    _ENCODING = re.compile(r"^(\d+)\*2\^(-?\d+)@(\d+)$")
-
-    @classmethod
-    def decode(cls, text: str) -> "FloatK":
-        m = cls._ENCODING.match(text)
-        if m is None:
-            raise DomainError(f"not a float encoding: {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-
     # Ordering is by value and ignores precision; equality stays structural
     # (same value at the same precision), consistent with hashing.
     def _key(self, other: "FloatK") -> tuple[int, int]:
@@ -127,6 +114,15 @@ def _round_shifted(mantissa: int, exponent: int, k: int) -> FloatK:
     return FloatK(kept, exponent + shift, k)
 
 
+def floor_log2(x: Fraction) -> int:
+    """The integer t with 2**t <= x < 2**(t+1), for a positive rational x."""
+    num, den = x.numerator, x.denominator
+    # The bit lengths alone give 2**(t-1) < x < 2**(t+1).
+    t = num.bit_length() - den.bit_length()
+    below = num < den << t if t >= 0 else num << -t < den
+    return t - 1 if below else t
+
+
 def fp_round(x: Fraction | int, k: int) -> FloatK:
     """Nearest k-bit float to a nonnegative rational; ties away from zero."""
     if not isinstance(k, int) or k < 1:
@@ -139,18 +135,8 @@ def fp_round(x: Fraction | int, k: int) -> FloatK:
     num, den = x.numerator, x.denominator
     if den == 1:
         return _round_shifted(num, 0, k)
-
-    # Find t with 2**t <= x < 2**(t+1).
-    def at_least_pow2(t: int) -> bool:
-        return num >= den << t if t >= 0 else num << -t >= den
-
-    t = num.bit_length() - den.bit_length()
-    if not at_least_pow2(t):
-        t -= 1
-    elif at_least_pow2(t + 1):
-        t += 1
     # Target exponent e puts the mantissa in [2**(k-1), 2**k).
-    e = t - (k - 1)
+    e = floor_log2(x) - (k - 1)
     p = num << max(0, -e)
     q = den << max(0, e)
     m = (2 * p + q) // (2 * q)  # floor(p/q + 1/2): nearest, ties up

@@ -1,4 +1,4 @@
-"""Reading and writing models, distributions and automata as JSON.
+"""Reading and writing chains, distributions and automata as JSON (NFAs are only read).
 
 All probabilities travel as exact rational strings ("1/3", "1") -- never as
 binary floats -- so a chain survives any number of save/load round trips
@@ -26,7 +26,7 @@ import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .automata import Nfa, Pa
 from .errors import DomainError, ParseError
@@ -152,6 +152,33 @@ def _expect_str(value: Any, where: str) -> str:
     return value
 
 
+#: Keys of a chain or PA transition record.
+_WEIGHTED = ("from", "label", "to", "prob")
+
+
+def _transitions(data: dict, keys: Sequence[str], where: str):
+    """Each record of ``data["transitions"]`` as ``(spot, item, from, label,
+    to)``, checked for shape only.
+
+    A generator, so a caller's own checks on one record run before the next
+    record is read, and faults are reported in file order.
+    """
+    items = data["transitions"]
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: transitions: expected an array")
+    for i, item in enumerate(items):
+        spot = f"{where}: transitions[{i}]"
+        item = _expect_dict(item, spot)
+        _expect_keys(item, keys, spot)
+        yield (
+            spot,
+            item,
+            _expect_str(item["from"], f"{spot}: from"),
+            _expect_str(item["label"], f"{spot}: label"),
+            _expect_str(item["to"], f"{spot}: to"),
+        )
+
+
 def _load_json(path: str | Path) -> Any:
     path = Path(path)
     try:
@@ -183,21 +210,10 @@ def lmc_from_dict(data: Any, strict: bool = True, where: str = "<chain>") -> Lmc
     _expect_keys(data, ("states", "alphabet", "transitions", "eow"), where)
     states = _expect_names(data["states"], f"{where}: states")
     alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
-    if not isinstance(data["transitions"], list):
-        raise ParseError(f"{where}: transitions: expected an array")
-    records = []
-    for i, item in enumerate(data["transitions"]):
-        spot = f"{where}: transitions[{i}]"
-        item = _expect_dict(item, spot)
-        _expect_keys(item, ("from", "label", "to", "prob"), spot)
-        records.append(
-            (
-                _expect_str(item["from"], f"{spot}: from"),
-                _expect_str(item["label"], f"{spot}: label"),
-                _expect_str(item["to"], f"{spot}: to"),
-                parse_prob(item["prob"], f"{spot}: prob"),
-            )
-        )
+    records = [
+        (src, label, tgt, parse_prob(item["prob"], f"{spot}: prob"))
+        for spot, item, src, label, tgt in _transitions(data, _WEIGHTED, where)
+    ]
     eow_data = _expect_dict(data["eow"], f"{where}: eow")
     eow = {
         _expect_str(state, f"{where}: eow key"): parse_prob(
@@ -277,20 +293,10 @@ def save_distribution(pi: InitialDistribution, lmc: Lmc, path: str | Path) -> No
 def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "initial", "accepting", "transitions"), where)
-    if not isinstance(data["transitions"], list):
-        raise ParseError(f"{where}: transitions: expected an array")
-    triples = []
-    for i, item in enumerate(data["transitions"]):
-        spot = f"{where}: transitions[{i}]"
-        item = _expect_dict(item, spot)
-        _expect_keys(item, ("from", "label", "to"), spot)
-        triples.append(
-            (
-                _expect_str(item["from"], f"{spot}: from"),
-                _expect_str(item["label"], f"{spot}: label"),
-                _expect_str(item["to"], f"{spot}: to"),
-            )
-        )
+    triples = [
+        (src, label, tgt)
+        for _, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where)
+    ]
     try:
         return Nfa(
             states=_expect_names(data["states"], f"{where}: states"),
@@ -307,28 +313,6 @@ def load_nfa(path: str | Path) -> Nfa:
     return nfa_from_dict(_load_json(path), where=str(path))
 
 
-def nfa_to_dict(nfa: Nfa) -> dict:
-    order = {q: i for i, q in enumerate(nfa.states)}
-    lorder = {a: i for i, a in enumerate(nfa.alphabet)}
-    return {
-        "states": list(nfa.states),
-        "alphabet": list(nfa.alphabet),
-        "initial": nfa.initial,
-        "accepting": sorted(nfa.accepting, key=order.__getitem__),
-        "transitions": [
-            {"from": src, "label": label, "to": tgt}
-            for src, label, tgt in sorted(
-                nfa.transitions,
-                key=lambda t: (order[t[0]], lorder[t[1]], order[t[2]]),
-            )
-        ],
-    }
-
-
-def save_nfa(nfa: Nfa, path: str | Path) -> None:
-    _write_json(nfa_to_dict(nfa), path)
-
-
 # -- probabilistic automata ---------------------------------------------------------
 
 
@@ -343,17 +327,9 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
     lidx = {a: i for i, a in enumerate(alphabet)}
     if len(sidx) != len(states) or len(lidx) != len(alphabet):
         raise ParseError(f"{where}: state names and labels must be unique")
-    if not isinstance(data["transitions"], list):
-        raise ParseError(f"{where}: transitions: expected an array")
     grids = [[[Fraction(0)] * len(states) for _ in states] for _ in alphabet]
     seen = set()
-    for i, item in enumerate(data["transitions"]):
-        spot = f"{where}: transitions[{i}]"
-        item = _expect_dict(item, spot)
-        _expect_keys(item, ("from", "label", "to", "prob"), spot)
-        src = _expect_str(item["from"], f"{spot}: from")
-        label = _expect_str(item["label"], f"{spot}: label")
-        tgt = _expect_str(item["to"], f"{spot}: to")
+    for spot, item, src, label, tgt in _transitions(data, _WEIGHTED, where):
         if src not in sidx or tgt not in sidx:
             raise ParseError(f"{spot}: names an unknown state")
         if label not in lidx:

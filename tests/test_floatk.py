@@ -43,14 +43,6 @@ def test_zero_and_value():
     assert x.value == Fraction(5, 16)
 
 
-def test_encoding_round_trip():
-    x = FloatK(mantissa=13, exponent=-7, precision=4)
-    assert FloatK.decode(x.encode()) == x
-    assert x.encode() == "13*2^-7@4"
-    with pytest.raises(DomainError):
-        FloatK.decode("garbage")
-
-
 def test_ordering_ignores_precision_but_equality_is_structural():
     a = fp_round(Fraction(3, 4), 5)
     b = fp_round(Fraction(3, 4), 9)

@@ -1,0 +1,154 @@
+"""Loader messages: the exact ``ParseError`` text for malformed ``transitions``
+in chain, NFA and PA files, and the order in which two faults are reported."""
+
+import copy
+import json
+
+import pytest
+
+from lmcdist.errors import ParseError
+from lmcdist.formats import load_lmc, load_nfa, load_pa
+
+CHAIN = {
+    "states": ["s", "t"],
+    "alphabet": ["a"],
+    "transitions": [{"from": "s", "label": "a", "to": "t", "prob": "1/2"}],
+    "eow": {"s": "1/2", "t": 1},
+}
+
+NFA = {
+    "states": ["s", "t"],
+    "alphabet": ["a"],
+    "initial": "s",
+    "accepting": ["t"],
+    "transitions": [{"from": "s", "label": "a", "to": "t"}],
+}
+
+PA = {
+    "states": ["s", "t"],
+    "alphabet": ["a"],
+    "transitions": [
+        {"from": "s", "label": "a", "to": "t", "prob": 1},
+        {"from": "t", "label": "a", "to": "t", "prob": 1},
+    ],
+    "initial_dist": {"s": 1},
+    "accepting": ["t"],
+}
+
+KINDS = {"chain": (CHAIN, load_lmc), "nfa": (NFA, load_nfa), "pa": (PA, load_pa)}
+
+FLOAT = 'f.json: transitions[0]: prob: 0.5 is a binary float; write the exact rational as "num/den"'
+
+
+def _set_first(**changes):
+    """Edit the first transition: a value of None deletes that key."""
+
+    def edit(data):
+        item = data["transitions"][0]
+        for key, value in changes.items():
+            if value is None:
+                del item[key]
+            else:
+                item[key] = value
+
+    return edit
+
+
+def _not_array(data):
+    data["transitions"] = {}
+
+
+def _list_item(data):
+    data["transitions"][0] = ["s", "a", "t"]
+
+
+def _duplicate(data):
+    data["transitions"].append(dict(data["transitions"][0]))
+
+
+FAULTS = {
+    "not-array": _not_array,
+    "item-not-object": _list_item,
+    "missing-key": _set_first(to=None),
+    "unknown-key": _set_first(weight="1"),
+    "non-string-from": _set_first(**{"from": 0}),
+    "float-prob": _set_first(prob=0.5),
+    "unknown-state": _set_first(to="z"),
+    "unknown-label": _set_first(label="b"),
+    "duplicate": _duplicate,
+}
+
+#: (fault, kind) -> the ParseError text when ``f.json`` holds that file
+MESSAGES = {
+    ("not-array", "chain"): "f.json: transitions: expected an array",
+    ("not-array", "nfa"): "f.json: transitions: expected an array",
+    ("not-array", "pa"): "f.json: transitions: expected an array",
+    ("item-not-object", "chain"): "f.json: transitions[0]: expected an object, got list",
+    ("item-not-object", "nfa"): "f.json: transitions[0]: expected an object, got list",
+    ("item-not-object", "pa"): "f.json: transitions[0]: expected an object, got list",
+    ("missing-key", "chain"): "f.json: transitions[0]: missing key(s) 'to'",
+    ("missing-key", "nfa"): "f.json: transitions[0]: missing key(s) 'to'",
+    ("missing-key", "pa"): "f.json: transitions[0]: missing key(s) 'to'",
+    ("unknown-key", "chain"): "f.json: transitions[0]: unknown key(s) 'weight'",
+    ("unknown-key", "nfa"): "f.json: transitions[0]: unknown key(s) 'weight'",
+    ("unknown-key", "pa"): "f.json: transitions[0]: unknown key(s) 'weight'",
+    ("non-string-from", "chain"): "f.json: transitions[0]: from: expected a string, got int",
+    ("non-string-from", "nfa"): "f.json: transitions[0]: from: expected a string, got int",
+    ("non-string-from", "pa"): "f.json: transitions[0]: from: expected a string, got int",
+    ("float-prob", "chain"): FLOAT,
+    # An NFA transition has no probability, so "prob" is an unknown key.
+    ("float-prob", "nfa"): "f.json: transitions[0]: unknown key(s) 'prob'",
+    ("float-prob", "pa"): FLOAT,
+    ("unknown-state", "chain"): "f.json: transition target 'z' is not a declared state",
+    ("unknown-state", "nfa"): "f.json: transition ('s', 'a', 'z') names an unknown state",
+    ("unknown-state", "pa"): "f.json: transitions[0]: names an unknown state",
+    ("unknown-label", "chain"): "f.json: transition label 'b' is not in the alphabet",
+    ("unknown-label", "nfa"): "f.json: transition label 'b' is not in the alphabet",
+    ("unknown-label", "pa"): "f.json: transitions[0]: label 'b' is not in the alphabet",
+    ("duplicate", "chain"): "f.json: duplicate transition 's' --'a'--> 't'",
+    ("duplicate", "pa"): "f.json: transitions[2]: duplicate transition",
+}
+
+
+def _write(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps(data), encoding="utf-8")
+    return "f.json"
+
+
+@pytest.mark.parametrize("fault, kind", sorted(MESSAGES))
+def test_transition_faults_are_named(tmp_path, monkeypatch, fault, kind):
+    base, load = KINDS[kind]
+    data = copy.deepcopy(base)
+    FAULTS[fault](data)
+    path = _write(tmp_path, monkeypatch, data)
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert str(exc.value) == MESSAGES[fault, kind]
+
+
+def test_nfa_duplicate_transition_collapses(tmp_path, monkeypatch):
+    # NFA transitions form a set, so a repeated one is no fault.
+    data = copy.deepcopy(NFA)
+    _duplicate(data)
+    nfa = load_nfa(_write(tmp_path, monkeypatch, data))
+    assert nfa.transitions == frozenset({("s", "a", "t")})
+
+
+@pytest.mark.parametrize(
+    "transitions, message",
+    [
+        # Within one record, membership is checked before the probability.
+        ([{"from": "s", "label": "a", "to": "z", "prob": 0.5}], "f.json: transitions[0]: names an unknown state"),
+        # Records are checked in order: the first record's probability before
+        # the second record's shape.
+        ([{"from": "s", "label": "a", "to": "t", "prob": 0.5}, 7], FLOAT),
+    ],
+    ids=["membership-before-prob", "records-in-order"],
+)
+def test_pa_reports_the_first_of_two_faults(tmp_path, monkeypatch, transitions, message):
+    data = copy.deepcopy(PA)
+    data["transitions"] = transitions
+    with pytest.raises(ParseError) as exc:
+        load_pa(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == message

@@ -3,7 +3,9 @@ pinned byte for byte by SHA-256.
 
 The enumerating digests were recorded before the exact commands moved from
 the depth-first walker to the layered one, and the ``sample`` digests before
-the sampler's draw loop was inlined, so any change to a report (a field, a
+the sampler's draw loop was inlined, and the ``bounded`` digests once
+``--step-cap`` was gone (each equals the earlier report with only
+``step_cap`` dropped from its manifest), so any change to a report (a field, a
 digit, the order of the witness words, one bit more or less drawn from a
 seeded stream) fails here.  Inputs are written under fixed relative names,
 which the manifest records.
@@ -18,7 +20,13 @@ from lmcdist.automata import nfa_to_lmc
 from lmcdist.cli import main
 from lmcdist.formats import save_distribution, save_lmc, save_pa
 
-from helpers import at_most_half_pa, example_nfa, late_branch_pa, wide_denominator_instance
+from helpers import (
+    at_most_half_pa,
+    example_nfa,
+    late_branch_pa,
+    wide_denominator_instance,
+    worked_example_union,
+)
 
 #: command arguments (after the input files) -> SHA-256 of the stdout
 PAIR_GOLDEN = {
@@ -43,6 +51,13 @@ SAMPLE_GOLDEN = {
     ("wide-", "--eps", "1/5", "--delta", "1/10", "--seed", "3"): "31a24551bbb6ca1c75bc9c098860d7c0083e0ca9b4f653a5409ff0f3c03b236f",
 }
 
+#: bounded arguments (the chain prefix, then options) -> SHA-256 of the stdout
+BOUNDED_GOLDEN = {
+    ("", "--eps", "1/4"): "f4bd23dd4e3987d7994b4db0d3f96832c3e96cad6656a9dd7f190be6c1ed43f9",
+    ("union-", "--eps", "1/4"): "3bfc04ece3504f613d317fbfab1706b97decf81f3704f18b3a06fc7532150ac1",
+    ("union-", "--eps", "1/8"): "2e9fcb0da4bb263f47779c4b0700e46ad4c76eead83880ddf7ee195fd49efbc0",
+}
+
 
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
@@ -57,6 +72,10 @@ def inputs(tmp_path, monkeypatch):
     save_lmc(wide, "wide-lmc.json")
     save_distribution(w1, wide, "wide-pi1.json")
     save_distribution(w2, wide, "wide-pi2.json")
+    union, u1, u2 = worked_example_union()
+    save_lmc(union, "union-lmc.json")
+    save_distribution(u1, union, "union-pi1.json")
+    save_distribution(u2, union, "union-pi2.json")
 
 
 def _stdout(capsys, *args):
@@ -85,9 +104,17 @@ def test_pa_witness_is_byte_identical(inputs, capsys):
     assert got == PA_GOLDEN
 
 
-def test_sample_is_byte_identical(inputs, capsys):
+def _prefixed_digests(capsys, command, golden):
     got = {}
-    for prefix, *options in SAMPLE_GOLDEN:
+    for prefix, *options in golden:
         files = [f"{prefix}{name}.json" for name in ("lmc", "pi1", "pi2")]
-        got[(prefix, *options)] = _digest(_stdout(capsys, "sample", *files, *options))
-    assert got == SAMPLE_GOLDEN
+        got[(prefix, *options)] = _digest(_stdout(capsys, command, *files, *options))
+    return got
+
+
+def test_sample_is_byte_identical(inputs, capsys):
+    assert _prefixed_digests(capsys, "sample", SAMPLE_GOLDEN) == SAMPLE_GOLDEN
+
+
+def test_bounded_is_byte_identical(inputs, capsys):
+    assert _prefixed_digests(capsys, "bounded", BOUNDED_GOLDEN) == BOUNDED_GOLDEN

@@ -1,12 +1,18 @@
 """Package-wide checks: no assert statements in library code, and every name
-the benchmark's tracer wraps still resolves."""
+the benchmark's tracer wraps and every report field it counts still resolves."""
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import lmcdist
+from lmcdist.automata import nfa_to_lmc
+from lmcdist.cli import main
+from lmcdist.formats import save_distribution, save_lmc
+
+from helpers import example_nfa
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(lmcdist.__file__).parent.glob("*.py"))
@@ -37,3 +43,36 @@ def test_bench_trace_targets_resolve():
             missing.append(f"lmcdist.{module_name}.{attr}")
     assert tracing.TARGETS
     assert missing == []
+
+
+#: Options, after the three input files, of one report of each counted kind.
+COUNTED_KINDS = {
+    "exact": (),
+    "threshold": ("--tau", "1/2"),
+    "bounded": ("--eps", "1/4"),
+    "sample": ("--eps", "1/4", "--delta", "1/4"),
+}
+
+
+def test_bench_counted_report_fields_resolve(tmp_path, monkeypatch, capsys):
+    # The benchmark drops a count whose report field is missing, and its
+    # result line then lacks a declared metric.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.chdir(tmp_path)
+    run = importlib.import_module("run")
+    red = nfa_to_lmc(example_nfa(), 3)
+    save_lmc(red.lmc, "lmc.json")
+    save_distribution(red.pi1, red.lmc, "pi1.json")
+    save_distribution(red.pi2, red.lmc, "pi2.json")
+    results = {}
+    for kind, options in COUNTED_KINDS.items():
+        assert main([kind, "lmc.json", "pi1.json", "pi2.json", *options, "--json"]) == 0
+        results[kind] = json.loads(capsys.readouterr().out)["results"]
+    broken = []
+    for name, count in run.COUNTS.items():
+        try:
+            count.transform(results[count.kind][count.field])
+        except (KeyError, TypeError, ValueError):
+            broken.append(name)
+    assert run.COUNTS
+    assert broken == []
