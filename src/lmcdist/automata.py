@@ -17,6 +17,8 @@ distance instances, pinning the hardness of distance computation:
 * ``pa_to_lmc`` -- optimization: for a probabilistic automaton it builds an
   instance whose distance equals a certified ``bound`` exactly when no word
   is accepted with probability above 1/2, and strictly exceeds it otherwise.
+  The bound is one exact linear solve on ``model.eliminate``, the package's
+  one fraction-free elimination (shared with ``exact.are_equivalent``).
   ``find_majority_witness`` searches for such a word, shortest first, with
   the package's merging breadth-first walk, skipping prefixes that can no
   longer reach acceptance above 1/2; one witness yields an explicit event
@@ -42,6 +44,7 @@ from .model import (
     advance,
     as_fraction,
     common_denominator,
+    eliminate,
     integer_rows,
     least_word,
     scale,
@@ -466,21 +469,23 @@ def count_from_distance(
 
 
 def _solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve matrix @ x = rhs exactly by Gaussian elimination."""
+    """Solve matrix @ x = rhs exactly: each augmented row [A_i | b_i], scaled
+    to integers, goes through ``model.eliminate``; back-substitution, last
+    row first, gives one Fraction per unknown."""
     n = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+    echelon: list = []
+    for row, b in zip(matrix, rhs):
+        aug = [*row, b]
+        v = eliminate(scale(aug, common_denominator(aug)), echelon)
+        if not v or min(v) == n:  # a dependent row, or 0 = b_i
             raise DomainError("linear system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        echelon.append((min(v), v))
+    x = [ZERO] * n
+    for pivot, v in reversed(echelon):
+        # v is zero left of its pivot; the unknowns right of it are solved.
+        known = sum((c * x[j] for j, c in v.items() if pivot < j < n), ZERO)
+        x[pivot] = (v.get(n, 0) - known) / v[pivot]
+    return x
 
 
 def pa_to_lmc(pa: Pa) -> ReductionOutput:

@@ -18,6 +18,7 @@ partial result on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import secrets
@@ -459,6 +460,7 @@ def _cmd_pa_witness(ns: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser unchanged; handlers read module globals
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="lmcdist",
@@ -636,19 +638,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
         return ns.handler(ns)
-    except ParseError as exc:
+    except (ParseError, BudgetExceededError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ParseError) else 2 if isinstance(exc, BudgetExceededError) else 1
 
 
 if __name__ == "__main__":

@@ -19,22 +19,21 @@ Also here:
 * a comparison of the distance against a rational threshold decided by a pure
   big-integer inequality, returned with its certificate integers,
 * distribution equivalence by linear-algebraic closure (works for cyclic
-  chains too, in polynomial time),
+  chains too, in polynomial time) on ``model.eliminate``, the package's one
+  fraction-free elimination,
 * an exhaustive-subset oracle used to cross-check the enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain as _chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError, OracleInfeasibleError
 from .model import (
-    ZERO,
     InitialDistribution,
     Layer,
     Lmc,
@@ -42,6 +41,7 @@ from .model import (
     check_distribution,
     common_denominator,
     depth_total,
+    eliminate,
     is_acyclic,
     scale,
     spell_words,
@@ -269,13 +269,6 @@ def lk_distance_acyclic(
     return depth_total(sums, base**k, lmc.integer_form[0] ** k)
 
 
-def _support_length_from(lmc: Lmc, starts: Sequence[int]) -> int:
-    """Longest positive-probability word when starting from any of ``starts``."""
-    lengths = support_lengths(lmc)
-    finite = [lengths[i] for i in starts if lengths[i] is not None]
-    return max(finite, default=0)
-
-
 def _integer(x: Fraction) -> int:
     if x.denominator != 1:
         raise ArithmeticError(f"certificate value {x} is not an integer")
@@ -317,8 +310,8 @@ def threshold_decide_acyclic(
     denom_product = math.prod(
         f.denominator for f in _chain(pi1.weights, pi2.weights, lmc.eow, entries, (tau,))
     )
-    starts = sorted(set(pi1.support()) | set(pi2.support()))
-    n = _support_length_from(lmc, starts)
+    lengths = support_lengths(lmc)
+    n = max((lengths[i] for i in {*pi1.support(), *pi2.support()} if lengths[i] is not None), default=0)
 
     den, rows, eow = lmc.integer_form
     den_pi = common_denominator([*pi1.weights, *pi2.weights])
@@ -351,45 +344,28 @@ def are_equivalent(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution)
     Works for cyclic chains: the set of prefix-difference vectors spans a
     subspace of dimension at most |Q|, so closing a basis of it under every
     transition matrix and checking each basis vector against the end-of-word
-    vector decides equivalence in polynomial time, with exact arithmetic.
+    vector decides equivalence in polynomial time.  The basis is kept by
+    ``model.eliminate`` as primitive integer rows, advanced over
+    ``Lmc.integer_form``: span membership and whether eta . v is zero do
+    not change when v is scaled by a nonzero integer, so no Fraction is
+    needed.
     """
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    n = lmc.n_states
-    eow = lmc.eow
-
-    def eta_dot(v: list[Fraction]) -> Fraction:
-        return sum((x * e for x, e in zip(v, eow) if x and e), ZERO)
-
-    def times_matrix(v: list[Fraction], rows) -> list[Fraction]:
-        out = [ZERO] * n
-        for i, x in enumerate(v):
-            if x:
-                for j, p in rows[i]:
-                    out[j] += x * p
-        return out
-
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot index, pivot-normalized vector)
-    queue: deque[list[Fraction]] = deque()
-    queue.append([a - b for a, b in zip(pi1.weights, pi2.weights)])
-    while queue:
-        v = queue.popleft()
-        for pivot, b in basis:
-            c = v[pivot]
-            if c:
-                v = [x - c * y for x, y in zip(v, b)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+    _, rows, eow = lmc.integer_form
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    queue = [scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)]
+    basis: list = []  # (pivot, primitive row)
+    for v in queue:  # grows while it is read: breadth-first
+        v = eliminate(v, basis)
+        if not v:
             continue
-        if eta_dot(v) != 0:
+        if stop_mass(v, eow) != 0:
             return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        basis.append((pivot, v))
-        if len(basis) > n:  # cannot happen: dimensions are bounded by |Q|
+        basis.append((min(v), v))
+        if len(basis) > lmc.n_states:  # cannot happen: dimensions are bounded by |Q|
             raise AssertionError("independent set exceeded the space dimension")
-        for rows in lmc.sparse_rows:
-            queue.append(times_matrix(v, rows))
+        queue.extend(advance(v, r) for r in rows)
     return True
 
 

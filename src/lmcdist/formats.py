@@ -293,10 +293,11 @@ def save_distribution(pi: InitialDistribution, lmc: Lmc, path: str | Path) -> No
 def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "initial", "accepting", "transitions"), where)
-    triples = [
-        (src, label, tgt)
-        for _, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where)
-    ]
+    triples = set()
+    for spot, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where):
+        if (src, label, tgt) in triples:
+            raise ParseError(f"{spot}: duplicate transition")
+        triples.add((src, label, tgt))
     try:
         return Nfa(
             states=_expect_names(data["states"], f"{where}: states"),

@@ -24,6 +24,8 @@ Contents:
   depend on the word and not only on its exact vectors.
 * Both walk integer vectors over a common denominator (``Lmc.integer_form``);
   ``depth_total`` reads per-depth sums out as one Fraction.
+* ``eliminate`` -- the one fraction-free elimination on the same integer
+  vectors, behind equivalence and the PA reduction's linear solve.
 
 Probabilities are ``fractions.Fraction`` throughout; floats are rejected so
 that no silent rounding can creep in.  The walker's integers are the same
@@ -342,6 +344,24 @@ def stop_mass(vec: dict, eow: Sequence) -> Fraction | int:
         if e:
             total += x * e
     return total
+
+
+def eliminate(vec: dict[int, int], echelon: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """Fraction-free reduction of an integer vector by ``(pivot, row)``
+    echelon rows, each reduced this way before it was added: ``v = p*v -
+    c*row`` clears each pivot, then the gcd is divided out.  Returns ``{}``
+    for a vector in the rows' span, else a primitive vector that is zero at
+    every pivot."""
+    for pivot, row in echelon:
+        c = vec.get(pivot)
+        if c:
+            p = row[pivot]
+            out = {j: p * x for j, x in vec.items()}
+            for j, y in row.items():
+                out[j] = out.get(j, 0) - c * y
+            vec = {j: x for j, x in out.items() if x}
+    g = math.gcd(*vec.values())
+    return {j: x // g for j, x in vec.items()} if g > 1 else vec
 
 
 # -- the prefix walkers ------------------------------------------------------

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 from lmcdist import InitialDistribution, Lmc, Nfa, Pa, disjoint_union
-from lmcdist.errors import LengthExceededError
+from lmcdist.errors import DomainError, LengthExceededError
+from lmcdist.model import ZERO, check_distribution
 
 # ---------------------------------------------------------------------------
 # Hand-built fixtures
@@ -397,3 +399,72 @@ def reference_draw(lmc: Lmc, pi: InitialDistribution, stream, max_len: int) -> t
         if len(word) > max_len:
             raise LengthExceededError("trajectory too long", prefix=tuple(word))
         state = pick[1]
+
+
+# ---------------------------------------------------------------------------
+# Reference eliminations
+# ---------------------------------------------------------------------------
+
+
+def reference_equivalent(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution) -> bool:
+    """Equivalence by the dense Fraction basis closure that ``are_equivalent``
+    used before it moved onto ``model.eliminate``, kept as the reference it
+    must agree with."""
+    check_distribution(lmc, pi1, "first initial distribution")
+    check_distribution(lmc, pi2, "second initial distribution")
+    n = lmc.n_states
+    eow = lmc.eow
+
+    def eta_dot(v: list[Fraction]) -> Fraction:
+        return sum((x * e for x, e in zip(v, eow) if x and e), ZERO)
+
+    def times_matrix(v: list[Fraction], rows) -> list[Fraction]:
+        out = [ZERO] * n
+        for i, x in enumerate(v):
+            if x:
+                for j, p in rows[i]:
+                    out[j] += x * p
+        return out
+
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot index, pivot-normalized vector)
+    queue: deque[list[Fraction]] = deque()
+    queue.append([a - b for a, b in zip(pi1.weights, pi2.weights)])
+    while queue:
+        v = queue.popleft()
+        for pivot, b in basis:
+            c = v[pivot]
+            if c:
+                v = [x - c * y for x, y in zip(v, b)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        if eta_dot(v) != 0:
+            return False
+        inv = 1 / v[pivot]
+        v = [x * inv for x in v]
+        basis.append((pivot, v))
+        if len(basis) > n:  # cannot happen: dimensions are bounded by |Q|
+            raise AssertionError("independent set exceeded the space dimension")
+        for rows in lmc.sparse_rows:
+            queue.append(times_matrix(v, rows))
+    return True
+
+
+def reference_solve(matrix, rhs) -> list[Fraction]:
+    """Solve matrix @ x = rhs by the Gauss-Jordan loop over Fractions that
+    ``automata._solve_linear`` used before it moved onto ``model.eliminate``,
+    kept as the reference it must agree with."""
+    n = len(rhs)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise DomainError("linear system is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]

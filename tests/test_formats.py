@@ -106,6 +106,7 @@ MESSAGES = {
     ("unknown-label", "nfa"): "f.json: transition label 'b' is not in the alphabet",
     ("unknown-label", "pa"): "f.json: transitions[0]: label 'b' is not in the alphabet",
     ("duplicate", "chain"): "f.json: duplicate transition 's' --'a'--> 't'",
+    ("duplicate", "nfa"): "f.json: transitions[1]: duplicate transition",
     ("duplicate", "pa"): "f.json: transitions[2]: duplicate transition",
 }
 
@@ -125,14 +126,6 @@ def test_transition_faults_are_named(tmp_path, monkeypatch, fault, kind):
     with pytest.raises(ParseError) as exc:
         load(path)
     assert str(exc.value) == MESSAGES[fault, kind]
-
-
-def test_nfa_duplicate_transition_collapses(tmp_path, monkeypatch):
-    # NFA transitions form a set, so a repeated one is no fault.
-    data = copy.deepcopy(NFA)
-    _duplicate(data)
-    nfa = load_nfa(_write(tmp_path, monkeypatch, data))
-    assert nfa.transitions == frozenset({("s", "a", "t")})
 
 
 @pytest.mark.parametrize(

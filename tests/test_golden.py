@@ -5,9 +5,10 @@ The enumerating digests were recorded before the exact commands moved from
 the depth-first walker to the layered one, and the ``sample`` digests before
 the sampler's draw loop was inlined, and the ``bounded`` digests once
 ``--step-cap`` was gone (each equals the earlier report with only
-``step_cap`` dropped from its manifest), so any change to a report (a field, a
-digit, the order of the witness words, one bit more or less drawn from a
-seeded stream) fails here.  Inputs are written under fixed relative names,
+``step_cap`` dropped from its manifest), and the ``equiv`` and ``from-pa``
+digests before both moved onto the one integer elimination, so any change to
+a report (a field, a digit, the order of the witness words, one bit more or
+less drawn from a seeded stream) fails here.  Inputs are written under fixed relative names,
 which the manifest records.
 """
 
@@ -16,6 +17,7 @@ import json
 
 import pytest
 
+from lmcdist import disjoint_union
 from lmcdist.automata import nfa_to_lmc
 from lmcdist.cli import main
 from lmcdist.formats import save_distribution, save_lmc, save_pa
@@ -24,7 +26,9 @@ from helpers import (
     at_most_half_pa,
     example_nfa,
     late_branch_pa,
+    relabeled_copy,
     wide_denominator_instance,
+    worked_example_pair,
     worked_example_union,
 )
 
@@ -59,6 +63,22 @@ BOUNDED_GOLDEN = {
 }
 
 
+#: equiv chain prefix -> SHA-256 of the stdout.  ``twin-`` is the worked
+#: example's cyclic second chain united with its relabelled copy (equivalent);
+#: the other two pairs are not equivalent.
+EQUIV_GOLDEN = {
+    ("",): "3d98dc51c870625f67c5edc442166da0df197c9190952d504f4a31e1d76423c9",
+    ("union-",): "801f6b7d9b96a6edeb5e04529f57b881e60d29e82490a4f1d4405901c6176019",
+    ("twin-",): "ac97e419215a211f36d9c0c5f15177cf8e0556b4a0d65a076cc5549e777e98ee",
+}
+
+#: from-pa arguments -> SHA-256 of the stdout, which prints the solved ``bound``
+FROM_PA_GOLDEN = {
+    ("half.json", "--out", "half-out"): "2d41ef8c26d7295ff34f6d9fea7935a49ff5660ec55323554de30fde8cba9412",
+    ("late.json", "--out", "late-out"): "6f56472eb777f4452dd7f51f780cfa67cf363ffe0fea064ddd2e1c8dc64325c6",
+}
+
+
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -76,6 +96,11 @@ def inputs(tmp_path, monkeypatch):
     save_lmc(union, "union-lmc.json")
     save_distribution(u1, union, "union-pi1.json")
     save_distribution(u2, union, "union-pi2.json")
+    _, _, chain, pi = worked_example_pair()
+    twin, t1, t2 = disjoint_union(chain, pi, *relabeled_copy(chain, pi))
+    save_lmc(twin, "twin-lmc.json")
+    save_distribution(t1, twin, "twin-pi1.json")
+    save_distribution(t2, twin, "twin-pi2.json")
 
 
 def _stdout(capsys, *args):
@@ -118,3 +143,12 @@ def test_sample_is_byte_identical(inputs, capsys):
 
 def test_bounded_is_byte_identical(inputs, capsys):
     assert _prefixed_digests(capsys, "bounded", BOUNDED_GOLDEN) == BOUNDED_GOLDEN
+
+
+def test_equiv_is_byte_identical(inputs, capsys):
+    assert _prefixed_digests(capsys, "equiv", EQUIV_GOLDEN) == EQUIV_GOLDEN
+
+
+def test_from_pa_is_byte_identical(inputs, capsys):
+    got = {args: _digest(_stdout(capsys, "from-pa", *args)) for args in FROM_PA_GOLDEN}
+    assert got == FROM_PA_GOLDEN

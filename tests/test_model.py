@@ -1,5 +1,6 @@
 """Core model types: construction, validation, probabilities, unions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from lmcdist import (
     validate,
     word_probability,
 )
-from lmcdist.model import depth_total, least_word, spell_words, walk_layers, walk_prefixes
+from lmcdist.model import depth_total, eliminate, least_word, spell_words, walk_layers, walk_prefixes
 
 from helpers import (
     half_distance_instance,
@@ -350,3 +351,19 @@ def test_depth_total_combines_scales():
     sums = {0: 1, 1: 5, 3: 7}
     assert depth_total(sums, 6, 4) == Fraction(1, 6) + Fraction(5, 24) + Fraction(7, 384)
     assert depth_total({}, 6, 4) == 0
+
+
+def test_eliminate_keeps_primitive_echelon_rows():
+    echelon = []
+    rows = []
+    for vec in ({0: 2, 1: 4, 2: 6}, {0: 3, 2: 1}, {1: 5, 2: -5}):
+        row = eliminate(vec, echelon)
+        assert math.gcd(*row.values()) == 1
+        assert all(pivot not in row for pivot, _ in echelon)
+        echelon.append((min(row), row))
+        rows.append(row)
+    assert rows == [{0: 1, 1: 2, 2: 3}, {1: -3, 2: -4}, {2: 1}]
+    # 2 * first - second input lies in the span of the first two rows.
+    assert eliminate({0: 1, 1: 8, 2: 11}, echelon[:2]) == {}
+    assert eliminate({0: 1, 1: 8, 2: 12}, echelon[:2]) == {2: -1}
+    assert eliminate({}, echelon) == {}

@@ -1,17 +1,20 @@
-"""Property tests: results of the prefix walker and of the sampler against
-independent routes."""
+"""Property tests: results of the prefix walker, the sampler and the integer
+elimination against independent routes."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmcdist import (
     InitialDistribution,
     Lmc,
+    DomainError,
     acceptance_probability,
+    are_equivalent,
     disjoint_union,
     find_majority_witness,
     lk_distance_acyclic,
@@ -23,17 +26,21 @@ from lmcdist import (
     word_probability,
 )
 from lmcdist.approx import BitStream, _Sampler
+from lmcdist.automata import _solve_linear
 from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
 
 from helpers import (
     all_two_state_nfas,
     random_acyclic_instance,
     random_acyclic_lmc,
+    random_cyclic_lmc,
     random_distribution,
     random_pa,
     reference_choose,
     reference_cumulative,
     reference_draw,
+    reference_equivalent,
+    reference_solve,
     relabeled_copy,
     split_letters,
 )
@@ -213,3 +220,71 @@ def test_sample_estimate_matches_reference_estimator(seed, kind):
     )
     if kind == "twin":
         assert (est.p_hat_1, est.p_hat_2) == (0, 1)
+
+
+def _shift_b_edges_at(lmc, state):
+    """The chain with each ``b`` edge of ``state`` retargeted to the next
+    state in state order: words that never read ``b`` there keep their
+    probabilities."""
+    n = lmc.n_states
+    moved = {t: lmc.states[(i + 1) % n] for i, t in enumerate(lmc.states)}
+    transitions = [
+        (src, label, moved[tgt] if (src, label) == (state, "b") else tgt, prob)
+        for src, label, tgt, prob in lmc.transition_records()
+    ]
+    eow = {s: e for s, e in zip(lmc.states, lmc.eow) if e}
+    return Lmc.from_transitions(lmc.states, lmc.alphabet, transitions, eow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from(["cyclic", "split", "twin", "shift"]))
+def test_equivalence_matches_reference_closure(seed, kind):
+    rng = random.Random(seed)
+    lmc = random_cyclic_lmc(rng)
+    if kind == "split":
+        lmc = split_letters(lmc)
+    if kind in ("twin", "shift"):
+        # A chain against its relabelled copy (always equivalent), or against
+        # a copy that differs only after some ``b``.
+        pi = random_distribution(rng, lmc)
+        other = _shift_b_edges_at(lmc, rng.choice(lmc.states)) if kind == "shift" else lmc
+        lmc, pi1, pi2 = disjoint_union(lmc, pi, *relabeled_copy(other, pi))
+    else:
+        pi1, pi2 = random_distribution(rng, lmc), random_distribution(rng, lmc)
+    assert are_equivalent(lmc, pi1, pi2) is reference_equivalent(lmc, pi1, pi2)
+    if kind == "twin":
+        assert are_equivalent(lmc, pi1, pi2)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def linear_systems(draw):
+    """A square rational system of size 1-4 (the matrix may be singular)."""
+    n = draw(st.integers(1, 4))
+    matrix = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix, draw(st.lists(rationals, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_linear_solver_matches_reference(system):
+    try:
+        expected = reference_solve(*system)
+    except DomainError:
+        with pytest.raises(DomainError, match="singular"):
+            _solve_linear(*system)
+    else:
+        assert _solve_linear(*system) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_systems(), st.lists(rationals, min_size=3, max_size=3))
+def test_linear_solver_rejects_singular_systems_like_reference(system, weights):
+    # The last row becomes a combination of the others (the zero row for n = 1).
+    matrix, rhs = system
+    matrix[-1] = [sum((w * row[j] for w, row in zip(weights, matrix[:-1])), Fraction(0)) for j in range(len(rhs))]
+    for solve in (reference_solve, _solve_linear):
+        with pytest.raises(DomainError, match="singular"):
+            solve(matrix, rhs)
