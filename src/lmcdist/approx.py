@@ -15,6 +15,7 @@ distributions of two starting points:
   chosen so each is within relative epsilon/8 of the truth.  The exact masses
   of the two classes, carried as integers beside the k-bit twins, then pin the
   distance to within epsilon/2, with no randomness and no cycle restriction.
+  The twins are rounded from each exact ``Fraction`` (``floatk.RoundedModel``).
 
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
@@ -22,8 +23,11 @@ approximation in the statistical estimator is the finite sample size.  The
 integer thresholds of every choice are computed once per sampler, and a word
 is drawn in one loop that reads the bit stream's buffer directly; it consumes
 exactly the bits of a one-choice-at-a-time refinement, so a seed replays the
-same words and estimates.  Each distinct sampled word is classified once, by
-the sign of its integer (p1 - p2) stop mass.  The logarithms needed for
+same words and estimates.  The tables still start from ``Fraction``: each is
+scaled by the lcm of its own outcomes' denominators (``_Sampler._table``),
+not the chain's, because another total would change the bits a seed draws.
+Each distinct sampled word is classified once, by the sign of its integer
+(p1 - p2) stop mass.  The logarithms needed for
 sample sizes and fallback length bounds are certified rational upper bounds
 (truncated series plus an explicit remainder term), so every derived count
 errs on the safe side.
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
-from .exact import DEFAULT_NODE_BUDGET, _pair_start, require_acyclic
+from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start, require_acyclic
 from .floatk import RoundedModel, floor_log2, precision_for
 from .model import (
     ONE,
@@ -50,10 +54,9 @@ from .model import (
     advance,
     as_fraction,
     check_distribution,
-    common_denominator,
     depth_total,
     max_support_length,
-    scale,
+    state_tails,
     stop_mass,
     walk_prefixes,
     word_probability,  # noqa: F401 -- kept importable here for callers and tracers
@@ -316,12 +319,9 @@ def tv_sample_acyclic(
     stream = BitStream(seed)
     sampler1 = _Sampler(lmc, pi1)
     sampler2 = _Sampler(lmc, pi2)
-    # (pi1 - pi2) as an integer vector over L_pi; after a word w it is
-    # (p1 - p2)'s prefix vector over L_pi * L**len(w), and its stop mass has
-    # the sign of p1(w) - p2(w).
+    # After a word w, the stop mass of diff has the sign of p1(w) - p2(w).
     _, rows, eow = lmc.integer_form
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
-    diff = scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)
+    _, diff = _difference(pi1, pi2)
     label_rows = {label: rows[li] for label, li in lmc.label_index.items()}
     memo: dict[tuple[str, ...], bool] = {}
 
@@ -356,32 +356,29 @@ def tv_sample_acyclic(
 def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) -> int:
     """A length n with tail mass at most ``tail_budget`` from *every* start.
 
-    Primary path: iterate the exact per-state tail recurrence and return the
-    smallest such n found within ``step_cap`` steps.  If the cap is hit, fall
-    back to the certified closed form k * |Q| with k >= -ln(tail_budget) /
-    p_min^|Q| (p_min the smallest positive probability in the chain), which is
-    always sufficient but usually far larger.
+    Primary path: read the exact per-state tails (``model.state_tails``) and
+    return the smallest such n found within ``step_cap`` steps.  If the cap
+    is hit, fall back to the certified closed form k * |Q| with k >=
+    -ln(tail_budget) / p_min^|Q| (p_min the smallest positive probability in
+    the chain), which is always sufficient but usually far larger.
     """
     lam = as_fraction(tail_budget, "tail budget")
     if lam <= 0:
         raise DomainError(f"tail budget must be positive, got {lam}")
     if step_cap < 0:
         raise DomainError(f"step cap must be nonnegative, got {step_cap}")
-    # tails[q] = probability of emitting a word longer than n from state q.
-    tails = [ONE - e for e in lmc.eow]
-    if max(tails) <= lam:
-        return 0
-    rows = lmc.combined_rows
-    n_states = lmc.n_states
-    for n in range(1, step_cap + 1):
-        tails = [
-            sum((p * tails[j] for j, p in rows[i]), ZERO) for i in range(n_states)
-        ]
-        if max(tails) <= lam:
+    den = lmc.integer_form[0]
+    over = den  # L**(n+1)
+    for n, tails in enumerate(state_tails(lmc)):
+        if n > step_cap:
+            break
+        if max(tails) * lam.denominator <= lam.numerator * over:
             return n
+        over *= den
     # Certified fallback.
+    n_states = lmc.n_states
     positives = [e for e in lmc.eow if e > 0]
-    positives.extend(p for mat in lmc.matrices for row in mat for p in row if p > 0)
+    positives.extend(p for rows in lmc.sparse_rows for row in rows for _, p in row if p > 0)
     if not positives:
         raise DomainError("chain has no positive probabilities; cannot bound its tail")
     p_min = min(positives)

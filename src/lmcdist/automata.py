@@ -38,6 +38,7 @@ from .model import (
     ONE,
     ZERO,
     InitialDistribution,
+    IntRows,
     Lmc,
     Matrix,
     Word,
@@ -66,7 +67,8 @@ class Nfa:
     """A nondeterministic finite automaton with a single initial state.
 
     ``transitions`` is a set of (source, label, target) triples; acceptance
-    means some run over the whole word ends in an accepting state.
+    means some run over the whole word ends in an accepting state.  The
+    triples are checked in the order given (the first fault is reported).
     """
 
     states: tuple[str, ...]
@@ -79,7 +81,7 @@ class Nfa:
         states = tuple(self.states)
         alphabet = tuple(self.alphabet)
         accepting = frozenset(self.accepting)
-        transitions = frozenset(self.transitions)
+        given = tuple(self.transitions)
         if len(set(states)) != len(states):
             raise DomainError("state names must be unique")
         if len(set(alphabet)) != len(alphabet):
@@ -93,7 +95,7 @@ class Nfa:
             if q not in known:
                 raise DomainError(f"accepting state {q!r} is not declared")
         labels = set(alphabet)
-        for src, label, tgt in transitions:
+        for src, label, tgt in given:
             if src not in known or tgt not in known:
                 raise DomainError(f"transition ({src!r}, {label!r}, {tgt!r}) names an unknown state")
             if label not in labels:
@@ -101,7 +103,7 @@ class Nfa:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "transitions", frozenset(given))
 
     @cached_property
     def _delta(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
@@ -252,26 +254,24 @@ class Pa:
         return {a: i for i, a in enumerate(self.alphabet)}
 
     @cached_property
-    def accepting_vector(self) -> tuple[Fraction, ...]:
-        return tuple(ONE if q in self.accepting else ZERO for q in self.states)
+    def integer_form(self) -> tuple[int, tuple[IntRows, ...], tuple[int, ...]]:
+        """``(L, rows, flags)``: the sparse rows times L, the lcm of their
+        denominators, as in ``Lmc.integer_form``; flags 1 where accepting."""
+        den, rows = integer_rows(sparse_matrices(self.matrices))
+        return den, rows, tuple(1 if q in self.accepting else 0 for q in self.states)
 
 
 def acceptance_probability(pa: Pa, word: Word) -> Fraction:
     """Exact probability that the automaton accepts the word."""
-    vec = list(pa.initial)
-    n = len(pa.states)
+    den, rows, flags = pa.integer_form
+    den_pi = common_denominator(pa.initial)
+    vec = scale(pa.initial, den_pi)
     for label in word:
         li = pa.label_index.get(label)
         if li is None:
             raise DomainError(f"letter {label!r} is not in the automaton's alphabet")
-        mat = pa.matrices[li]
-        vec = [
-            sum((vec[i] * mat[i][j] for i in range(n) if vec[i]), ZERO)
-            for j in range(n)
-        ]
-    return sum(
-        (p for p, flag in zip(vec, pa.accepting_vector) if flag), ZERO
-    )
+        vec = advance(vec, rows[li])
+    return Fraction(stop_mass(vec, flags), den_pi * den ** len(word))
 
 
 def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...]]:
@@ -304,9 +304,8 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     """
     if max_len < 0:
         return None
-    den, rows = integer_rows(sparse_matrices(pa.matrices))
+    den, rows, flags = pa.integer_form
     den_pi = common_denominator(pa.initial)
-    flags = tuple(1 if flag else 0 for flag in pa.accepting_vector)
     live = _live_flags(rows, flags)
     scales = [den_pi]  # the denominator of a prefix vector, per depth
 
@@ -549,7 +548,7 @@ def pa_to_lmc(pa: Pa) -> ReductionOutput:
         ]
         for i in range(s)
     ]
-    rhs = [half * flag for flag in pa.accepting_vector]
+    rhs = [half * flag for flag in pa.integer_form[2]]
     x = _solve_linear(system, rhs)
     acc_mass = sum((w * xi for w, xi in zip(pa.initial, x)), ZERO)
     return ReductionOutput(

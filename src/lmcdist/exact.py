@@ -8,10 +8,15 @@ finite, so these quantities are computed exactly by walking the prefix tree
 on integer prefix vectors over a common denominator, pruning prefixes that
 are unreachable under both starts.  The walk is breadth-first and merges
 prefixes with equal vectors (``model.walk_layers``), so it costs one step per
-distinct vector pair, not per word; sums are weighted by the number of words
-behind each pair, kept per depth as integers and turned into one Fraction at
-the end.  The exhaustive-subset oracle walks every word depth-first instead
-(``model.walk_prefixes``), which keeps it an independent route.
+distinct node, not per word; sums are weighted by the number of words behind
+each node, kept per depth as integers and turned into one Fraction at the
+end.  The distance walks the vector pair, since its witness needs p1 and p2
+apart; the power sums and the threshold need only p1 - p2 and walk the
+difference vector (``_difference``), which merges at least as often.  The
+exhaustive-subset oracle walks every word depth-first instead
+(``model.walk_prefixes``), which keeps it an independent route.  No vector
+here is a ``Fraction``; the package's three Fraction paths that remain are
+named, with why, in ``model``.
 
 Also here:
 
@@ -35,7 +40,6 @@ from typing import Iterator
 from .errors import DomainError, OracleInfeasibleError
 from .model import (
     InitialDistribution,
-    Layer,
     Lmc,
     advance,
     check_distribution,
@@ -131,28 +135,34 @@ def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, ma
     return den_pi * den, root, step
 
 
-def _pair_key(node):
-    return vector_key(node[0]), vector_key(node[1])
+def _difference(pi1: InitialDistribution, pi2: InitialDistribution) -> tuple[int, dict[int, int]]:
+    """``(L_pi, v)``: L_pi the lcm of both starts' denominators and v the
+    integer vector of pi1 - pi2 times L_pi.  Advanced over a word w, v is
+    p1 - p2's prefix vector over ``L_pi * L**len(w)``."""
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    return den_pi, scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)
 
 
-def _pair_layers(
-    lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, budget: int
-) -> tuple[int, Iterator[tuple[Layer, list[tuple[int, int]]]]]:
-    """The merged walk under both starts (``model.walk_layers``).
+def _power_sum(
+    lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, k: int, budget: int, max_len: int | None = None
+) -> Fraction:
+    """Sum of |p1(w) - p2(w)|**k over the words w up to ``max_len`` (None:
+    all), on the merged walk over the difference vector: ``budget`` caps the
+    distinct difference vectors, and each sum is weighted by its words."""
+    den, rows, eow = lmc.integer_form
+    den_pi, diff = _difference(pi1, pi2)
 
-    Returns ``(base, layers)``; ``layers`` yields each layer with the two
-    stop masses ``(s1, s2)`` of each of its nodes, as integers over
-    ``base * L**depth``.  Each node stands for ``layer.counts[i]`` words, and
-    every distinct vector pair counts against ``budget``.
-    """
-    base, root, step = _pair_start(lmc, pi1, pi2, None)
-    eow = lmc.integer_form[2]
+    def step(vec, depth):
+        if depth == max_len:
+            return None
+        return [advance(vec, r) or None for r in rows]
 
-    def layers():
-        for layer in walk_layers(root, step, _pair_key, budget):
-            yield layer, [(stop_mass(v1, eow), stop_mass(v2, eow)) for v1, v2 in layer.nodes]
-
-    return base, layers()
+    # Stop masses at depth d are integers over den_pi * den**(d+1).
+    sums = {
+        layer.depth: sum(c * abs(stop_mass(vec, eow)) ** k for vec, c in zip(layer.nodes, layer.counts))
+        for layer in walk_layers(diff, step, vector_key, budget)
+    }
+    return depth_total(sums, (den_pi * den) ** k, den**k)
 
 
 def _pair_walk(
@@ -166,16 +176,16 @@ def _pair_walk(
 
     Returns ``(base, words)``.  ``words`` yields ``(path, s1, s2)`` for every
     word with positive probability under either start, where ``path`` is as
-    in ``walk_prefixes`` and s1, s2 are as in ``_pair_layers``.  Every
-    visited prefix counts against ``budget``.
+    in ``walk_prefixes`` and s1, s2 are the two stop masses, integers over
+    ``base * L**len(path)``.  Every visited prefix counts against
+    ``budget``.
     """
     base, root, step = _pair_start(lmc, pi1, pi2, max_len)
     eow = lmc.integer_form[2]
 
     def words():
         for path, (v1, v2) in walk_prefixes(root, step, budget):
-            s1 = stop_mass(v1, eow)
-            s2 = stop_mass(v2, eow)
+            s1, s2 = stop_mass(v1, eow), stop_mass(v2, eow)
             if s1 or s2:
                 yield path, s1, s2
 
@@ -193,25 +203,27 @@ def tv_distance_acyclic(
     Enumerates the full (finite) support, so the chain must be acyclic.  The
     report carries the maximizing event W = {w : p1(w) >= p2(w)} restricted to
     support words; its masses satisfy distance = mass_1 - mass_2 exactly.
-    Words with equal prefix vectors are walked once (``_pair_layers``), and
-    ``budget`` caps the distinct vector pairs.  The listed witness words are
-    in the order of a depth-first walk: each word before its extensions,
+    Words with equal vector pairs are walked once (``model.walk_layers``),
+    and ``budget`` caps the distinct vector pairs.  The listed witness words
+    are in the order of a depth-first walk: each word before its extensions,
     siblings in alphabet order.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    base, layers = _pair_layers(lmc, pi1, pi2, budget)
-    # Per-depth integer sums (see ``_pair_layers``).
+    base, root, step = _pair_start(lmc, pi1, pi2, None)
+    ratio, _, eow = lmc.integer_form
+    # Per-depth integer sums; stop masses at depth d are over base * ratio**d.
     gap, mass_1, mass_2 = {}, {}, {}
     count = 0
     enumerated = 0
     edges: list | None = []  # per depth, while the witness words may be listed
     hits: list[tuple[int, int]] = []  # (depth, index) of the witness nodes
-    for layer, stops in layers:
+    for layer in walk_layers(root, step, lambda node: (vector_key(node[0]), vector_key(node[1])), budget):
         depth = layer.depth
         g = m1 = m2 = 0
-        for at, ((s1, s2), c) in enumerate(zip(stops, layer.counts)):
+        for at, ((v1, v2), c) in enumerate(zip(layer.nodes, layer.counts)):
+            s1, s2 = stop_mass(v1, eow), stop_mass(v2, eow)
             if not (s1 or s2):
                 continue
             enumerated += c
@@ -230,7 +242,6 @@ def tv_distance_acyclic(
             if count > WITNESS_WORD_CAP:
                 edges = None
     listed = None if edges is None else tuple(spell_words(edges, hits, lmc.alphabet))
-    ratio = lmc.integer_form[0]
     witness = WitnessSummary(
         word_count=count,
         mass_1=depth_total(mass_1, base, ratio),
@@ -253,20 +264,16 @@ def lk_distance_acyclic(
 ) -> Fraction:
     """Exact k-th power-sum distance: sum over words of |p1(w) - p2(w)|^k.
 
-    For k = 1 this is twice the total variation distance.  Walked like
-    ``tv_distance_acyclic``, with the same budget.
+    For k = 1 this is twice the total variation distance.  It needs only
+    p1 - p2, so it walks the difference vector like the threshold decision
+    (``_power_sum``), and ``budget`` caps the distinct difference vectors.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"exponent must be an integer >= 1, got {k!r}")
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    base, layers = _pair_layers(lmc, pi1, pi2, budget)
-    sums = {
-        layer.depth: sum(c * abs(s1 - s2) ** k for (s1, s2), c in zip(stops, layer.counts))
-        for layer, stops in layers
-    }
-    return depth_total(sums, base**k, lmc.integer_form[0] ** k)
+    return _power_sum(lmc, pi1, pi2, k, budget)
 
 
 def _integer(x: Fraction) -> int:
@@ -295,8 +302,8 @@ def threshold_decide_acyclic(
     The walk itself runs on the smaller denominators of the prefix walker:
     one integer difference vector per prefix, over L_pi * L**d at depth d
     (L and L_pi the lcms of the chain's and the starts' denominators), with
-    prefixes of equal difference vector merged (``model.walk_layers``; the
-    budget caps the distinct vectors).  Its per-depth sums give 2 * distance
+    prefixes of equal difference vector merged (``_power_sum`` with k = 1;
+    the budget caps the distinct vectors).  Its sum is 2 * distance
     exactly, which is then rescaled to lhs.
     """
     require_acyclic(lmc)
@@ -313,21 +320,8 @@ def threshold_decide_acyclic(
     lengths = support_lengths(lmc)
     n = max((lengths[i] for i in {*pi1.support(), *pi2.support()} if lengths[i] is not None), default=0)
 
-    den, rows, eow = lmc.integer_form
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
-    diff = scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)
-
-    def step(vec, depth):
-        if depth == n:
-            return None
-        return [advance(vec, r) or None for r in rows]
-
-    gaps = {
-        layer.depth: sum(c * abs(stop_mass(vec, eow)) for vec, c in zip(layer.nodes, layer.counts))
-        for layer in walk_layers(diff, step, vector_key, budget)
-    }
     power = denom_product ** (n + 2)
-    lhs = _integer(depth_total(gaps, den_pi * den, den) * power)
+    lhs = _integer(_power_sum(lmc, pi1, pi2, 1, budget, n) * power)
     rhs = _integer(2 * tau * power) + (1 if strict else 0)
     return ThresholdCertificate(
         decision=lhs >= rhs,
@@ -353,8 +347,7 @@ def are_equivalent(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
     _, rows, eow = lmc.integer_form
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
-    queue = [scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)]
+    queue = [_difference(pi1, pi2)[1]]
     basis: list = []  # (pivot, primitive row)
     for v in queue:  # grows while it is read: breadth-first
         v = eliminate(v, basis)
@@ -384,6 +377,8 @@ def brute_force_best_event(
     ``max_len``.  Among maximizing subsets it returns the largest, which is
     exactly the canonical tie convention (every word with p1 >= p2 included).
     """
+    check_distribution(lmc, pi1, "first initial distribution")
+    check_distribution(lmc, pi2, "second initial distribution")
     if max_len < 0:
         raise DomainError(f"length cutoff must be nonnegative, got {max_len}")
     base, words = _pair_walk(lmc, pi1, pi2, budget, max_len=max_len)

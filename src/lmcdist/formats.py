@@ -293,18 +293,18 @@ def save_distribution(pi: InitialDistribution, lmc: Lmc, path: str | Path) -> No
 def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "initial", "accepting", "transitions"), where)
-    triples = set()
+    triples: dict[tuple[str, str, str], None] = {}  # in file order
     for spot, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where):
         if (src, label, tgt) in triples:
             raise ParseError(f"{spot}: duplicate transition")
-        triples.add((src, label, tgt))
+        triples[src, label, tgt] = None
     try:
         return Nfa(
             states=_expect_names(data["states"], f"{where}: states"),
             alphabet=_expect_names(data["alphabet"], f"{where}: alphabet"),
             initial=_expect_str(data["initial"], f"{where}: initial"),
             accepting=frozenset(_expect_names(data["accepting"], f"{where}: accepting")),
-            transitions=frozenset(triples),
+            transitions=tuple(triples),
         )
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None

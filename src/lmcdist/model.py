@@ -12,7 +12,8 @@ Contents:
 * ``validate`` -- semantic invariant violations, returned as data.
 * ``word_probability`` -- exact probability of a single word.
 * ``is_acyclic`` / ``max_support_length`` -- shape of the word support.
-* ``tail_mass`` -- exact probability of emitting a word longer than n.
+* ``tail_mass`` -- exact probability of emitting a word longer than n, from
+  the per-state tails ``state_tails`` (also behind ``approx.length_bound``).
 * ``disjoint_union`` -- embed two chains in one state space so that a single
   analysis can compare their induced distributions.
 * ``walk_layers`` -- the breadth-first prefix walk behind the exact
@@ -27,10 +28,15 @@ Contents:
 * ``eliminate`` -- the one fraction-free elimination on the same integer
   vectors, behind equivalence and the PA reduction's linear solve.
 
-Probabilities are ``fractions.Fraction`` throughout; floats are rejected so
-that no silent rounding can creep in.  The walker's integers are the same
-rationals times a known power of the common denominator, so it is exact too.
-All model types are frozen and safe to share between threads.
+Probabilities enter and leave as ``fractions.Fraction``; floats are rejected
+so that no silent rounding can creep in.  Inside, every vector kernel (the
+walkers, ``word_probability``, ``state_tails``, ``eliminate``) runs on
+integers over a common denominator: the same rationals times a known power
+of it, so it is exact too.  Three paths keep ``Fraction`` on purpose:
+``validate`` reports its sums as Fractions, the exact sampler
+(``approx._Sampler._table``) keeps its per-state lcm so that a seed draws
+the same bits, and ``floatk.RoundedModel`` rounds each probability from its
+Fraction.  All model types are frozen and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -219,15 +225,6 @@ class Lmc:
         return sparse_matrices([tuple(zip(*mat)) for mat in self.matrices])
 
     @cached_property
-    def combined_rows(self) -> SparseRows:
-        """Sparse rows of the label-summed transition matrix."""
-        summed = [
-            [sum(cells) for cells in zip(*(mat[i] for mat in self.matrices))]
-            for i in range(self.n_states)
-        ]
-        return sparse_matrices([summed])[0]
-
-    @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Per state: targets reachable by one positive-probability step."""
         return tuple(
@@ -280,10 +277,6 @@ class InitialDistribution:
 
 
 # -- shared sparse-vector plumbing (used by the analysis modules too) --------
-
-
-def sparsify(weights: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {i: w for i, w in enumerate(weights) if w}
 
 
 def sparse_matrices(matrices: Sequence[Matrix]) -> tuple[SparseRows, ...]:
@@ -641,17 +634,18 @@ def validate(lmc: Lmc) -> list[str]:
 
 
 def word_probability(lmc: Lmc, pi: InitialDistribution, word: Word) -> Fraction:
-    """Exact probability that the chain emits exactly ``word`` and stops."""
+    """Exact probability that the chain emits exactly ``word`` and stops.
+    Every label is checked, also after a prefix of probability 0."""
     check_distribution(lmc, pi)
-    vec = sparsify(pi.weights)
+    den, rows, eow = lmc.integer_form
+    den_pi = common_denominator(pi.weights)
+    vec = scale(pi.weights, den_pi)
     for label in word:
         li = lmc.label_index.get(label)
         if li is None:
             raise DomainError(f"label {label!r} is not in the alphabet")
-        vec = advance(vec, lmc.sparse_rows[li])
-        if not vec:
-            return ZERO
-    return Fraction(stop_mass(vec, lmc.eow))
+        vec = advance(vec, rows[li])
+    return Fraction(stop_mass(vec, eow), den_pi * den ** (len(word) + 1))
 
 
 def _topological_order(lmc: Lmc) -> list[int] | None:
@@ -708,19 +702,33 @@ def max_support_length(lmc: Lmc) -> int:
     return max(finite, default=0)
 
 
+def state_tails(lmc: Lmc) -> Iterator[list[int]]:
+    """Per-state tails T_0, T_1, ...: ``T_n[i]`` is the probability of
+    emitting a word longer than n from state i, as an integer over
+    ``L**(n+1)`` (L from ``Lmc.integer_form``): T_0 = L - eow * L and T_n[i]
+    = sum over labels and j of (p_ij * L) * T_(n-1)[j].  Ends after the
+    first all-zero T_n, since every later one is zero too."""
+    den, rows, eow = lmc.integer_form
+    tails = [den - e for e in eow]
+    while True:
+        yield tails
+        if not any(tails):
+            return
+        tails = [sum(p * tails[j] for r in rows for j, p in r[i]) for i in range(len(tails))]
+
+
 def tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:
-    """Exact probability of emitting a word strictly longer than ``n``."""
+    """Exact probability of emitting a word strictly longer than ``n``:
+    ``pi . T_n`` (``state_tails``)."""
     check_distribution(lmc, pi)
     if n < 0:
         raise DomainError(f"length cutoff must be nonnegative, got {n}")
-    vec = sparsify(pi.weights)
-    stopped = stop_mass(vec, lmc.eow)
-    for _ in range(n):
-        vec = advance(vec, lmc.combined_rows)
-        if not vec:
-            break
-        stopped += stop_mass(vec, lmc.eow)
-    return ONE - stopped
+    den_pi = common_denominator(pi.weights)
+    start = scale(pi.weights, den_pi)
+    for depth, tails in enumerate(state_tails(lmc)):
+        if depth == n:
+            return Fraction(stop_mass(start, tails), den_pi * lmc.integer_form[0] ** (n + 1))
+    return ZERO
 
 
 def disjoint_union(

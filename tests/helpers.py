@@ -12,8 +12,9 @@ from collections import deque
 from fractions import Fraction
 
 from lmcdist import InitialDistribution, Lmc, Nfa, Pa, disjoint_union
+from lmcdist.approx import ln_upper
 from lmcdist.errors import DomainError, LengthExceededError
-from lmcdist.model import ZERO, check_distribution
+from lmcdist.model import ONE, ZERO, advance, as_fraction, check_distribution, sparse_matrices, stop_mass
 
 # ---------------------------------------------------------------------------
 # Hand-built fixtures
@@ -468,3 +469,95 @@ def reference_solve(matrix, rhs) -> list[Fraction]:
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Reference Fraction kernels
+# ---------------------------------------------------------------------------
+#
+# ``tail_mass``, ``length_bound`` and ``acceptance_probability`` as they were
+# before they moved onto integers over a common denominator, kept as the
+# references the integer versions must equal.  The bodies are unchanged but
+# for the three names they read that no longer exist in the package:
+# ``Lmc.combined_rows`` (now ``_combined_rows`` below, built once per call),
+# ``model.sparsify`` (now ``_sparsify``) and ``Pa.accepting_vector`` (now
+# built inline).
+
+
+def _sparsify(weights) -> dict[int, Fraction]:
+    return {i: w for i, w in enumerate(weights) if w}
+
+
+def _combined_rows(lmc: Lmc):
+    """Sparse rows of the label-summed transition matrix."""
+    summed = [
+        [sum(cells) for cells in zip(*(mat[i] for mat in lmc.matrices))]
+        for i in range(lmc.n_states)
+    ]
+    return sparse_matrices([summed])[0]
+
+
+def reference_tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:
+    """Exact probability of emitting a word strictly longer than ``n``."""
+    check_distribution(lmc, pi)
+    if n < 0:
+        raise DomainError(f"length cutoff must be nonnegative, got {n}")
+    rows = _combined_rows(lmc)
+    vec = _sparsify(pi.weights)
+    stopped = stop_mass(vec, lmc.eow)
+    for _ in range(n):
+        vec = advance(vec, rows)
+        if not vec:
+            break
+        stopped += stop_mass(vec, lmc.eow)
+    return ONE - stopped
+
+
+def reference_length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) -> int:
+    """A length n with tail mass at most ``tail_budget`` from *every* start."""
+    lam = as_fraction(tail_budget, "tail budget")
+    if lam <= 0:
+        raise DomainError(f"tail budget must be positive, got {lam}")
+    if step_cap < 0:
+        raise DomainError(f"step cap must be nonnegative, got {step_cap}")
+    # tails[q] = probability of emitting a word longer than n from state q.
+    tails = [ONE - e for e in lmc.eow]
+    if max(tails) <= lam:
+        return 0
+    rows = _combined_rows(lmc)
+    n_states = lmc.n_states
+    for n in range(1, step_cap + 1):
+        tails = [
+            sum((p * tails[j] for j, p in rows[i]), ZERO) for i in range(n_states)
+        ]
+        if max(tails) <= lam:
+            return n
+    # Certified fallback.
+    positives = [e for e in lmc.eow if e > 0]
+    positives.extend(p for mat in lmc.matrices for row in mat for p in row if p > 0)
+    if not positives:
+        raise DomainError("chain has no positive probabilities; cannot bound its tail")
+    p_min = min(positives)
+    if p_min == 1:
+        return max(n_states - 1, 0)
+    k = math.ceil(ln_upper(1 / lam) / p_min**n_states)
+    return k * n_states
+
+
+def reference_acceptance_probability(pa: Pa, word) -> Fraction:
+    """Exact probability that the automaton accepts the word."""
+    accepting_vector = tuple(ONE if q in pa.accepting else ZERO for q in pa.states)
+    vec = list(pa.initial)
+    n = len(pa.states)
+    for label in word:
+        li = pa.label_index.get(label)
+        if li is None:
+            raise DomainError(f"letter {label!r} is not in the automaton's alphabet")
+        mat = pa.matrices[li]
+        vec = [
+            sum((vec[i] * mat[i][j] for i in range(n) if vec[i]), ZERO)
+            for j in range(n)
+        ]
+    return sum(
+        (p for p, flag in zip(vec, accepting_vector) if flag), ZERO
+    )

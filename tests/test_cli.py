@@ -124,6 +124,16 @@ def test_prob_report(tmp_path, capsys):
     assert "# param word = ε" in out
 
 
+def test_prob_rejects_unknown_label_after_a_zero_prefix(half_files, capsys):
+    chain, pi1, _ = half_files
+    code, out, _ = run(capsys, "prob", chain, pi1, "a a")
+    assert code == 0
+    assert "probability: 0 = 0" in out
+    code, out, err = run(capsys, "prob", chain, pi1, "a a zzz")
+    assert (code, out) == (1, "")
+    assert "'zzz' is not in the alphabet" in err
+
+
 def test_tail_report(tmp_path, capsys):
     chain = write(tmp_path / "c.json", WORKED_EXAMPLE_CHAIN)
     pi = write(tmp_path / "pi.json", {"q1": 1})

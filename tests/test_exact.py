@@ -216,3 +216,14 @@ def test_brute_force_caps_support():
     lmc, pi1, pi2 = random_acyclic_instance(rng)
     with pytest.raises(OracleInfeasibleError):
         brute_force_best_event(lmc, pi1, pi2, max_len=10, support_cap=0)
+
+
+def test_brute_force_checks_both_starts():
+    # A start must have one weight per state of the chain, as everywhere else.
+    lmc = Lmc.from_transitions(["s", "t"], ["a"], [("s", "a", "t", 1)], {"t": 1})
+    good = InitialDistribution.dirac(lmc, "s")
+    three = InitialDistribution((Fraction(1, 3),) * 3)
+    one = InitialDistribution((Fraction(1),))
+    for pi1, pi2 in ((three, good), (good, one)):
+        with pytest.raises(DomainError, match="weights but the chain has 2 states"):
+            brute_force_best_event(lmc, pi1, pi2, max_len=1)

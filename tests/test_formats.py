@@ -3,9 +3,14 @@ in chain, NFA and PA files, and the order in which two faults are reported."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lmcdist
 from lmcdist.errors import ParseError
 from lmcdist.formats import load_lmc, load_nfa, load_pa
 
@@ -145,3 +150,31 @@ def test_pa_reports_the_first_of_two_faults(tmp_path, monkeypatch, transitions, 
     with pytest.raises(ParseError) as exc:
         load_pa(_write(tmp_path, monkeypatch, data))
     assert str(exc.value) == message
+
+
+#: Loads ``f.json`` as an NFA and prints the ParseError text.
+_LOAD_NFA = """
+from lmcdist.errors import ParseError
+from lmcdist.formats import load_nfa
+try:
+    load_nfa("f.json")
+except ParseError as exc:
+    print(exc)
+"""
+
+
+def test_nfa_reports_the_first_unknown_state_under_every_hash_seed(tmp_path, monkeypatch):
+    # Nfa.transitions is a frozenset; the faults must still be checked in
+    # file order, not in the set's string-hash order.
+    data = copy.deepcopy(NFA)
+    data["transitions"] = [{"from": "s", "label": "a", "to": name} for name in ("x", "y", "z")]
+    _write(tmp_path, monkeypatch, data)
+    src = str(Path(lmcdist.__file__).resolve().parent.parent)
+    seen = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _LOAD_NFA], env=env, capture_output=True, text=True, check=True
+        )
+        seen.add(done.stdout)
+    assert seen == {"f.json: transition ('s', 'a', 'x') names an unknown state\n"}

@@ -19,7 +19,15 @@ from lmcdist import (
     validate,
     word_probability,
 )
-from lmcdist.model import depth_total, eliminate, least_word, spell_words, walk_layers, walk_prefixes
+from lmcdist.model import (
+    depth_total,
+    eliminate,
+    least_word,
+    spell_words,
+    state_tails,
+    walk_layers,
+    walk_prefixes,
+)
 
 from helpers import (
     half_distance_instance,
@@ -182,6 +190,15 @@ def test_word_probability_empty_and_unknown_label():
         word_probability(first, pi1, ("z",))
 
 
+def test_word_probability_checks_labels_after_a_zero_prefix():
+    lmc, pi, _ = half_distance_instance()
+    assert word_probability(lmc, pi, ("a", "a")) == 0  # t cannot emit
+    with pytest.raises(DomainError, match="'zzz' is not in the alphabet"):
+        word_probability(lmc, pi, ("a", "a", "zzz"))
+    with pytest.raises(DomainError, match="'zzz' is not in the alphabet"):
+        word_probability(lmc, pi, ("a", "zzz"))
+
+
 def test_probabilities_sum_to_one_on_random_acyclic_chain():
     rng = random.Random(11)
     for _ in range(20):
@@ -231,6 +248,17 @@ def test_tail_mass_monotone_and_exact():
     assert values[0] == 1  # q2 cannot stop without emitting
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[1] == 1 - word_probability(second, pi2, ("a",))
+
+
+def test_tail_mass_stops_once_every_tail_is_zero():
+    # On an acyclic chain the tails vanish past the support length, so a huge
+    # cutoff costs no more than that.
+    lmc, pi1, pi2 = half_distance_instance()
+    assert tail_mass(lmc, pi1, 0) == 1
+    assert tail_mass(lmc, pi1, 1) == 0
+    assert tail_mass(lmc, pi2, 10**6) == 0
+    # Integers over L**(n+1), L = 2: s and s2 must emit one letter.
+    assert list(state_tails(lmc)) == [[2, 2, 0], [0, 0, 0]]
 
 
 ###############################################################################

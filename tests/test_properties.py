@@ -1,5 +1,6 @@
-"""Property tests: results of the prefix walker, the sampler and the integer
-elimination against independent routes."""
+"""Property tests: results of the prefix walker, the sampler, the integer
+elimination and the integer tail and acceptance kernels against independent
+routes."""
 
 import itertools
 import random
@@ -17,9 +18,12 @@ from lmcdist import (
     are_equivalent,
     disjoint_union,
     find_majority_witness,
+    length_bound,
     lk_distance_acyclic,
     nfa_to_lmc,
+    pa_to_lmc,
     sample_count,
+    tail_mass,
     threshold_decide_acyclic,
     tv_distance_acyclic,
     tv_sample_acyclic,
@@ -42,6 +46,9 @@ from helpers import (
     reference_equivalent,
     reference_solve,
     relabeled_copy,
+    reference_acceptance_probability,
+    reference_length_bound,
+    reference_tail_mass,
     split_letters,
 )
 
@@ -288,3 +295,57 @@ def test_linear_solver_rejects_singular_systems_like_reference(system, weights):
     for solve in (reference_solve, _solve_linear):
         with pytest.raises(DomainError, match="singular"):
             solve(matrix, rhs)
+
+
+def _valid_chain(kind, rng):
+    """A random valid chain: acyclic, cyclic, or the chain of a random
+    probabilistic automaton's reduction."""
+    if kind == "acyclic":
+        return random_acyclic_lmc(rng)
+    if kind == "cyclic":
+        return random_cyclic_lmc(rng)
+    return pa_to_lmc(random_pa(rng)).lmc
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(["acyclic", "cyclic", "pa"]), st.integers(0, 8))
+def test_tail_mass_matches_reference(seed, kind, n):
+    rng = random.Random(seed)
+    lmc = _valid_chain(kind, rng)
+    pi = random_distribution(rng, lmc)
+    assert tail_mass(lmc, pi, n) == reference_tail_mass(lmc, pi, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds,
+    st.sampled_from(["acyclic", "cyclic", "pa"]),
+    st.sampled_from([Fraction(1, 64), Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3, 2)]),
+    st.sampled_from([0, 1, 3, 1024]),
+)
+def test_length_bound_matches_reference(seed, kind, lam, step_cap):
+    lmc = _valid_chain(kind, random.Random(seed))
+    assert length_bound(lmc, lam, step_cap) == reference_length_bound(lmc, lam, step_cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(0, 5))
+def test_acceptance_probability_matches_reference(seed, length):
+    rng = random.Random(seed)
+    pa = random_pa(rng)
+    word = tuple(rng.choice(pa.alphabet) for _ in range(length))
+    assert acceptance_probability(pa, word) == reference_acceptance_probability(pa, word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.integers(0, 5))
+def test_word_probability_matches_dense_product(seed, length):
+    rng = random.Random(seed)
+    lmc = random_cyclic_lmc(rng)
+    pi = random_distribution(rng, lmc)
+    word = tuple(rng.choice(lmc.alphabet) for _ in range(length))
+    vec = list(pi.weights)
+    for label in word:
+        mat = lmc.matrix(label)
+        vec = [sum(vec[i] * mat[i][j] for i in range(lmc.n_states)) for j in range(lmc.n_states)]
+    assert word_probability(lmc, pi, word) == sum(x * e for x, e in zip(vec, lmc.eow))
