@@ -330,20 +330,15 @@ def _cmd_bounded(ns: argparse.Namespace) -> int:
 
 def _write_instance(report: Report, out: str, red) -> None:
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = {
-        "lmc.json": lambda p: save_lmc(red.lmc, p),
-        "pi1.json": lambda p: save_distribution(red.pi1, red.lmc, p),
-        "pi2.json": lambda p: save_distribution(red.pi2, red.lmc, p),
-    }
-    written = []
-    for name, saver in files.items():
-        path = outdir / name
-        saver(path)
-        written.append(str(path))
-    report.field(
-        "files", written, "wrote " + ", ".join(written)
-    )
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        save_lmc(red.lmc, outdir / "lmc.json")
+        save_distribution(red.pi1, red.lmc, outdir / "pi1.json")
+        save_distribution(red.pi2, red.lmc, outdir / "pi2.json")
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from None
+    written = [str(outdir / name) for name in ("lmc.json", "pi1.json", "pi2.json")]
+    report.field("files", written, "wrote " + ", ".join(written))
 
 
 def _cmd_from_nfa(ns: argparse.Namespace) -> int:

@@ -214,13 +214,12 @@ class RoundedModel:
         self.zero = FloatK(0, 0, precision)
         self.eow = tuple(fp_round(e, precision) for e in lmc.eow)
         # Per label, per target state: (source, rounded probability), ascending source.
-        self.columns = tuple(
-            tuple(
-                tuple((i, fp_round(p, precision)) for i, p in col)
-                for col in label_cols
-            )
-            for label_cols in lmc.sparse_cols
-        )
+        columns = [[[] for _ in lmc.states] for _ in lmc.alphabet]
+        for cols, rows in zip(columns, lmc.sparse_rows):
+            for i, row in enumerate(rows):
+                for j, p in row:
+                    cols[j].append((i, fp_round(p, precision)))
+        self.columns = tuple(tuple(map(tuple, cols)) for cols in columns)
 
     def initial(self, pi: InitialDistribution) -> tuple[FloatK, ...]:
         check_distribution(self.lmc, pi)

@@ -1,6 +1,6 @@
 """Labelled Markov chains over exact rationals.
 
-A chain is a finite state set, a finite alphabet, one transition matrix per
+A chain is a finite state set, a finite alphabet, the transitions of each
 label, and a per-state end-of-word probability.  Started from an initial
 distribution it emits a label and moves, or stops; that induces a probability
 distribution on finite words, which is the object everything else in this
@@ -8,7 +8,9 @@ package analyses.
 
 Contents:
 
-* ``Lmc`` and ``InitialDistribution`` -- immutable model types.
+* ``Lmc`` and ``InitialDistribution`` -- immutable model types.  A chain
+  stores its transitions as sparse rows only (``Lmc.sparse_rows``);
+  ``Lmc.matrices`` is a dense view for readers outside the library.
 * ``validate`` -- semantic invariant violations, returned as data.
 * ``word_probability`` -- exact probability of a single word.
 * ``is_acyclic`` / ``max_support_length`` -- shape of the word support.
@@ -60,7 +62,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Word = Sequence[str]
 
 #: Sparse row form: for each source state, the (target, probability) pairs
-#: with a nonzero probability.
+#: with a nonzero probability, targets strictly ascending.
 SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 #: Sparse rows scaled by a common denominator to integers.
@@ -78,16 +80,21 @@ def as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
     )
 
 
-def _freeze_matrix(mat, size: int, label: str) -> Matrix:
-    rows = tuple(mat)
+def _freeze_rows(rows, size: int, label: str) -> SparseRows:
+    rows = tuple(rows)
     if len(rows) != size:
-        raise DomainError(f"matrix for label {label!r} has {len(rows)} rows, expected {size}")
+        raise DomainError(f"label {label!r} has {len(rows)} rows, expected {size}")
+    what = f"transition probability for label {label!r}"
     out = []
-    for row in rows:
-        row = tuple(as_fraction(p, f"matrix entry for label {label!r}") for p in row)
-        if len(row) != size:
-            raise DomainError(f"matrix for label {label!r} has a row of width {len(row)}, expected {size}")
-        out.append(row)
+    for row in map(tuple, rows):
+        targets = [e[0] if isinstance(e, tuple) and len(e) == 2 else None for e in row]
+        if not all(type(j) is int and 0 <= j < size for j in targets) or targets != sorted(set(targets)):
+            raise DomainError(
+                f"a row for label {label!r} must hold (target, probability) pairs "
+                f"with int targets in [0, {size}), strictly ascending"
+            )
+        pairs = [(j, as_fraction(p, what)) for j, p in row]
+        out.append(tuple((j, p) for j, p in pairs if p))
     return tuple(out)
 
 
@@ -95,16 +102,18 @@ def _freeze_matrix(mat, size: int, label: str) -> Matrix:
 class Lmc:
     """A labelled Markov chain.
 
-    ``matrices`` holds one |Q| x |Q| transition matrix per label, aligned with
-    ``alphabet``; ``eow`` is the per-state probability of stopping (ending the
-    word).  Construction checks shape only -- semantically broken models are
-    representable on purpose so that :func:`validate` can report their
-    violations as data.
+    ``sparse_rows`` is the stored form of the transitions: per label (aligned
+    with ``alphabet``) and source state, the nonzero ``(target, probability)``
+    pairs, targets strictly ascending; zero pairs are dropped.  ``eow`` is the
+    per-state probability of stopping (ending the word).  ``matrices`` is a
+    dense view for readers outside the library.  Construction checks shape
+    and exactness only -- semantically broken models are representable on
+    purpose so that :func:`validate` can report their violations as data.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    matrices: tuple[Matrix, ...]
+    sparse_rows: tuple[SparseRows, ...]
     eow: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -117,16 +126,16 @@ class Lmc:
         if len(set(alphabet)) != len(alphabet):
             raise DomainError("labels must be unique")
         n = len(states)
-        mats = tuple(self.matrices)
-        if len(mats) != len(alphabet):
-            raise DomainError(f"got {len(mats)} matrices for {len(alphabet)} labels")
-        mats = tuple(_freeze_matrix(m, n, a) for m, a in zip(mats, alphabet))
+        rows = tuple(self.sparse_rows)
+        if len(rows) != len(alphabet):
+            raise DomainError(f"got {len(rows)} row sets for {len(alphabet)} labels")
+        rows = tuple(_freeze_rows(r, n, a) for r, a in zip(rows, alphabet))
         eow = tuple(as_fraction(e, "end-of-word probability") for e in self.eow)
         if len(eow) != n:
             raise DomainError(f"end-of-word vector has length {len(eow)}, expected {n}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "sparse_rows", rows)
         object.__setattr__(self, "eow", eow)
 
     # -- builders -----------------------------------------------------------
@@ -152,9 +161,7 @@ class Lmc:
             raise DomainError("state names must be unique")
         if len(lidx) != len(alphabet):
             raise DomainError("labels must be unique")
-        n = len(states)
-        grids = [[[ZERO] * n for _ in range(n)] for _ in alphabet]
-        seen: set[tuple[str, str, str]] = set()
+        rows: list[list[dict[int, Fraction]]] = [[{} for _ in states] for _ in alphabet]
         for src, label, tgt, prob in transitions:
             if src not in sidx:
                 raise DomainError(f"transition source {src!r} is not a declared state")
@@ -162,17 +169,16 @@ class Lmc:
                 raise DomainError(f"transition target {tgt!r} is not a declared state")
             if label not in lidx:
                 raise DomainError(f"transition label {label!r} is not in the alphabet")
-            key = (src, label, tgt)
-            if key in seen:
+            row = rows[lidx[label]][sidx[src]]
+            if sidx[tgt] in row:
                 raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
-            seen.add(key)
-            grids[lidx[label]][sidx[src]][sidx[tgt]] = as_fraction(prob, "transition probability")
+            row[sidx[tgt]] = as_fraction(prob, "transition probability")
         for state in eow:
             if state not in sidx:
                 raise DomainError(f"end-of-word entry names unknown state {state!r}")
         eow_vec = tuple(as_fraction(eow.get(s, ZERO), "end-of-word probability") for s in states)
-        mats = tuple(tuple(tuple(row) for row in grid) for grid in grids)
-        return cls(states, alphabet, mats, eow_vec)
+        sparse = tuple(tuple(tuple(sorted(row.items())) for row in label_rows) for label_rows in rows)
+        return cls(states, alphabet, sparse, eow_vec)
 
     # -- lookups ------------------------------------------------------------
 
@@ -188,28 +194,27 @@ class Lmc:
     def n_states(self) -> int:
         return len(self.states)
 
-    def matrix(self, label: str) -> Matrix:
-        try:
-            return self.matrices[self.label_index[label]]
-        except KeyError:
-            raise DomainError(f"label {label!r} is not in the alphabet") from None
-
     def transition_records(self) -> list[tuple[str, str, str, Fraction]]:
-        """All nonzero transitions as (source, label, target, probability)."""
-        out = []
-        for li, label in enumerate(self.alphabet):
-            for i, row in enumerate(self.matrices[li]):
-                for j, p in enumerate(row):
-                    if p:
-                        out.append((self.states[i], label, self.states[j], p))
-        return out
+        """All nonzero transitions as (source, label, target, probability),
+        by label, then source, then target."""
+        return [
+            (self.states[i], label, self.states[j], p)
+            for label, rows in zip(self.alphabet, self.sparse_rows)
+            for i, row in enumerate(rows)
+            for j, p in row
+        ]
 
-    # -- cached sparse structure (positive entries only) ---------------------
+    # -- derived forms, built on first use -----------------------------------
 
     @cached_property
-    def sparse_rows(self) -> tuple[SparseRows, ...]:
-        """Per label, per source state: nonzero (target, probability) pairs."""
-        return sparse_matrices(self.matrices)
+    def matrices(self) -> tuple[Matrix, ...]:
+        """Per label, the dense |Q| x |Q| matrix: a view for readers outside
+        the library."""
+        n = range(self.n_states)
+        return tuple(
+            tuple(tuple(dict(row).get(j, ZERO) for j in n) for row in rows)
+            for rows in self.sparse_rows
+        )
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[IntRows, ...], tuple[int, ...]]:
@@ -218,11 +223,6 @@ class Lmc:
         vector, both multiplied by L into integers."""
         den, rows = integer_rows(self.sparse_rows, common_denominator(self.eow))
         return den, rows, tuple(_times(e, den) for e in self.eow)
-
-    @cached_property
-    def sparse_cols(self) -> tuple[SparseRows, ...]:
-        """Per label, per target state: nonzero (source, probability) pairs."""
-        return sparse_matrices([tuple(zip(*mat)) for mat in self.matrices])
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -755,16 +755,17 @@ def disjoint_union(
         names = tuple(f"1:{s}" for s in m1.states) + tuple(f"2:{s}" for s in m2.states)
     else:
         names = m1.states + m2.states
-    n1, n2 = m1.n_states, m2.n_states
+    n1 = m1.n_states
     zeros1 = (ZERO,) * n1
-    zeros2 = (ZERO,) * n2
-    mats = []
-    for label in m1.alphabet:
-        a = m1.matrix(label)
-        b = m2.matrix(label)
-        rows = [row + zeros2 for row in a] + [zeros1 + row for row in b]
-        mats.append(tuple(rows))
-    union = Lmc(names, m1.alphabet, tuple(mats), m1.eow + m2.eow)
+    zeros2 = (ZERO,) * m2.n_states
+    rows = tuple(
+        first + tuple(
+            tuple((j + n1, p) for j, p in row)
+            for row in m2.sparse_rows[m2.label_index[label]]
+        )
+        for label, first in zip(m1.alphabet, m1.sparse_rows)
+    )
+    union = Lmc(names, m1.alphabet, rows, m1.eow + m2.eow)
     lifted1 = InitialDistribution(pi1.weights + zeros2)
     lifted2 = InitialDistribution(zeros1 + pi2.weights)
     return union, lifted1, lifted2

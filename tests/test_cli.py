@@ -359,6 +359,21 @@ def test_from_nfa_cap_note(tmp_path, capsys):
     assert "certified distance" not in out
 
 
+@pytest.mark.parametrize(
+    ("command", "data", "options"),
+    [("from-nfa", EXAMPLE_NFA, ["-n", "3"]), ("from-pa", ALWAYS_PA, [])],
+    ids=["from-nfa", "from-pa"],
+)
+def test_unwritable_out_directory_is_malformed_input(tmp_path, capsys, command, data, options):
+    source = write(tmp_path / "input.json", data)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):  # names a file; sits under one
+        code, stdout, err = run(capsys, command, source, "--out", str(out), *options)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("error: cannot write")
+
+
 def test_count_nfa(tmp_path, capsys):
     nfa = write(tmp_path / "nfa.json", EXAMPLE_NFA)
     code, out, _ = run(capsys, "count-nfa", nfa, "-n", "3")

@@ -1,5 +1,6 @@
-"""Golden CLI output: the ``--json`` stdout of the enumerating commands,
-pinned byte for byte by SHA-256.
+"""Golden CLI output: the ``--json`` stdout of the enumerating commands, and
+the instance files that ``from-nfa`` and ``from-pa`` write, pinned byte for
+byte by SHA-256.
 
 The enumerating digests were recorded before the exact commands moved from
 the depth-first walker to the layered one, and the ``sample`` digests before
@@ -152,3 +153,47 @@ def test_equiv_is_byte_identical(inputs, capsys):
 def test_from_pa_is_byte_identical(inputs, capsys):
     got = {args: _digest(_stdout(capsys, "from-pa", *args)) for args in FROM_PA_GOLDEN}
     assert got == FROM_PA_GOLDEN
+
+
+#: (command, input, options) -> SHA-256 of each instance file it writes,
+#: recorded while chains were still stored as dense matrices.  The files list
+#: transitions in ``Lmc.transition_records`` order (label, then source, then
+#: target).
+INSTANCE_GOLDEN = {
+    ("from-nfa", "nfa.json", "-n", "3"): {
+        "lmc.json": "9f6438083614c5bdd67c3d4b06ddb6e61c2daac9f09149530642e278c6ea1737",
+        "pi1.json": "f75909ebf9b8c1a13a28234a9e57b405b30ecccf652fbc8a3a40589267d19d3a",
+        "pi2.json": "934659e435d66d2f05d3d5f40dba8ee148e536381abdc68318b9785d4e2c12f9",
+    },
+    ("from-pa", "half.json"): {
+        "lmc.json": "7a1d923ce994b87313df9256368a3f5965b1ed62cf198fe94f5ab4af6fd98b6a",
+        "pi1.json": "32532617cad341d17dd9849a152ec5894b3801118202da4e61fe504c5aa536aa",
+        "pi2.json": "2a75f704328a8ba80262e59c41cedb761fc3fd4ecef4590e854933151bfa0bb2",
+    },
+    ("from-pa", "late.json"): {
+        "lmc.json": "766b94690deb2ac60bca5d12f2e2218bb4d143535d4fa390f54894b801364e0e",
+        "pi1.json": "b4963d9abc37913e7fb66d867d502e0b764ebfcae1a1dc969aa0ef67dce5bdae",
+        "pi2.json": "32532617cad341d17dd9849a152ec5894b3801118202da4e61fe504c5aa536aa",
+    },
+}
+
+
+def test_reduction_instance_files_are_byte_identical(inputs, capsys, tmp_path):
+    nfa = example_nfa()
+    (tmp_path / "nfa.json").write_text(json.dumps({
+        "states": list(nfa.states),
+        "alphabet": list(nfa.alphabet),
+        "initial": nfa.initial,
+        "accepting": sorted(nfa.accepting),
+        "transitions": [
+            {"from": s, "label": a, "to": t} for s, a, t in sorted(nfa.transitions)
+        ],
+    }))
+    got = {}
+    for n, args in enumerate(INSTANCE_GOLDEN):
+        _stdout(capsys, *args, "--out", f"out{n}")
+        got[args] = {
+            name: hashlib.sha256((tmp_path / f"out{n}" / name).read_bytes()).hexdigest()
+            for name in INSTANCE_GOLDEN[args]
+        }
+    assert got == INSTANCE_GOLDEN

@@ -1,5 +1,7 @@
 """Core model types: construction, validation, probabilities, unions."""
 
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +21,7 @@ from lmcdist import (
     validate,
     word_probability,
 )
+from lmcdist.formats import load_lmc, save_lmc
 from lmcdist.model import (
     depth_total,
     eliminate,
@@ -50,12 +53,50 @@ def test_from_transitions_builds_expected_matrices():
         [("u", "a", "v", Fraction(1, 3)), ("u", "a", "u", Fraction(1, 3))],
         {"u": Fraction(1, 3), "v": 1},
     )
-    assert lmc.matrix("a") == (
+    assert lmc.matrices[0] == (
         (Fraction(1, 3), Fraction(1, 3)),
         (Fraction(0), Fraction(0)),
     )
     assert lmc.eow == (Fraction(1, 3), Fraction(1))
     assert validate(lmc) == []
+
+
+@pytest.mark.parametrize(
+    ("rows", "match"),
+    [
+        (((((0, 1),),),) * 2, "2 row sets for 1 labels"),
+        ((((),) * 3,), "3 rows, expected 2"),
+        (((((2, 1),), ()),), "targets in"),  # out of range
+        ((((("1", 1),), ()),), "int targets"),
+        (((((1, Fraction(1, 2)), (1, Fraction(1, 2))), ()),), "strictly ascending"),
+        (((((1, Fraction(1, 2)), (0, Fraction(1, 2))), ()),), "strictly ascending"),
+        (((((1, 0.5),), ()),), "exact rational"),
+        ((((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),), "pairs"),  # dense
+    ],
+)
+def test_constructor_rejects_malformed_rows(rows, match):
+    with pytest.raises(DomainError, match=match):
+        Lmc(("u", "v"), ("a",), rows, (Fraction(0), Fraction(1)))
+
+
+def test_zero_records_are_dropped_but_still_count_as_duplicates(tmp_path):
+    records = [("u", "a", "v", 1), ("u", "a", "u", 0)]
+    lmc = Lmc.from_transitions(["u", "v"], ["a"], records, {"v": 1})
+    assert lmc.sparse_rows == ((((1, Fraction(1)),), ()),)
+    save_lmc(lmc, tmp_path / "lmc.json")
+    assert load_lmc(tmp_path / "lmc.json") == lmc
+    assert [t["prob"] for t in json.loads((tmp_path / "lmc.json").read_text())["transitions"]] == ["1"]
+    with pytest.raises(DomainError, match="duplicate transition"):
+        Lmc.from_transitions(["u", "v"], ["a"], records + records[1:], {"v": 1})
+
+
+def test_record_order_does_not_change_the_chain():
+    union = worked_example_union()[0]
+    records = union.transition_records()
+    eow = dict(zip(union.states, union.eow))
+    shuffled = Lmc.from_transitions(union.states, union.alphabet, reversed(records), eow)
+    assert shuffled == union
+    assert hash(shuffled) == hash(union)
 
 
 def test_duplicate_transition_rejected():
@@ -280,6 +321,21 @@ def test_disjoint_union_renames_on_collision():
     assert len(set(union.states)) == 2
     assert word_probability(union, u1, ("a", "a")) == Fraction(1, 16)
     assert word_probability(union, u2, ("a", "a")) == Fraction(1, 16)
+
+
+def test_disjoint_union_pairs_rows_by_label():
+    first, pi1, second, pi2 = worked_example_pair()
+    flipped = Lmc.from_transitions(
+        second.states, ("b", "a"), second.transition_records(), dict(zip(second.states, second.eow))
+    )
+    assert flipped.alphabet == ("b", "a")
+    union, _, lifted = disjoint_union(first, pi1, flipped, InitialDistribution(pi2.weights))
+    for n in range(4):
+        for word in itertools.product("ab", repeat=n):
+            assert word_probability(union, lifted, word) == word_probability(second, pi2, word)
+    eow = dict(zip(first.states + flipped.states, first.eow + flipped.eow))
+    records = first.transition_records() + flipped.transition_records()
+    assert union == Lmc.from_transitions(first.states + flipped.states, first.alphabet, records, eow)
 
 
 def test_disjoint_union_requires_same_alphabet():

@@ -1,18 +1,33 @@
-"""Package-wide checks: no assert statements in library code, and every name
-the benchmark's tracer wraps and every report field it counts still resolves."""
+"""Package-wide checks: no assert statements in library code, no library
+entry point builds a chain's dense matrices, and every name the benchmark's
+tracer wraps and every report field it counts still resolves."""
 
 import ast
 import importlib
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import lmcdist
-from lmcdist.automata import nfa_to_lmc
+from lmcdist import (
+    are_equivalent,
+    disjoint_union,
+    length_bound,
+    lk_distance_acyclic,
+    tail_mass,
+    threshold_decide_acyclic,
+    tv_bounded,
+    tv_distance_acyclic,
+    tv_sample_acyclic,
+    validate,
+    word_probability,
+)
+from lmcdist.automata import nfa_to_lmc, pa_to_lmc
 from lmcdist.cli import main
-from lmcdist.formats import save_distribution, save_lmc
+from lmcdist.formats import load_distribution, load_lmc, save_distribution, save_lmc
 
-from helpers import example_nfa
+from helpers import at_most_half_pa, example_nfa, worked_example_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(lmcdist.__file__).parent.glob("*.py"))
@@ -28,6 +43,34 @@ def test_library_code_has_no_assert_statements():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_library_never_builds_the_dense_view(tmp_path):
+    # Sparse rows are a chain's one stored form; ``Lmc.matrices`` is a dense
+    # view for outside readers, cached in the instance once built.
+    chains = []
+    for red in (nfa_to_lmc(example_nfa(), 3), pa_to_lmc(at_most_half_pa())):
+        save_lmc(red.lmc, tmp_path / "lmc.json")
+        save_distribution(red.pi1, red.lmc, tmp_path / "pi1.json")
+        save_distribution(red.pi2, red.lmc, tmp_path / "pi2.json")
+        lmc = load_lmc(tmp_path / "lmc.json")
+        pi1, pi2 = (load_distribution(tmp_path / f"pi{i}.json", lmc) for i in (1, 2))
+        chains += [red.lmc, lmc]
+        assert validate(lmc) == []
+        word_probability(lmc, pi1, lmc.alphabet[:1])
+        tail_mass(lmc, pi1, 2)
+        length_bound(lmc, Fraction(1, 8))
+        are_equivalent(lmc, pi1, pi2)
+        tv_bounded(lmc, pi1, pi2, Fraction(1, 2))
+        if red.kind == "nfa":
+            tv_distance_acyclic(lmc, pi1, pi2)
+            lk_distance_acyclic(lmc, pi1, pi2, 2)
+            threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 4))
+            tv_sample_acyclic(lmc, pi1, pi2, Fraction(1, 2), Fraction(1, 2))
+    first, pi1, second, pi2 = worked_example_pair()
+    union = disjoint_union(first, pi1, second, pi2)[0]
+    chains += [first, second, union]
+    assert [lmc for lmc in chains if "matrices" in vars(lmc)] == []
 
 
 def test_bench_trace_targets_resolve():

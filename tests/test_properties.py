@@ -346,6 +346,6 @@ def test_word_probability_matches_dense_product(seed, length):
     word = tuple(rng.choice(lmc.alphabet) for _ in range(length))
     vec = list(pi.weights)
     for label in word:
-        mat = lmc.matrix(label)
+        mat = lmc.matrices[lmc.label_index[label]]
         vec = [sum(vec[i] * mat[i][j] for i in range(lmc.n_states)) for j in range(lmc.n_states)]
     assert word_probability(lmc, pi, word) == sum(x * e for x, e in zip(vec, lmc.eow))
