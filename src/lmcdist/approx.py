@@ -23,9 +23,10 @@ approximation in the statistical estimator is the finite sample size.  The
 integer thresholds of every choice are computed once per sampler, and a word
 is drawn in one loop that reads the bit stream's buffer directly; it consumes
 exactly the bits of a one-choice-at-a-time refinement, so a seed replays the
-same words and estimates.  The tables still start from ``Fraction``: each is
-scaled by the lcm of its own outcomes' denominators (``_Sampler._table``),
-not the chain's, because another total would change the bits a seed draws.
+same words and estimates.  The tables are built from the chain's integer
+form (``Lmc.integer_form``), but each is reduced to the least denominator of
+its own outcomes (``_Sampler._table``), not kept over the chain's, because
+another total would change the bits a seed draws.
 Each distinct sampled word is classified once, by the sign of its integer
 (p1 - p2) stop mass.  The logarithms needed for
 sample sizes and fallback length bounds are certified rational upper bounds
@@ -54,8 +55,10 @@ from .model import (
     advance,
     as_fraction,
     check_distribution,
+    common_denominator,
     depth_total,
     max_support_length,
+    scale,
     state_tails,
     stop_mass,
     walk_prefixes,
@@ -156,35 +159,37 @@ class _Sampler:
         check_distribution(lmc, pi)
         # Outcomes: (None, state) at the start, then None = stop or
         # (label, target) per state.
-        starts = [i for i, w in enumerate(pi.weights) if w > 0]
+        den_pi = common_denominator(pi.weights)
+        start = scale(pi.weights, den_pi)
         self._start = self._table(
-            [(None, i) for i in starts],
-            [pi.weights[i] for i in starts],
-            "the initial distribution",
+            [(None, i) for i in start], list(start.values()), den_pi, "the initial distribution"
         )
+        den, rows, eow = lmc.integer_form
         self._tables = []
         for i in range(lmc.n_states):
             outs: list[tuple[str, int] | None] = []
-            probs: list[Fraction] = []
-            if lmc.eow[i] > 0:
+            weights: list[int] = []
+            if eow[i] > 0:
                 outs.append(None)
-                probs.append(lmc.eow[i])
-            for li, label in enumerate(lmc.alphabet):
-                for j, p in lmc.sparse_rows[li][i]:
-                    if p > 0:
+                weights.append(eow[i])
+            for label, label_rows in zip(lmc.alphabet, rows):
+                for j, x in label_rows[i]:
+                    if x > 0:
                         outs.append((label, j))
-                        probs.append(p)
-            self._tables.append(self._table(outs, probs, f"state {lmc.states[i]!r}"))
+                        weights.append(x)
+            self._tables.append(self._table(outs, weights, den, f"state {lmc.states[i]!r}"))
 
     @staticmethod
-    def _table(outs: list, probs: list[Fraction], where: str) -> tuple:
-        """``(outcomes, uppers, total, width, bounds)``: ``uppers`` are the
-        integer cumulative weights over ``total`` (cum[1:]), ``bounds`` the
-        same shifted left by the first read's ``width``."""
-        if not probs:
+    def _table(outs: list, weights: list[int], den: int, where: str) -> tuple:
+        """``(outcomes, uppers, total, width, bounds)`` for weights over
+        ``den``: ``total`` is their least common denominator (the same for any
+        ``den``), ``uppers`` the cumulative weights over it (cum[1:]), and
+        ``bounds`` the same shifted left by the first read's ``width``."""
+        if not weights:
             raise DomainError(f"cannot sample: {where} has no positive outcome")
-        total = math.lcm(*(p.denominator for p in probs))
-        uppers = list(itertools.accumulate(p.numerator * (total // p.denominator) for p in probs))
+        unit = math.gcd(den, *weights)
+        total = den // unit
+        uppers = list(itertools.accumulate(w // unit for w in weights))
         if uppers[-1] != total:
             raise DomainError(
                 f"cannot sample: probabilities at {where} sum to "

@@ -38,7 +38,6 @@ from .model import (
     ONE,
     ZERO,
     InitialDistribution,
-    IntRows,
     Lmc,
     Matrix,
     Word,
@@ -46,13 +45,13 @@ from .model import (
     as_fraction,
     common_denominator,
     eliminate,
-    integer_rows,
     least_word,
     scale,
     sparse_matrices,
     stop_mass,
     vector_key,
     walk_layers,
+    word_probability,
 )
 
 #: Labels appended to the input alphabet by both reductions.
@@ -191,7 +190,9 @@ class Pa:
     distribution over states, and a set of accepting states.
 
     ``acceptance_probability`` of a word is the chance that the random walk
-    it drives ends in an accepting state.
+    it drives ends in an accepting state.  The dense ``matrices`` are the
+    constructor's interface; every routine below reads ``chain``, the same
+    automaton as one sparse ``Lmc``.
     """
 
     states: tuple[str, ...]
@@ -233,13 +234,10 @@ class Pa:
                         f"{sum(row, ZERO)}, expected 1"
                     )
             coerced.append(mat)
-        init = tuple(as_fraction(p, "initial weight") for p in self.initial)
+        init = tuple(self.initial)
         if len(init) != n:
             raise DomainError(f"initial distribution has {len(init)} entries, expected {n}")
-        if any(p < 0 or p > 1 for p in init):
-            raise DomainError("initial weights must lie in [0, 1]")
-        if sum(init, ZERO) != 1:
-            raise DomainError(f"initial weights sum to {sum(init, ZERO)}, expected 1")
+        init = InitialDistribution(init).weights
         for q in accepting:
             if q not in set(states):
                 raise DomainError(f"accepting state {q!r} is not declared")
@@ -250,28 +248,17 @@ class Pa:
         object.__setattr__(self, "accepting", accepting)
 
     @cached_property
-    def label_index(self) -> Mapping[str, int]:
-        return {a: i for i, a in enumerate(self.alphabet)}
-
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[IntRows, ...], tuple[int, ...]]:
-        """``(L, rows, flags)``: the sparse rows times L, the lcm of their
-        denominators, as in ``Lmc.integer_form``; flags 1 where accepting."""
-        den, rows = integer_rows(sparse_matrices(self.matrices))
-        return den, rows, tuple(1 if q in self.accepting else 0 for q in self.states)
+    def chain(self) -> Lmc:
+        """The automaton as a chain whose end-of-word vector is the 0/1
+        acceptance flags: a word's acceptance probability is its
+        ``word_probability`` from ``initial``."""
+        flags = tuple(ONE if q in self.accepting else ZERO for q in self.states)
+        return Lmc(self.states, self.alphabet, sparse_matrices(self.matrices), flags)
 
 
 def acceptance_probability(pa: Pa, word: Word) -> Fraction:
     """Exact probability that the automaton accepts the word."""
-    den, rows, flags = pa.integer_form
-    den_pi = common_denominator(pa.initial)
-    vec = scale(pa.initial, den_pi)
-    for label in word:
-        li = pa.label_index.get(label)
-        if li is None:
-            raise DomainError(f"letter {label!r} is not in the automaton's alphabet")
-        vec = advance(vec, rows[li])
-    return Fraction(stop_mass(vec, flags), den_pi * den ** len(word))
+    return word_probability(pa.chain, InitialDistribution(pa.initial), word)
 
 
 def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...]]:
@@ -292,7 +279,8 @@ def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...
 
 def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     """Shortest word accepted with probability strictly above 1/2, trying
-    lengths 0..max_len in alphabet order; None if none exists in that range.
+    lengths 0..max_len in alphabet order; None if none exists in that range,
+    and ``DomainError`` for a negative max_len.
 
     A breadth-first walk of the prefix tree on integer vectors that merges
     prefixes with equal vectors (``model.walk_layers``).  The first witness
@@ -303,8 +291,9 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     extension can then be accepted with more than that mass.
     """
     if max_len < 0:
-        return None
-    den, rows, flags = pa.integer_form
+        raise DomainError(f"word length must be nonnegative, got {max_len}")
+    den, rows, eow = pa.chain.integer_form
+    flags = tuple(1 if e else 0 for e in eow)
     den_pi = common_denominator(pa.initial)
     live = _live_flags(rows, flags)
     scales = [den_pi]  # the denominator of a prefix vector, per depth
@@ -520,12 +509,7 @@ def pa_to_lmc(pa: Pa) -> ReductionOutput:
         transitions.append((start, a, start, crawl))
     transitions.append((start, "b", sink, quarter))
     transitions.append((start, "acc", sink, quarter))
-    for li, a in enumerate(pa.alphabet):
-        mat = pa.matrices[li]
-        for i, src in enumerate(pa.states):
-            for j, tgt in enumerate(pa.states):
-                if mat[i][j]:
-                    transitions.append((src, a, tgt, mat[i][j] * crawl))
+    transitions.extend((src, a, tgt, p * crawl) for src, a, tgt, p in pa.chain.transition_records())
     for q in pa.states:
         verdict = "acc" if q in pa.accepting else "rej"
         transitions.append((q, verdict, sink, half))
@@ -540,15 +524,12 @@ def pa_to_lmc(pa: Pa) -> ReductionOutput:
         lmc, {q: w for q, w in zip(pa.states, pa.initial) if w}
     )
     # Total ``acc`` mass of the second start: x solves (I - sum_a M(a)/(2k)) x = chi_F / 2.
-    system = [
-        [
-            (ONE if i == j else ZERO)
-            - sum((mat[i][j] for mat in pa.matrices), ZERO) * crawl
-            for j in range(s)
-        ]
-        for i in range(s)
-    ]
-    rhs = [half * flag for flag in pa.integer_form[2]]
+    system = [[ONE if i == j else ZERO for j in range(s)] for i in range(s)]
+    for rows in pa.chain.sparse_rows:
+        for i, row in enumerate(rows):
+            for j, p in row:
+                system[i][j] -= p * crawl
+    rhs = [half * flag for flag in pa.chain.eow]
     x = _solve_linear(system, rhs)
     acc_mass = sum((w * xi for w, xi in zip(pa.initial, x)), ZERO)
     return ReductionOutput(

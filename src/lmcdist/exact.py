@@ -15,8 +15,8 @@ apart; the power sums and the threshold need only p1 - p2 and walk the
 difference vector (``_difference``), which merges at least as often.  The
 exhaustive-subset oracle walks every word depth-first instead
 (``model.walk_prefixes``), which keeps it an independent route.  No vector
-here is a ``Fraction``; the package's three Fraction paths that remain are
-named, with why, in ``model``.
+here is a ``Fraction``; the package's one Fraction path that remains,
+``floatk.RoundedModel``, is named, with why, in ``model``.
 
 Also here:
 

@@ -3,9 +3,11 @@
 All probabilities travel as exact rational strings ("1/3", "1") -- never as
 binary floats -- so a chain survives any number of save/load round trips
 bit-for-bit.  Malformed input raises ``ParseError`` with the offending file
-and element named; semantic violations (rows not summing to one, states that
-can never stop) are also ``ParseError`` under the default strict loading, or
-can be collected separately via ``validate`` after a shape-only load.
+and element named, and so does an object that repeats a key (plain JSON
+parsing would silently keep the last value).  Semantic violations (rows not
+summing to one, states that can never stop) are also ``ParseError`` under
+the default strict loading, or can be collected separately via ``validate``
+after a shape-only load.
 
 File shapes:
 
@@ -185,8 +187,17 @@ def _load_json(path: str | Path) -> Any:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        data: dict = {}
+        for key, value in pairs:
+            if key in data:
+                raise ParseError(f"{path}: repeated key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
@@ -236,14 +247,18 @@ def load_lmc(path: str | Path, strict: bool = True) -> Lmc:
     return lmc_from_dict(_load_json(path), strict=strict, where=str(path))
 
 
+def _transition_dicts(lmc: Lmc) -> list[dict]:
+    return [
+        {"from": src, "label": label, "to": tgt, "prob": prob_str(prob)}
+        for src, label, tgt, prob in lmc.transition_records()
+    ]
+
+
 def lmc_to_dict(lmc: Lmc) -> dict:
     return {
         "states": list(lmc.states),
         "alphabet": list(lmc.alphabet),
-        "transitions": [
-            {"from": src, "label": label, "to": tgt, "prob": prob_str(prob)}
-            for src, label, tgt, prob in lmc.transition_records()
-        ],
+        "transitions": _transition_dicts(lmc),
         "eow": {
             state: prob_str(prob)
             for state, prob in zip(lmc.states, lmc.eow)
@@ -364,21 +379,14 @@ def load_pa(path: str | Path) -> Pa:
 
 
 def pa_to_dict(pa: Pa) -> dict:
-    order = {q: i for i, q in enumerate(pa.states)}
     return {
         "states": list(pa.states),
         "alphabet": list(pa.alphabet),
-        "transitions": [
-            {"from": src, "label": label, "to": tgt, "prob": prob_str(prob)}
-            for label, mat in zip(pa.alphabet, pa.matrices)
-            for i, src in enumerate(pa.states)
-            for j, tgt in enumerate(pa.states)
-            if (prob := mat[i][j])
-        ],
+        "transitions": _transition_dicts(pa.chain),
         "initial_dist": {
             state: prob_str(w) for state, w in zip(pa.states, pa.initial) if w
         },
-        "accepting": sorted(pa.accepting, key=order.__getitem__),
+        "accepting": [q for q in pa.states if q in pa.accepting],
     }
 
 

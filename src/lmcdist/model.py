@@ -34,11 +34,11 @@ Probabilities enter and leave as ``fractions.Fraction``; floats are rejected
 so that no silent rounding can creep in.  Inside, every vector kernel (the
 walkers, ``word_probability``, ``state_tails``, ``eliminate``) runs on
 integers over a common denominator: the same rationals times a known power
-of it, so it is exact too.  Three paths keep ``Fraction`` on purpose:
-``validate`` reports its sums as Fractions, the exact sampler
-(``approx._Sampler._table``) keeps its per-state lcm so that a seed draws
-the same bits, and ``floatk.RoundedModel`` rounds each probability from its
-Fraction.  All model types are frozen and safe to share between threads.
+of it, so it is exact too; so are ``validate`` and the exact sampler's
+tables (``approx._Sampler._table``).  Only ``floatk.RoundedModel`` reads
+``Fraction`` entries: it rounds each probability to k bits on its own, the
+per-entry error the bounded estimator budgets.  All model types are frozen
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -590,28 +590,31 @@ def validate(lmc: Lmc) -> list[str]:
     can end the word.  An empty result means the chain is a well-defined
     probability distribution over finite words.
     """
+    den, rows, eow = lmc.integer_form
     problems: list[str] = []
-    for li, label in enumerate(lmc.alphabet):
-        for i, row in enumerate(lmc.sparse_rows[li]):
-            for j, p in row:
-                if not (0 <= p <= 1):
+    for label, label_rows in zip(lmc.alphabet, rows):
+        for i, row in enumerate(label_rows):
+            for j, x in row:
+                if not (0 <= x <= den):
                     problems.append(
                         f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
-                        f"has probability {p}, outside [0, 1]"
+                        f"has probability {Fraction(x, den)}, outside [0, 1]"
                     )
-    for i, e in enumerate(lmc.eow):
-        if not (0 <= e <= 1):
+    for i, e in enumerate(eow):
+        if not (0 <= e <= den):
             problems.append(
-                f"end-of-word probability at state {lmc.states[i]} is {e}, outside [0, 1]"
+                f"end-of-word probability at state {lmc.states[i]} is {Fraction(e, den)}, "
+                f"outside [0, 1]"
             )
-    for i in range(lmc.n_states):
-        total = lmc.eow[i] + sum(p for rows in lmc.sparse_rows for _, p in rows[i])
-        if total != 1:
+    for i, e in enumerate(eow):
+        total = e + sum(x for label_rows in rows for _, x in label_rows[i])
+        if total != den:
             problems.append(
-                f"outgoing probability at state {lmc.states[i]} sums to {total}, expected 1"
+                f"outgoing probability at state {lmc.states[i]} sums to "
+                f"{Fraction(total, den)}, expected 1"
             )
     # Backward reachability from the states that can stop.
-    can_stop = {i for i, e in enumerate(lmc.eow) if e > 0}
+    can_stop = {i for i, e in enumerate(eow) if e > 0}
     preds: list[set[int]] = [set() for _ in lmc.states]
     for i, targets in enumerate(lmc.successors):
         for j in targets:

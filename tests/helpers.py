@@ -6,6 +6,7 @@ so every test is deterministic run to run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -475,13 +476,14 @@ def reference_solve(matrix, rhs) -> list[Fraction]:
 # Reference Fraction kernels
 # ---------------------------------------------------------------------------
 #
-# ``tail_mass``, ``length_bound`` and ``acceptance_probability`` as they were
-# before they moved onto integers over a common denominator, kept as the
-# references the integer versions must equal.  The bodies are unchanged but
-# for the three names they read that no longer exist in the package:
-# ``Lmc.combined_rows`` (now ``_combined_rows`` below, built once per call),
-# ``model.sparsify`` (now ``_sparsify``) and ``Pa.accepting_vector`` (now
-# built inline).
+# ``tail_mass``, ``length_bound``, ``acceptance_probability``, ``validate``
+# and the sampler's ``_Sampler._table`` as they were before they moved onto
+# integers over a common denominator, kept as the references the integer
+# versions must equal.  The bodies are unchanged but for the names they read
+# that no longer exist in the package: ``Lmc.combined_rows`` (now
+# ``_combined_rows`` below, built once per call), ``model.sparsify`` (now
+# ``_sparsify``), ``Pa.accepting_vector`` (now built inline) and
+# ``Pa.label_index`` (now built inline).
 
 
 def _sparsify(weights) -> dict[int, Fraction]:
@@ -549,8 +551,9 @@ def reference_acceptance_probability(pa: Pa, word) -> Fraction:
     accepting_vector = tuple(ONE if q in pa.accepting else ZERO for q in pa.states)
     vec = list(pa.initial)
     n = len(pa.states)
+    label_index = {a: i for i, a in enumerate(pa.alphabet)}
     for label in word:
-        li = pa.label_index.get(label)
+        li = label_index.get(label)
         if li is None:
             raise DomainError(f"letter {label!r} is not in the automaton's alphabet")
         mat = pa.matrices[li]
@@ -561,3 +564,72 @@ def reference_acceptance_probability(pa: Pa, word) -> Fraction:
     return sum(
         (p for p, flag in zip(vec, accepting_vector) if flag), ZERO
     )
+
+
+def reference_validate(lmc: Lmc) -> list[str]:
+    """Check the semantic invariants; return human-readable violations.
+
+    Checks, in order: every probability lies in [0, 1]; at every state the
+    end-of-word probability plus all outgoing transition probabilities sums to
+    exactly 1; every state has a positive-probability path to some state that
+    can end the word.  An empty result means the chain is a well-defined
+    probability distribution over finite words.
+    """
+    problems: list[str] = []
+    for li, label in enumerate(lmc.alphabet):
+        for i, row in enumerate(lmc.sparse_rows[li]):
+            for j, p in row:
+                if not (0 <= p <= 1):
+                    problems.append(
+                        f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
+                        f"has probability {p}, outside [0, 1]"
+                    )
+    for i, e in enumerate(lmc.eow):
+        if not (0 <= e <= 1):
+            problems.append(
+                f"end-of-word probability at state {lmc.states[i]} is {e}, outside [0, 1]"
+            )
+    for i in range(lmc.n_states):
+        total = lmc.eow[i] + sum(p for rows in lmc.sparse_rows for _, p in rows[i])
+        if total != 1:
+            problems.append(
+                f"outgoing probability at state {lmc.states[i]} sums to {total}, expected 1"
+            )
+    # Backward reachability from the states that can stop.
+    can_stop = {i for i, e in enumerate(lmc.eow) if e > 0}
+    preds: list[set[int]] = [set() for _ in lmc.states]
+    for i, targets in enumerate(lmc.successors):
+        for j in targets:
+            preds[j].add(i)
+    reached = set(can_stop)
+    frontier = deque(can_stop)
+    while frontier:
+        j = frontier.popleft()
+        for i in preds[j]:
+            if i not in reached:
+                reached.add(i)
+                frontier.append(i)
+    for i in range(lmc.n_states):
+        if i not in reached:
+            problems.append(
+                f"state {lmc.states[i]} has no positive-probability path to a state "
+                f"that can end the word"
+            )
+    return problems
+
+
+def reference_sampler_table(outs: list, probs: list[Fraction], where: str) -> tuple:
+    """``(outcomes, uppers, total, width, bounds)``: ``uppers`` are the
+    integer cumulative weights over ``total`` (cum[1:]), ``bounds`` the
+    same shifted left by the first read's ``width``."""
+    if not probs:
+        raise DomainError(f"cannot sample: {where} has no positive outcome")
+    total = math.lcm(*(p.denominator for p in probs))
+    uppers = list(itertools.accumulate(p.numerator * (total // p.denominator) for p in probs))
+    if uppers[-1] != total:
+        raise DomainError(
+            f"cannot sample: probabilities at {where} sum to "
+            f"{Fraction(uppers[-1], total)}, expected 1"
+        )
+    width = max(1, (total - 1).bit_length())
+    return outs, uppers, total, width, [u << width for u in uppers]

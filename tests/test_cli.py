@@ -413,3 +413,10 @@ def test_from_pa_and_witness(tmp_path, capsys):
     code, out, _ = run(capsys, "pa-witness", half, "--max-len", "3")
     assert code == 0
     assert "no word of length <= 3" in out
+
+
+def test_pa_witness_rejects_a_negative_max_len(tmp_path, capsys):
+    half = write(tmp_path / "half.json", HALF_PA)
+    code, out, err = run(capsys, "pa-witness", half, "--max-len", "-1")
+    assert (code, out) == (1, "")
+    assert "must be nonnegative, got -1" in err

@@ -1,5 +1,6 @@
 """Loader messages: the exact ``ParseError`` text for malformed ``transitions``
-in chain, NFA and PA files, and the order in which two faults are reported."""
+in chain, NFA and PA files, the order in which two faults are reported, and
+the rejection of a key repeated in any JSON object."""
 
 import copy
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lmcdist
+from lmcdist.cli import main
 from lmcdist.errors import ParseError
 from lmcdist.formats import load_lmc, load_nfa, load_pa
 
@@ -178,3 +180,54 @@ def test_nfa_reports_the_first_unknown_state_under_every_hash_seed(tmp_path, mon
         )
         seen.add(done.stdout)
     assert seen == {"f.json: transition ('s', 'a', 'x') names an unknown state\n"}
+
+
+#: (file kind, JSON text with one repeated key, that key)
+REPEATED = {
+    "chain-eow": (
+        '{"states": ["s", "t"], "alphabet": ["a"], "transitions": [], '
+        '"eow": {"s": "1", "s": "0", "t": "1"}}',
+        "s",
+    ),
+    "chain-top-level": (
+        '{"states": ["s"], "alphabet": ["a"], "transitions": [], "eow": {"s": 1}, "eow": {}}',
+        "eow",
+    ),
+    "pa-initial-dist": (
+        '{"states": ["s"], "alphabet": ["a"], '
+        '"transitions": [{"from": "s", "label": "a", "to": "s", "prob": 1}], '
+        '"initial_dist": {"s": 1, "s": 1}, "accepting": []}',
+        "s",
+    ),
+    "pa-transition-record": (
+        '{"states": ["s"], "alphabet": ["a"], '
+        '"transitions": [{"from": "s", "label": "a", "to": "s", "prob": 1, "prob": 0}], '
+        '"initial_dist": {"s": 1}, "accepting": []}',
+        "prob",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+def test_repeated_keys_are_rejected(tmp_path, monkeypatch, case):
+    text, key = REPEATED[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(text, encoding="utf-8")
+    load = load_pa if case.startswith("pa") else load_lmc
+    with pytest.raises(ParseError) as exc:
+        load("f.json")
+    assert str(exc.value) == f"f.json: repeated key {key!r}"
+
+
+def test_repeated_key_in_a_distribution_file_exits_3(tmp_path, monkeypatch, capsys):
+    # Plain JSON parsing keeps the last "s0", and the report would read s0 = 0.
+    monkeypatch.chdir(tmp_path)
+    Path("lmc.json").write_text(
+        json.dumps({"states": ["s0", "s1"], "alphabet": [], "transitions": [], "eow": {"s0": 1, "s1": 1}}),
+        encoding="utf-8",
+    )
+    Path("dup.json").write_text('{"s0": "1", "s0": "0", "s1": "1"}', encoding="utf-8")
+    assert main(["prob", "lmc.json", "dup.json", "ε"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "dup.json: repeated key 's0'" in err

@@ -1,6 +1,7 @@
 """Package-wide checks: no assert statements in library code, no library
-entry point builds a chain's dense matrices, and every name the benchmark's
-tracer wraps and every report field it counts still resolves."""
+entry point builds a chain's dense matrices (and only the functions that
+make dense matrices read them), and every name the benchmark's tracer wraps
+and every report field it counts still resolves."""
 
 import ast
 import importlib
@@ -23,9 +24,16 @@ from lmcdist import (
     validate,
     word_probability,
 )
-from lmcdist.automata import nfa_to_lmc, pa_to_lmc
+from lmcdist.automata import acceptance_probability, find_majority_witness, nfa_to_lmc, pa_to_lmc
 from lmcdist.cli import main
-from lmcdist.formats import load_distribution, load_lmc, save_distribution, save_lmc
+from lmcdist.formats import (
+    load_distribution,
+    load_lmc,
+    load_pa,
+    save_distribution,
+    save_lmc,
+    save_pa,
+)
 
 from helpers import at_most_half_pa, example_nfa, worked_example_pair
 
@@ -70,7 +78,38 @@ def test_library_never_builds_the_dense_view(tmp_path):
     first, pi1, second, pi2 = worked_example_pair()
     union = disjoint_union(first, pi1, second, pi2)[0]
     chains += [first, second, union]
+    # A probabilistic automaton keeps dense matrices as its constructor's
+    # interface, but every routine reads its sparse ``Pa.chain``.
+    save_pa(at_most_half_pa(), tmp_path / "pa.json")
+    pa = load_pa(tmp_path / "pa.json")
+    acceptance_probability(pa, pa.alphabet[:1])
+    find_majority_witness(pa, 3)
+    chains.append(pa_to_lmc(pa).lmc)
+    save_pa(pa, tmp_path / "pa.json")
+    chains.append(pa.chain)
     assert [lmc for lmc in chains if "matrices" in vars(lmc)] == []
+
+
+#: The only functions in the library that read a ``.matrices`` attribute:
+#: the automaton's dense constructor input and the chain's own dense view.
+DENSE_READERS = {"Pa.__post_init__", "Pa.chain", "Lmc.matrices"}
+
+
+def test_library_reads_dense_matrices_only_where_they_are_made():
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name, path)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "matrices" and scope not in DENSE_READERS:
+                found.append(f"{path.name}:{child.lineno} in {scope or '<module>'}")
+            visit(child, scope, path)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path)
+    assert found == []
 
 
 def test_bench_trace_targets_resolve():

@@ -1,6 +1,6 @@
 """Property tests: results of the prefix walker, the sampler, the integer
-elimination and the integer tail and acceptance kernels against independent
-routes."""
+elimination, the integer tail and acceptance kernels, and the integer
+``validate`` and sampler tables against independent routes."""
 
 import itertools
 import random
@@ -27,6 +27,7 @@ from lmcdist import (
     threshold_decide_acyclic,
     tv_distance_acyclic,
     tv_sample_acyclic,
+    validate,
     word_probability,
 )
 from lmcdist.approx import BitStream, _Sampler
@@ -48,7 +49,9 @@ from helpers import (
     relabeled_copy,
     reference_acceptance_probability,
     reference_length_bound,
+    reference_sampler_table,
     reference_tail_mass,
+    reference_validate,
     split_letters,
 )
 
@@ -349,3 +352,72 @@ def test_word_probability_matches_dense_product(seed, length):
         mat = lmc.matrices[lmc.label_index[label]]
         vec = [sum(vec[i] * mat[i][j] for i in range(lmc.n_states)) for j in range(lmc.n_states)]
     assert word_probability(lmc, pi, word) == sum(x * e for x, e in zip(vec, lmc.eow))
+
+
+def _chain_of_kind(kind, rng):
+    """A random acyclic or cyclic chain, or a cyclic one broken on purpose:
+    one negative entry or one above 1 (a transition or a stop probability),
+    one row summing to 7/6 (1/6 added to a stop probability), or an extra
+    state whose denominator the others lack, so their weights over the
+    chain's common denominator are not in lowest terms."""
+    base = random_acyclic_lmc(rng) if kind == "acyclic" else random_cyclic_lmc(rng)
+    states = list(base.states)
+    records = [list(r) for r in base.transition_records()]
+    eow = dict(zip(base.states, base.eow))
+    if kind in ("negative", "above-one"):
+        change = (lambda p: -p) if kind == "negative" else (lambda p: p + 1)
+        if records and rng.random() < 0.5:
+            record = rng.choice(records)
+            record[3] = change(record[3])
+        else:
+            state = rng.choice(states)
+            eow[state] = change(eow[state])
+    elif kind == "seven-sixths":
+        eow[rng.choice(states)] += Fraction(1, 6)
+    elif kind == "non-reduced":
+        d = rng.choice([7, 9, 25, 49])
+        states.append("z")
+        records.append(("z", base.alphabet[0], "z", Fraction(d - 1, d)))
+        eow["z"] = Fraction(1, d)
+    return Lmc.from_transitions(states, base.alphabet, records, eow)
+
+
+CHAIN_KINDS = ["acyclic", "cyclic", "negative", "above-one", "seven-sixths", "non-reduced"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(CHAIN_KINDS))
+def test_validate_matches_fraction_reference(seed, kind):
+    lmc = _chain_of_kind(kind, random.Random(seed))
+    assert validate(lmc) == reference_validate(lmc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(CHAIN_KINDS))
+def test_sampler_tables_match_fraction_reference(seed, kind):
+    # Every choice's table, or the first refusal, equals the one built from
+    # Fractions with the per-table lcm of reduced denominators.
+    rng = random.Random(seed)
+    lmc = _chain_of_kind(kind, rng)
+    pi = random_distribution(rng, lmc)
+    starts = [i for i, w in enumerate(pi.weights) if w > 0]
+    choices = [([(None, i) for i in starts], [pi.weights[i] for i in starts], "the initial distribution")]
+    for i, state in enumerate(lmc.states):
+        outs, probs = ([None], [lmc.eow[i]]) if lmc.eow[i] > 0 else ([], [])
+        for label, rows in zip(lmc.alphabet, lmc.sparse_rows):
+            for j, p in rows[i]:
+                if p > 0:
+                    outs.append((label, j))
+                    probs.append(p)
+        choices.append((outs, probs, f"state {state!r}"))
+    expected = []
+    try:
+        for choice in choices:
+            expected.append(reference_sampler_table(*choice))
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            _Sampler(lmc, pi)
+        assert str(got.value) == str(exc)
+        return
+    sampler = _Sampler(lmc, pi)
+    assert [sampler._start, *sampler._tables] == expected
