@@ -10,12 +10,10 @@ distributions of two starting points:
 
 * ``tv_bounded`` -- deterministic: cut the support at a length where at most
   epsilon/4 of the mass remains (``length_bound``), enumerate all words up to
-  that length with the package's depth-first walk, and classify each word by
-  comparing the two probabilities computed in k-bit floating point with k
-  chosen so each is within relative epsilon/8 of the truth.  The exact masses
-  of the two classes, carried as integers beside the k-bit twins, then pin the
-  distance to within epsilon/2, with no randomness and no cycle restriction.
-  The twins are rounded from each exact ``Fraction`` (``floatk.RoundedModel``).
+  that length with the package's depth-first walk, and classify each word
+  exactly by comparing its two integer stop masses.  The exact masses of the
+  two classes then pin the distance to within epsilon/2 (only the cut tail is
+  unknown), with no randomness and no cycle restriction.
 
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
@@ -46,7 +44,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
 from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start, require_acyclic
-from .floatk import RoundedModel, floor_log2, precision_for
+from .floatk import floor_log2, precision_for
 from .model import (
     ONE,
     ZERO,
@@ -355,7 +353,7 @@ def tv_sample_acyclic(
     )
 
 
-# -- deterministic bounded-precision estimation --------------------------------
+# -- deterministic bounded-length estimation -----------------------------------
 
 
 def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) -> int:
@@ -395,14 +393,17 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
 
 @dataclass(frozen=True)
 class BoundedEstimate:
-    """A deterministic distance estimate with every parameter that shaped it.
+    """A deterministic distance estimate and the parameters behind it.
 
-    Words up to ``length_cutoff`` were classified by comparing their two
-    probabilities in ``precision``-bit arithmetic; ``mass1_lt`` is the exact
-    first-start mass of words classified strictly smaller, ``mass2_ge`` the
-    exact second-start mass of the rest (ties included).  The estimate
-    1 - mass1_lt - mass2_ge is within epsilon/2 of the true distance, where
-    epsilon = 4 * tail_budget = 8 * rounding_budget.
+    Words up to ``length_cutoff`` were classified exactly; ``mass1_lt`` is
+    the first-start mass of words whose first probability is strictly
+    smaller, ``mass2_ge`` the second-start mass of the rest (ties included).
+    The estimate 1 - mass1_lt - mass2_ge is the sum of (p1 - p2)+ over those
+    words plus the first start's tail beyond the cutoff, so it lies within
+    tail_budget = epsilon/4 above the true distance.  ``precision``, the
+    k-bit width ``floatk.precision_for`` gives for relative error
+    ``rounding_budget`` = epsilon/8, and ``rounding_budget`` itself do not
+    shape the result; both stay in the report.
     """
 
     estimate: Fraction
@@ -426,10 +427,10 @@ def tv_bounded(
 
     Works for cyclic chains: the support is cut at a length keeping the tail
     mass of either start below epsilon/4, and every remaining word is
-    classified by comparing its two probabilities computed in k-bit floating
-    point, with k wide enough for relative error epsilon/8.  The two class
-    masses are accumulated exactly, so the only error sources are the cut
-    tail and misclassified near-ties, each budgeted separately.
+    classified by comparing its two integer stop masses.  The class masses
+    are accumulated exactly, so the cut tail is the only error source.  The
+    walk stays depth-first: it holds one path, not a whole layer of the
+    prefix tree.
     """
     epsilon = as_fraction(epsilon, "epsilon")
     if epsilon <= 0:
@@ -441,37 +442,23 @@ def tv_bounded(
     cutoff = length_bound(lmc, tail_budget)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
     den, _, eow = lmc.integer_form
-    base, exact_root, exact_step = _pair_start(lmc, pi1, pi2, cutoff)
-    model = RoundedModel(lmc, precision)
-
-    def step(node, depth):
-        # The exact step prunes where both exact prefix vectors vanish: their
-        # k-bit twins vanish too (rounding keeps zero apart from positive), so
-        # every pruned word would be a tie with zero mass on both sides.
-        v1, v2, f1, f2 = node
-        children = exact_step((v1, v2), depth)
-        if children is None:
-            return None
-        return [
-            None if pair is None else (*pair, model.advance(f1, li), model.advance(f2, li))
-            for li, pair in enumerate(children)
-        ]
-
-    root = (*exact_root, model.initial(pi1), model.initial(pi2))
-    # Exact stop masses are integers over base * den**depth.
+    base, root, step = _pair_start(lmc, pi1, pi2, cutoff)
+    # Stop masses are integers over base * den**depth.  The walk prunes where
+    # both prefix vectors vanish: every word below has zero mass on both sides.
     below: defaultdict[int, int] = defaultdict(int)
     at_least: defaultdict[int, int] = defaultdict(int)
     count = 0
     try:
-        for path, (v1, v2, f1, f2) in walk_prefixes(root, step, budget):
+        for path, (v1, v2) in walk_prefixes(root, step, budget):
             count += 1
-            if model.stop_mass(f1) < model.stop_mass(f2):
-                below[len(path)] += stop_mass(v1, eow)
+            s1, s2 = stop_mass(v1, eow), stop_mass(v2, eow)
+            if s1 < s2:
+                below[len(path)] += s1
             else:
-                at_least[len(path)] += stop_mass(v2, eow)
+                at_least[len(path)] += s2
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"{exc} (length cutoff {cutoff}, precision {precision})",
+            f"{exc} (length cutoff {cutoff})",
             nodes_visited=exc.nodes_visited,
             depth=exc.depth,
         ) from None

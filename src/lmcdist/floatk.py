@@ -12,8 +12,9 @@ probability p provided the mantissa is wide enough; ``precision_for`` returns
 a sufficient width from the word length, state count and target relative
 error.  Because the relative error is multiplicative, comparing two such
 computed probabilities misclassifies only words whose true probabilities are
-within a (1 +/- theta) band of each other, which is what the bounded-precision
-distance estimator relies on.
+within a (1 +/- theta) band of each other.  The bounded distance estimator
+classifies words exactly on integers and only reports ``precision_for``'s
+width; this module is the k-bit arithmetic itself and its certified bound.
 """
 
 from __future__ import annotations
@@ -250,8 +251,7 @@ def fp_word_probability(lmc: Lmc, pi: InitialDistribution, word: Word, k: int) -
 
     Inputs are rounded to k bits once, then the prefix vector is advanced one
     label at a time with a rounding after every scalar multiplication and
-    addition, exactly as the incremental enumeration in the bounded-precision
-    distance estimator does it.
+    addition (``RoundedModel``).
     """
     model = RoundedModel(lmc, k)
     vec = model.initial(pi)

@@ -23,8 +23,9 @@ Contents:
   search: one entry per distinct prefix vector (or vector pair) per depth,
   weighted by how many words reach it.
 * ``walk_prefixes`` -- the depth-first walk, one node per word, kept for the
-  exhaustive-subset oracle and the k-bit bounded estimator, whose nodes
-  depend on the word and not only on its exact vectors.
+  exhaustive-subset oracle (an independent route) and the bounded estimator,
+  whose cyclic chains merge few vectors, so one path takes less memory than
+  a whole layer.
 * Both walk integer vectors over a common denominator (``Lmc.integer_form``);
   ``depth_total`` reads per-depth sums out as one Fraction.
 * ``eliminate`` -- the one fraction-free elimination on the same integer
@@ -374,8 +375,10 @@ def eliminate(vec: dict[int, int], echelon: list[tuple[int, dict[int, int]]]) ->
 # depth by depth and keeps one entry per distinct node with the number of
 # words that reach it; callers weight every sum by that multiplicity.  On the
 # reduction instances of the paper thousands of words collapse to a few
-# hundred entries.  ``walk_prefixes`` visits every word and stays for the
-# callers whose nodes carry more than the exact vectors.
+# hundred entries.  ``walk_prefixes`` visits every word and holds only the
+# current path: it stays for the subset oracle, an independent route, and for
+# the bounded estimator, whose cyclic chains merge few vectors while a layer
+# of their prefix tree grows with the alphabet at every depth.
 
 
 def walk_prefixes(

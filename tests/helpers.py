@@ -633,3 +633,34 @@ def reference_sampler_table(outs: list, probs: list[Fraction], where: str) -> tu
         )
     width = max(1, (total - 1).bit_length())
     return outs, uppers, total, width, [u << width for u in uppers]
+
+
+def reference_bounded_classes(
+    lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, n: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """``(plus, mass1_lt, mass2_ge)`` over every word of length at most
+    ``n``: ``plus`` the sum of (p1 - p2)+, ``mass1_lt`` the first-start mass
+    of the words with p1 < p2 and ``mass2_ge`` the second-start mass of the
+    rest.  Prefix vectors are dense Fraction products with ``lmc.matrices``;
+    a prefix whose two vectors vanish is not extended, since every word
+    below it has zero mass on both sides."""
+    size = lmc.n_states
+    plus = mass1_lt = mass2_ge = ZERO
+    stack = [(0, list(pi1.weights), list(pi2.weights))]
+    while stack:
+        depth, v1, v2 = stack.pop()
+        p1 = sum(x * e for x, e in zip(v1, lmc.eow))
+        p2 = sum(x * e for x, e in zip(v2, lmc.eow))
+        plus += max(p1 - p2, ZERO)
+        if p1 < p2:
+            mass1_lt += p1
+        else:
+            mass2_ge += p2
+        if depth == n:
+            continue
+        for mat in lmc.matrices:
+            n1 = [sum(v1[i] * mat[i][j] for i in range(size)) for j in range(size)]
+            n2 = [sum(v2[i] * mat[i][j] for i in range(size)) for j in range(size)]
+            if any(n1) or any(n2):
+                stack.append((depth + 1, n1, n2))
+    return plus, mass1_lt, mass2_ge

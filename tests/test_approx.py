@@ -23,8 +23,9 @@ from lmcdist import (
     tv_sample_acyclic,
     word_probability,
 )
+from lmcdist import floatk
 from lmcdist.approx import BitStream
-from lmcdist.floatk import RoundedModel, precision_for
+from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
 from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
 
 from helpers import (
@@ -255,6 +256,32 @@ def test_tv_bounded_budget_and_epsilon_checks():
         tv_bounded(lmc, pi1, pi2, Fraction(0))
 
 
+def test_tv_bounded_budget_message_names_cutoff_and_depth():
+    lmc, pi1, pi2 = worked_example_union()
+    cutoff = tv_bounded(lmc, pi1, pi2, Fraction(1, 4)).length_cutoff
+    with pytest.raises(BudgetExceededError) as info:
+        tv_bounded(lmc, pi1, pi2, Fraction(1, 4), budget=5)
+    assert info.value.depth == 5
+    assert str(info.value) == (
+        f"enumeration exceeded the node budget of 5 at depth 5 (length cutoff {cutoff})"
+    )
+
+
+def test_tv_bounded_does_no_k_bit_arithmetic(monkeypatch):
+    # Words are classified on exact integers; the k-bit kernels stay for
+    # ``fp_word_probability`` alone.
+    def refuse(*args):
+        raise AssertionError("k-bit arithmetic called")
+
+    for name in ("fp_mul", "fp_add", "fp_round"):
+        monkeypatch.setattr(floatk, name, refuse)
+    union, u1, u2 = worked_example_union()
+    est = tv_bounded(union, u1, u2, Fraction(1, 8))
+    assert 0 <= est.estimate <= 1
+    with pytest.raises(AssertionError, match="k-bit arithmetic called"):
+        fp_word_probability(union, u1, ("a",), est.precision)
+
+
 def test_bounded_walk_keeps_floats_in_relative_band():
     """Every node of the walk carries k-bit stop probabilities within the
     planned relative error of the exact ones, and with matching zero sets."""
@@ -268,7 +295,7 @@ def test_bounded_walk_keeps_floats_in_relative_band():
         den, rows, eow = lmc.integer_form
         den_pi = common_denominator([*pi1.weights, *pi2.weights])
 
-        # The twin walk of tv_bounded: exact integer vectors with k-bit twins.
+        # Exact integer vectors with k-bit twins, advanced together per word.
         def step(node, depth):
             if depth == cutoff:
                 return None

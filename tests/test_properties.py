@@ -1,6 +1,7 @@
 """Property tests: results of the prefix walker, the sampler, the integer
-elimination, the integer tail and acceptance kernels, and the integer
-``validate`` and sampler tables against independent routes."""
+elimination, the integer tail and acceptance kernels, the integer
+``validate`` and sampler tables, and the bounded estimator's exact classes
+against independent routes."""
 
 import itertools
 import random
@@ -25,6 +26,7 @@ from lmcdist import (
     sample_count,
     tail_mass,
     threshold_decide_acyclic,
+    tv_bounded,
     tv_distance_acyclic,
     tv_sample_acyclic,
     validate,
@@ -48,6 +50,7 @@ from helpers import (
     reference_solve,
     relabeled_copy,
     reference_acceptance_probability,
+    reference_bounded_classes,
     reference_length_bound,
     reference_sampler_table,
     reference_tail_mass,
@@ -352,6 +355,27 @@ def test_word_probability_matches_dense_product(seed, length):
         mat = lmc.matrices[lmc.label_index[label]]
         vec = [sum(vec[i] * mat[i][j] for i in range(lmc.n_states)) for j in range(lmc.n_states)]
     assert word_probability(lmc, pi, word) == sum(x * e for x, e in zip(vec, lmc.eow))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(["acyclic", "cyclic"]), st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+def test_bounded_classifies_every_word_exactly(seed, kind, eps):
+    # Exact classes make the estimate the sum of (p1 - p2)+ up to the cutoff
+    # plus the first start's tail beyond it.  Epsilon doubles until the
+    # cutoff keeps the reference's word-by-word walk small.
+    rng = random.Random(seed)
+    lmc = random_acyclic_lmc(rng) if kind == "acyclic" else random_cyclic_lmc(rng)
+    pi1, pi2 = random_distribution(rng, lmc), random_distribution(rng, lmc)
+    while length_bound(lmc, eps / 4) > 7:
+        eps *= 2
+    est = tv_bounded(lmc, pi1, pi2, eps)
+    plus, mass1_lt, mass2_ge = reference_bounded_classes(lmc, pi1, pi2, est.length_cutoff)
+    tail = tail_mass(lmc, pi1, est.length_cutoff)
+    assert est.estimate == plus + tail
+    assert (est.mass1_lt, est.mass2_ge) == (mass1_lt, mass2_ge)
+    if kind == "acyclic":
+        distance = tv_distance_acyclic(lmc, pi1, pi2).distance
+        assert est.estimate - tail <= distance <= est.estimate
 
 
 def _chain_of_kind(kind, rng):
