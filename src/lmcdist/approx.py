@@ -441,17 +441,17 @@ def tv_bounded(
     rounding_budget = epsilon / 8
     cutoff = length_bound(lmc, tail_budget)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
-    den, _, eow = lmc.integer_form
-    base, root, step = _pair_start(lmc, pi1, pi2, cutoff)
+    den = lmc.integer_form[0]
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, cutoff)
     # Stop masses are integers over base * den**depth.  The walk prunes where
     # both prefix vectors vanish: every word below has zero mass on both sides.
     below: defaultdict[int, int] = defaultdict(int)
     at_least: defaultdict[int, int] = defaultdict(int)
     count = 0
     try:
-        for path, (v1, v2) in walk_prefixes(root, step, budget):
+        for path, vec in walk_prefixes(root, step, budget):
             count += 1
-            s1, s2 = stop_mass(v1, eow), stop_mass(v2, eow)
+            s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
             if s1 < s2:
                 below[len(path)] += s1
             else:

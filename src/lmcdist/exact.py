@@ -10,13 +10,14 @@ are unreachable under both starts.  The walk is breadth-first and merges
 prefixes with equal vectors (``model.walk_layers``), so it costs one step per
 distinct node, not per word; sums are weighted by the number of words behind
 each node, kept per depth as integers and turned into one Fraction at the
-end.  The distance walks the vector pair, since its witness needs p1 and p2
-apart; the power sums and the threshold need only p1 - p2 and walk the
-difference vector (``_difference``), which merges at least as often.  The
+end.  The distance needs p1 and p2 apart for its witness, so its node is one
+vector on two copies of the states, p1's prefix vector on the first and
+p2's on the second (``_pair_start``); the power sums and the threshold need
+only p1 - p2 and walk the difference vector (``_difference``), which merges
+at least as often.  All of them advance by one step (``_vector_step``).  The
 exhaustive-subset oracle walks every word depth-first instead
 (``model.walk_prefixes``), which keeps it an independent route.  No vector
-here is a ``Fraction``; the package's one Fraction path that remains,
-``floatk.RoundedModel``, is named, with why, in ``model``.
+here is a ``Fraction``; the Fraction paths that remain are named in ``model``.
 
 Also here:
 
@@ -42,6 +43,7 @@ from .model import (
     InitialDistribution,
     Lmc,
     advance,
+    as_fraction,
     check_distribution,
     common_denominator,
     depth_total,
@@ -56,8 +58,8 @@ from .model import (
     walk_prefixes,
 )
 
-#: Default cap on enumeration nodes: distinct prefix vectors (or vector
-#: pairs) for the merged walks, prefixes for the depth-first ones.
+#: Default cap on enumeration nodes: distinct prefix vectors per depth for
+#: the merged walks, prefixes for the depth-first ones.
 DEFAULT_NODE_BUDGET = 10**7
 
 #: Witness word lists larger than this are summarized by count/mass only.
@@ -112,27 +114,29 @@ def require_acyclic(lmc: Lmc) -> None:
         )
 
 
-def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, max_len: int | None):
-    """``(base, root, step)`` of the prefix walk under both starts, for words
-    up to ``max_len``: a node is the pair of integer prefix vectors, and a
-    child where both vectors vanish is pruned.  Stop masses at depth d are
-    integers over ``base * L**d`` (L from ``Lmc.integer_form``)."""
-    den, rows, _ = lmc.integer_form
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+def _vector_step(rows, max_len: int | None):
+    """The walkers' ``step`` over integer vectors: one child per label's
+    ``rows``, None where it vanishes, and no children at ``max_len``."""
 
-    def step(node, depth):
+    def step(vec, depth):
         if depth == max_len:
             return None
-        v1, v2 = node
-        children = []
-        for r in rows:
-            n1 = advance(v1, r)
-            n2 = advance(v2, r)
-            children.append((n1, n2) if n1 or n2 else None)
-        return children
+        return [advance(vec, r) or None for r in rows]
 
-    root = (scale(pi1.weights, den_pi), scale(pi2.weights, den_pi))
-    return den_pi * den, root, step
+    return step
+
+
+def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, max_len: int | None):
+    """``(base, root, step, (eow1, eow2))`` of the walk under both starts, for
+    words up to ``max_len``: a node is p1's integer prefix vector on states
+    0..n-1 and p2's on n..2n-1, and ``eow1``/``eow2`` read off the two stop
+    masses, integers over ``base * L**d`` at depth d (L from ``integer_form``)."""
+    den, rows, eow = lmc.integer_form
+    n = lmc.n_states
+    den_pi = common_denominator([*pi1.weights, *pi2.weights])
+    doubled = [r + tuple(tuple((j + n, p) for j, p in row) for row in r) for r in rows]
+    root = scale(pi1.weights + pi2.weights, den_pi)
+    return den_pi * den, root, _vector_step(doubled, max_len), (eow + (0,) * n, (0,) * n + eow)
 
 
 def _difference(pi1: InitialDistribution, pi2: InitialDistribution) -> tuple[int, dict[int, int]]:
@@ -151,16 +155,10 @@ def _power_sum(
     distinct difference vectors, and each sum is weighted by its words."""
     den, rows, eow = lmc.integer_form
     den_pi, diff = _difference(pi1, pi2)
-
-    def step(vec, depth):
-        if depth == max_len:
-            return None
-        return [advance(vec, r) or None for r in rows]
-
     # Stop masses at depth d are integers over den_pi * den**(d+1).
     sums = {
         layer.depth: sum(c * abs(stop_mass(vec, eow)) ** k for vec, c in zip(layer.nodes, layer.counts))
-        for layer in walk_layers(diff, step, vector_key, budget)
+        for layer in walk_layers(diff, _vector_step(rows, max_len), vector_key, budget)
     }
     return depth_total(sums, (den_pi * den) ** k, den**k)
 
@@ -180,12 +178,11 @@ def _pair_walk(
     ``base * L**len(path)``.  Every visited prefix counts against
     ``budget``.
     """
-    base, root, step = _pair_start(lmc, pi1, pi2, max_len)
-    eow = lmc.integer_form[2]
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, max_len)
 
     def words():
-        for path, (v1, v2) in walk_prefixes(root, step, budget):
-            s1, s2 = stop_mass(v1, eow), stop_mass(v2, eow)
+        for path, vec in walk_prefixes(root, step, budget):
+            s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
             if s1 or s2:
                 yield path, s1, s2
 
@@ -203,27 +200,28 @@ def tv_distance_acyclic(
     Enumerates the full (finite) support, so the chain must be acyclic.  The
     report carries the maximizing event W = {w : p1(w) >= p2(w)} restricted to
     support words; its masses satisfy distance = mass_1 - mass_2 exactly.
-    Words with equal vector pairs are walked once (``model.walk_layers``),
-    and ``budget`` caps the distinct vector pairs.  The listed witness words
+    Words with equal prefix vectors under both starts are walked once
+    (``model.walk_layers``), and ``budget`` caps those distinct nodes, per
+    depth.  The listed witness words
     are in the order of a depth-first walk: each word before its extensions,
     siblings in alphabet order.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    base, root, step = _pair_start(lmc, pi1, pi2, None)
-    ratio, _, eow = lmc.integer_form
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, None)
+    ratio = lmc.integer_form[0]
     # Per-depth integer sums; stop masses at depth d are over base * ratio**d.
     gap, mass_1, mass_2 = {}, {}, {}
     count = 0
     enumerated = 0
     edges: list | None = []  # per depth, while the witness words may be listed
     hits: list[tuple[int, int]] = []  # (depth, index) of the witness nodes
-    for layer in walk_layers(root, step, lambda node: (vector_key(node[0]), vector_key(node[1])), budget):
+    for layer in walk_layers(root, step, vector_key, budget):
         depth = layer.depth
         g = m1 = m2 = 0
-        for at, ((v1, v2), c) in enumerate(zip(layer.nodes, layer.counts)):
-            s1, s2 = stop_mass(v1, eow), stop_mass(v2, eow)
+        for at, (vec, c) in enumerate(zip(layer.nodes, layer.counts)):
+            s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
             if not (s1 or s2):
                 continue
             enumerated += c
@@ -309,7 +307,7 @@ def threshold_decide_acyclic(
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    tau = Fraction(tau)
+    tau = as_fraction(tau, "threshold")
     if not (0 <= tau <= 1):
         raise DomainError(f"threshold must lie in [0, 1], got {tau}")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_05UP, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -91,6 +91,7 @@ def decimal15(value: Fraction | int) -> str:
         return "0"
     with localcontext() as ctx:
         ctx.prec = 50
+        ctx.rounding = ROUND_05UP  # round to odd, so the second rounding is correct
         dec = Decimal(value.numerator) / Decimal(value.denominator)
         quantum = Decimal(1).scaleb(dec.adjusted() - 14)
         return format(dec.quantize(quantum, rounding=ROUND_HALF_EVEN), "f")

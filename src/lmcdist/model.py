@@ -20,8 +20,8 @@ Contents:
   analysis can compare their induced distributions.
 * ``walk_layers`` -- the breadth-first prefix walk behind the exact
   distance, power sums, threshold certificates and the majority-witness
-  search: one entry per distinct prefix vector (or vector pair) per depth,
-  weighted by how many words reach it.
+  search: one entry per distinct prefix vector per depth, weighted by how
+  many words reach it.
 * ``walk_prefixes`` -- the depth-first walk, one node per word, kept for the
   exhaustive-subset oracle (an independent route) and the bounded estimator,
   whose cyclic chains merge few vectors, so one path takes less memory than
@@ -36,10 +36,11 @@ so that no silent rounding can creep in.  Inside, every vector kernel (the
 walkers, ``word_probability``, ``state_tails``, ``eliminate``) runs on
 integers over a common denominator: the same rationals times a known power
 of it, so it is exact too; so are ``validate`` and the exact sampler's
-tables (``approx._Sampler._table``).  Only ``floatk.RoundedModel`` reads
-``Fraction`` entries: it rounds each probability to k bits on its own, the
-per-entry error the bounded estimator budgets.  All model types are frozen
-and safe to share between threads.
+tables (``approx._Sampler._table``).  Fraction entries are still read by
+``floatk.RoundedModel``, which rounds each probability to k bits on its own,
+and on the PA side, where ``automata.Pa`` checks dense Fraction rows and
+``automata.pa_to_lmc`` builds a dense Fraction system for its bound.  All
+model types are frozen and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -727,8 +728,8 @@ def tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:
     """Exact probability of emitting a word strictly longer than ``n``:
     ``pi . T_n`` (``state_tails``)."""
     check_distribution(lmc, pi)
-    if n < 0:
-        raise DomainError(f"length cutoff must be nonnegative, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"length cutoff must be a nonnegative int, got {n!r}")
     den_pi = common_denominator(pi.weights)
     start = scale(pi.weights, den_pi)
     for depth, tails in enumerate(state_tails(lmc)):

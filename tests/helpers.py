@@ -664,3 +664,22 @@ def reference_bounded_classes(
             if any(n1) or any(n2):
                 stack.append((depth + 1, n1, n2))
     return plus, mass1_lt, mass2_ge
+
+
+def reference_pair_nodes(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution) -> int:
+    """The nodes an exact pair walk of an acyclic chain visits: per depth,
+    the distinct pairs (p1's, p2's prefix vector) that are not both zero,
+    summed over depths.  Vectors are dense Fraction products with
+    ``lmc.matrices``, one word at a time."""
+    size = lmc.n_states
+
+    def times(vec, mat):
+        return tuple(sum(vec[i] * mat[i][j] for i in range(size)) for j in range(size))
+
+    total = 0
+    frontier = [(pi1.weights, pi2.weights)]  # one entry per word of this length
+    while frontier:
+        total += len(set(frontier))
+        children = [(times(v1, mat), times(v2, mat)) for v1, v2 in frontier for mat in lmc.matrices]
+        frontier = [(n1, n2) for n1, n2 in children if any(n1) or any(n2)]
+    return total

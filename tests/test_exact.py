@@ -159,6 +159,13 @@ def test_threshold_rejects_out_of_range_tau():
         threshold_decide_acyclic(lmc, pi1, pi2, Fraction(3, 2))
 
 
+def test_threshold_rejects_a_float_tau():
+    # Fraction(0.3) would be the binary expansion of 0.3, not 3/10.
+    lmc, pi1, pi2 = half_distance_instance()
+    with pytest.raises(DomainError, match="threshold must be an exact rational"):
+        threshold_decide_acyclic(lmc, pi1, pi2, 0.3)
+
+
 def test_threshold_matches_exact_distance_sign():
     rng = random.Random(33)
     for _ in range(40):

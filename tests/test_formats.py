@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import lmcdist
 from lmcdist.cli import main
 from lmcdist.errors import ParseError
-from lmcdist.formats import load_lmc, load_nfa, load_pa
+from lmcdist.formats import decimal15, load_lmc, load_nfa, load_pa
 
 CHAIN = {
     "states": ["s", "t"],
@@ -231,3 +232,12 @@ def test_repeated_key_in_a_distribution_file_exits_3(tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert "dup.json: repeated key 's0'" in err
+
+
+def test_decimal15_rounds_once_at_the_fifteenth_digit():
+    # Just above a tie at the 15th digit: a half-even division to 50 digits
+    # would land on the tie and then round down.
+    tie = Fraction("0.1234567890123445")
+    assert decimal15(tie + Fraction(1, 10**80)) == "0.123456789012345"
+    assert decimal15(tie) == "0.123456789012344"
+    assert decimal15(tie - Fraction(1, 10**80)) == "0.123456789012344"

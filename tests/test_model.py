@@ -302,6 +302,17 @@ def test_tail_mass_stops_once_every_tail_is_zero():
     assert list(state_tails(lmc)) == [[2, 2, 0], [0, 0, 0]]
 
 
+def test_tail_mass_rejects_a_non_int_length():
+    # A tail past 0.5 letters from s would be 1; on the cyclic chain no depth
+    # ever equals 1.5, so an unchecked length would walk the tails forever.
+    lmc, pi1, _ = half_distance_instance()
+    with pytest.raises(DomainError, match="nonnegative int"):
+        tail_mass(lmc, pi1, 0.5)
+    cyclic, pi, _, _ = worked_example_pair()
+    with pytest.raises(DomainError, match="nonnegative int"):
+        tail_mass(cyclic, pi, 1.5)
+
+
 ###############################################################################
 # Disjoint union
 ###############################################################################

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmcdist import (
+    BudgetExceededError,
     InitialDistribution,
     Lmc,
     DomainError,
@@ -52,6 +53,7 @@ from helpers import (
     reference_acceptance_probability,
     reference_bounded_classes,
     reference_length_bound,
+    reference_pair_nodes,
     reference_sampler_table,
     reference_tail_mass,
     reference_validate,
@@ -157,6 +159,20 @@ def test_merged_walk_matches_depth_first_walk(seed, kind):
         assert lk_distance_acyclic(lmc, pi1, pi2, k) == power_sum
     cert = threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 3))
     assert cert.lhs_integer == 2 * cert.denominator_product ** (cert.support_length + 2) * distance
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(["plain", "split", "union", "nfa"]))
+def test_distance_budget_counts_distinct_vector_pairs_per_depth(seed, kind):
+    # --budget on `exact` means the distinct nonzero (p1, p2) prefix-vector
+    # pairs of each depth, summed; the root counts.
+    lmc, pi1, pi2 = _instance(kind, random.Random(seed))
+    nodes = reference_pair_nodes(lmc, pi1, pi2)
+    tv_distance_acyclic(lmc, pi1, pi2, budget=nodes)
+    if nodes > 1:
+        with pytest.raises(BudgetExceededError) as info:
+            tv_distance_acyclic(lmc, pi1, pi2, budget=nodes - 1)
+        assert info.value.nodes_visited == nodes
 
 
 @st.composite
