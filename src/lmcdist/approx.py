@@ -18,18 +18,21 @@ distributions of two starting points:
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
 approximation in the statistical estimator is the finite sample size.  The
-integer thresholds of every choice are computed once per sampler, and a word
-is drawn in one loop that reads the bit stream's buffer directly; it consumes
-exactly the bits of a one-choice-at-a-time refinement, so a seed replays the
-same words and estimates.  The tables are built from the chain's integer
-form (``Lmc.integer_form``), but each is reduced to the least denominator of
-its own outcomes (``_Sampler._table``), not kept over the chain's, because
-another total would change the bits a seed draws.
-Each distinct sampled word is classified once, by the sign of its integer
-(p1 - p2) stop mass.  The logarithms needed for
-sample sizes and fallback length bounds are certified rational upper bounds
-(truncated series plus an explicit remainder term), so every derived count
-errs on the safe side.
+integer thresholds of every choice are computed once per sampler, together
+with a lookup list indexed by the top (at most ``_LOOKUP_BITS``) bits of the
+choice's first read, which names the outcome whenever those bits decide it.
+All of a side's words are drawn in one loop (``_Sampler.tally``) that keeps
+the bit stream's buffer in locals and returns how often each word was drawn;
+it consumes exactly the bits of a one-choice-at-a-time refinement, so a seed
+replays the same words and estimates.  The tables are built from the chain's
+integer form (``Lmc.integer_form``), but each is reduced to the least
+denominator of its own outcomes (``_Sampler._table``), not kept over the
+chain's, because another total would change the bits a seed draws.  Each
+distinct word drawn on either side is classified once, by the sign of its
+integer (p1 - p2) stop mass.  The logarithms needed for sample sizes and
+fallback length bounds are certified rational upper bounds (truncated series
+plus an explicit remainder term), so every derived count errs on the safe
+side.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .model import (
     advance,
     as_fraction,
     check_distribution,
+    check_length,
     common_denominator,
     depth_total,
     max_support_length,
@@ -128,6 +132,7 @@ class BitStream:
 
     def bits(self, n: int) -> int:
         """The next n bits as an integer (most significant drawn first)."""
+        check_length(n, "bit count")
         while self._available < n:
             self._buffer = (self._buffer << 64) | self._rng.getrandbits(64)
             self._available += 64
@@ -141,6 +146,31 @@ class BitStream:
         return self.bits(1)
 
 
+#: Bits of a first read that index a table's lookup list (2**8 entries at most).
+_LOOKUP_BITS = 8
+
+
+def _first_read_lookup(bounds: list[int], total: int, width: int) -> list[int]:
+    """The bucket of each value of the top ``min(width, _LOOKUP_BITS)`` bits of
+    a ``width``-bit first read, or -1 where those bits alone do not decide it.
+
+    A read ``a`` stands for [a*total, (a+1)*total) against ``bounds``, the
+    cumulative weights shifted left by ``width``; the reads sharing top bits
+    ``h`` cover [h*span, (h+1)*span) with ``span = total << (width - top)``.
+    The entry is a bucket only when that whole range lies inside it, so every
+    read under ``h`` lands there on the first read.
+    """
+    top = min(width, _LOOKUP_BITS)
+    span = total << (width - top)
+    lookup = []
+    i = 0
+    for lo in range(0, span << top, span):
+        while bounds[i] <= lo:
+            i += 1
+        lookup.append(i if lo + span <= bounds[i] else -1)
+    return lookup
+
+
 class _Sampler:
     """Ancestral sampler for one (chain, start) pair with exact thresholds.
 
@@ -150,7 +180,10 @@ class _Sampler:
     [a*total, (a+1)*total) over ``total << width`` lies in one bucket or
     straddles one bound, and then each further bit halves it until it fits.
     Power-of-two totals always decide on the first read; a one-outcome table
-    reads nothing.
+    reads nothing.  Each table also carries its ``_first_read_lookup``, so a
+    first read whose top bits decide the bucket costs one list index; the
+    rest take the bisection and refinement, and the bits read are the same
+    either way.
     """
 
     def __init__(self, lmc: Lmc, pi: InitialDistribution):
@@ -176,6 +209,8 @@ class _Sampler:
                         outs.append((label, j))
                         weights.append(x)
             self._tables.append(self._table(outs, weights, den, f"state {lmc.states[i]!r}"))
+        self._start_step = self._step(self._start)
+        self._steps = [self._step(table) for table in self._tables]
 
     @staticmethod
     def _table(outs: list, weights: list[int], den: int, where: str) -> tuple:
@@ -196,56 +231,89 @@ class _Sampler:
         width = max(1, (total - 1).bit_length())
         return outs, uppers, total, width, [u << width for u in uppers]
 
-    def draw(self, stream: BitStream, max_len: int) -> tuple[str, ...]:
-        # The stream's buffer lives in locals for the whole word and is
-        # written back on the way out; ``drawn`` counts every bit that
-        # entered it, so the bits used are ``drawn - avail``.
+    @staticmethod
+    def _step(table: tuple) -> tuple:
+        """What the draw loop reads per choice: ``(outcomes, lookup, width,
+        drop, top_mask, table)``.  A one-outcome table reads 0 bits and looks
+        up its one outcome; otherwise the lookup is indexed by the first
+        read shifted right by ``drop``."""
+        outs, _, total, width, bounds = table
+        if total == 1:
+            return outs, [0], 0, 0, 0, table
+        lookup = _first_read_lookup(bounds, total, width)
+        top = min(width, _LOOKUP_BITS)
+        return outs, lookup, width, width - top, (1 << top) - 1, table
+
+    def tally(self, stream: BitStream, max_len: int, count: int) -> dict[tuple[str, ...], int]:
+        """Draw ``count`` words; return how often each was drawn.
+
+        Raises ``LengthExceededError`` (with the prefix) when a word passes
+        ``max_len`` letters; the stream has then used exactly the bits read
+        up to that letter.
+        """
+        check_length(max_len, "word length cap")
+        # The stream's buffer lives in locals for all the draws and is written
+        # back on the way out; ``drawn`` counts every bit that entered it, so
+        # the bits used are ``drawn - avail``.
         getrandbits = stream._rng.getrandbits
         buf = stream._buffer
         avail = drawn = stream._available
-        tables = self._tables
-        outs, uppers, total, width, bounds = self._start
-        word: list[str] = []
+        steps = self._steps
+        first = self._start_step
+        counts: dict[tuple[str, ...], int] = {}
         try:
-            while True:
-                if total == 1:
-                    i = 0
-                else:
+            for _ in range(count):
+                outs, lookup, width, drop, top_mask, table = first
+                word: list[str] = []
+                room = max_len
+                while True:
                     while avail < width:
                         buf = (buf & ((1 << avail) - 1)) << 64 | getrandbits(64)
                         avail += 64
                         drawn += 64
                     avail -= width
-                    lo = (buf >> avail & ((1 << width) - 1)) * total
-                    i = bisect_right(bounds, lo)
-                    if lo + total > bounds[i]:
-                        shift = width
-                        while True:
-                            if not avail:
-                                buf = getrandbits(64)
-                                avail = 64
-                                drawn += 64
-                            avail -= 1
-                            lo = (lo << 1) + total if buf >> avail & 1 else lo << 1
-                            shift += 1
-                            i = bisect_right(uppers, lo >> shift)
-                            if lo + total <= uppers[i] << shift:
-                                break
-                pick = outs[i]
-                if pick is None:
-                    return tuple(word)
-                label, target = pick
-                if label is not None:
-                    word.append(label)
-                    if len(word) > max_len:
-                        raise LengthExceededError(
-                            f"trajectory exceeded {max_len} letters", prefix=tuple(word)
-                        )
-                outs, uppers, total, width, bounds = tables[target]
+                    i = lookup[buf >> (avail + drop) & top_mask]
+                    if i < 0:
+                        _, uppers, total, _, bounds = table
+                        lo = (buf >> avail & ((1 << width) - 1)) * total
+                        i = bisect_right(bounds, lo)
+                        if lo + total > bounds[i]:
+                            shift = width
+                            while True:
+                                if not avail:
+                                    buf = getrandbits(64)
+                                    avail = 64
+                                    drawn += 64
+                                avail -= 1
+                                lo = (lo << 1) + total if buf >> avail & 1 else lo << 1
+                                shift += 1
+                                i = bisect_right(uppers, lo >> shift)
+                                if lo + total <= uppers[i] << shift:
+                                    break
+                    pick = outs[i]
+                    if pick is None:
+                        break
+                    label, target = pick
+                    if label is not None:
+                        word.append(label)
+                        room -= 1
+                        if room < 0:
+                            raise LengthExceededError(
+                                f"trajectory exceeded {max_len} letters", prefix=tuple(word)
+                            )
+                    outs, lookup, width, drop, top_mask, table = steps[target]
+                key = tuple(word)
+                counts[key] = counts.get(key, 0) + 1
         finally:
             stream._buffer = buf & ((1 << avail) - 1)
             stream._available = avail
             stream.bits_consumed += drawn - avail
+        return counts
+
+    def draw(self, stream: BitStream, max_len: int) -> tuple[str, ...]:
+        """One word: ``tally`` with a count of one."""
+        (word,) = self.tally(stream, max_len, 1)
+        return word
 
 
 def sample_word(
@@ -255,9 +323,11 @@ def sample_word(
 
     Walks the chain choosing each step by dyadic-interval refinement against
     the exact rational transition weights, so the returned word has exactly
-    its model probability.  Raises ``LengthExceededError`` if the trajectory
-    runs past ``max_len`` letters (cannot happen when ``max_len`` is at least
-    the support length of an acyclic chain).
+    its model probability.  Raises ``DomainError`` for a ``max_len`` that is
+    not a nonnegative int, before any bit is drawn, and
+    ``LengthExceededError`` if the trajectory runs past ``max_len`` letters
+    (cannot happen when ``max_len`` is at least the support length of an
+    acyclic chain).
     """
     return _Sampler(lmc, pi).draw(rng, max_len)
 
@@ -310,9 +380,10 @@ def tv_sample_acyclic(
     """Estimate the distance to within epsilon with confidence 1 - delta.
 
     Draws ``sample_count(epsilon, delta)`` words from each start with the
-    exact sampler and classifies each sampled word by the sign of p1 - p2,
-    computed exactly in integers, then combines the two empirical fractions.
-    One seeded bit stream drives both sides, so a fixed seed replays exactly.
+    exact sampler, one ``_Sampler.tally`` call per side, classifies each
+    distinct drawn word once by the sign of p1 - p2, computed exactly in
+    integers, and combines the two empirical fractions.  One seeded bit
+    stream drives both sides, so a fixed seed replays exactly.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -320,26 +391,22 @@ def tv_sample_acyclic(
     m = sample_count(epsilon, delta)
     horizon = max_support_length(lmc)
     stream = BitStream(seed)
-    sampler1 = _Sampler(lmc, pi1)
-    sampler2 = _Sampler(lmc, pi2)
-    # After a word w, the stop mass of diff has the sign of p1(w) - p2(w).
+    tally1 = _Sampler(lmc, pi1).tally(stream, horizon, m)
+    tally2 = _Sampler(lmc, pi2).tally(stream, horizon, m)
+    # After a word w, the stop mass of diff has the sign of p1(w) - p2(w);
+    # ties count as not below.
     _, rows, eow = lmc.integer_form
     _, diff = _difference(pi1, pi2)
     label_rows = {label: rows[li] for label, li in lmc.label_index.items()}
-    memo: dict[tuple[str, ...], bool] = {}
-
-    def first_below(word: tuple[str, ...]) -> bool:
-        """Whether p1(word) < p2(word); ties count as not below."""
-        hit = memo.get(word)
-        if hit is None:
-            vec = diff
-            for label in word:
-                vec = advance(vec, label_rows[label])
-            hit = memo[word] = stop_mass(vec, eow) < 0
-        return hit
-
-    hits1 = sum(first_below(sampler1.draw(stream, horizon)) for _ in range(m))
-    hits2 = sum(not first_below(sampler2.draw(stream, horizon)) for _ in range(m))
+    below = set()
+    for word in tally1.keys() | tally2.keys():
+        vec = diff
+        for label in word:
+            vec = advance(vec, label_rows[label])
+        if stop_mass(vec, eow) < 0:
+            below.add(word)
+    hits1 = sum(n for word, n in tally1.items() if word in below)
+    hits2 = sum(n for word, n in tally2.items() if word not in below)
     p_hat_1 = Fraction(hits1, m)
     p_hat_2 = Fraction(hits2, m)
     return SampleEstimate(

@@ -43,6 +43,7 @@ from .model import (
     Word,
     advance,
     as_fraction,
+    check_length,
     common_denominator,
     eliminate,
     least_word,
@@ -141,8 +142,7 @@ def count_accepted_words(nfa: Nfa, length: int, state_cap: int = 2**20) -> int:
     raises ``BudgetExceededError`` if more than ``state_cap`` subsets appear
     in one layer (worst case 2^s, so this is the oracle of last resort).
     """
-    if length < 0:
-        raise DomainError(f"word length must be nonnegative, got {length}")
+    check_length(length, "word length")
     layer: dict[frozenset[str], int] = {frozenset({nfa.initial}): 1}
     for _ in range(length):
         nxt: dict[frozenset[str], int] = {}
@@ -168,8 +168,7 @@ def total_accepting_runs(nfa: Nfa, length: int) -> int:
     integer vector iterated ``length`` times through the combined adjacency
     counts.
     """
-    if length < 0:
-        raise DomainError(f"word length must be nonnegative, got {length}")
+    check_length(length, "word length")
     counts = {nfa.initial: 1}
     for _ in range(length):
         nxt: dict[str, int] = {}
@@ -290,8 +289,7 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     within the max_len - d letters left is at most its scale, because no
     extension can then be accepted with more than that mass.
     """
-    if max_len < 0:
-        raise DomainError(f"word length must be nonnegative, got {max_len}")
+    check_length(max_len, "word length")
     den, rows, eow = pa.chain.integer_form
     flags = tuple(1 if e else 0 for e in eow)
     den_pi = common_denominator(pa.initial)

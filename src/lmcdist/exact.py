@@ -45,6 +45,7 @@ from .model import (
     advance,
     as_fraction,
     check_distribution,
+    check_length,
     common_denominator,
     depth_total,
     eliminate,
@@ -377,8 +378,7 @@ def brute_force_best_event(
     """
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    if max_len < 0:
-        raise DomainError(f"length cutoff must be nonnegative, got {max_len}")
+    check_length(max_len, "length cutoff")
     base, words = _pair_walk(lmc, pi1, pi2, budget, max_len=max_len)
     ratio = lmc.integer_form[0]
     # Gaps on the common scale base * ratio**max_len.

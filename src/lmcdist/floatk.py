@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .model import InitialDistribution, Lmc, Word, as_fraction, check_distribution
+from .model import InitialDistribution, Lmc, Word, as_fraction, check_distribution, check_length
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,7 @@ def precision_for(max_word_length: int, state_count: int, relative_error: Fracti
     roundings along a word of that length and the initial rounding of the
     model's probabilities into k-bit floats.
     """
-    if max_word_length < 0:
-        raise DomainError(f"word length must be nonnegative, got {max_word_length}")
+    check_length(max_word_length, "word length")
     if state_count < 1:
         raise DomainError(f"state count must be positive, got {state_count}")
     theta = as_fraction(relative_error, "relative error")

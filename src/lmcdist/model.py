@@ -582,6 +582,15 @@ def check_distribution(lmc: Lmc, pi: InitialDistribution, name: str = "initial d
         )
 
 
+def check_length(n: int, what: str) -> None:
+    """Raise ``DomainError`` unless ``n`` is a nonnegative int: a float would
+    never equal a depth, and a negative length has no words."""
+    if not isinstance(n, int):
+        raise DomainError(f"{what} must be a nonnegative int, got {n!r}")
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative, got {n}")
+
+
 # -- operations ---------------------------------------------------------------
 
 
@@ -728,8 +737,7 @@ def tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:
     """Exact probability of emitting a word strictly longer than ``n``:
     ``pi . T_n`` (``state_tails``)."""
     check_distribution(lmc, pi)
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"length cutoff must be a nonnegative int, got {n!r}")
+    check_length(n, "length cutoff")
     den_pi = common_denominator(pi.weights)
     start = scale(pi.weights, den_pi)
     for depth, tails in enumerate(state_tails(lmc)):

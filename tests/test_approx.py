@@ -87,6 +87,18 @@ def test_bitstream_is_deterministic_and_chunk_consistent():
     assert BitStream.algorithm == "mt19937"
 
 
+def test_bitstream_refuses_a_bad_count_and_stays_intact():
+    stream = BitStream(99)
+    stream.bits(5)
+    for bad in (-3, 1.5, 2.0):
+        with pytest.raises(DomainError, match="bit count"):
+            stream.bits(bad)
+    assert stream.bits_consumed == 5
+    fresh = BitStream(99)
+    fresh.bits(5)
+    assert stream.bits(64) == fresh.bits(64)
+
+
 def test_sample_word_distribution_on_fixture():
     lmc, pi1, _ = half_distance_instance()
     stream = BitStream(42)
@@ -135,6 +147,15 @@ def test_sample_word_length_cap():
         assert len(err.value.prefix) == 3
         assert stream.bits_consumed == ref.bits_consumed > 0
     assert stream.bits(64) == ref.bits(64)
+
+
+def test_sample_word_rejects_a_bad_length_before_drawing():
+    lmc, pi1, _ = half_distance_instance()
+    stream = BitStream(1)
+    for bad in (1.5, 1.0, -1):
+        with pytest.raises(DomainError, match="word length cap"):
+            sample_word(lmc, pi1, stream, bad)
+    assert stream.bits_consumed == 0
 
 
 def test_sampled_words_match_model_probabilities():

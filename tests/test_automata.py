@@ -180,6 +180,21 @@ def test_majority_witness_search_skips_dead_branches(monkeypatch):
     assert calls <= 16
 
 
+def test_lengths_must_be_nonnegative_ints(monkeypatch):
+    # Refused before any prefix is walked: a float never equals a depth.
+    def no_advance(vec, rows):
+        raise AssertionError("walked a prefix")
+
+    monkeypatch.setattr(automata, "advance", no_advance)
+    for bad in (1.5, 2.0):
+        with pytest.raises(DomainError, match="nonnegative int"):
+            find_majority_witness(late_branch_pa(), bad)
+        with pytest.raises(DomainError, match="nonnegative int"):
+            count_accepted_words(example_nfa(), bad)
+        with pytest.raises(DomainError, match="nonnegative int"):
+            total_accepting_runs(example_nfa(), bad)
+
+
 ###############################################################################
 # Counting reduction (NFA -> distance instance)
 ###############################################################################

@@ -234,3 +234,12 @@ def test_brute_force_checks_both_starts():
     for pi1, pi2 in ((three, good), (good, one)):
         with pytest.raises(DomainError, match="weights but the chain has 2 states"):
             brute_force_best_event(lmc, pi1, pi2, max_len=1)
+
+
+def test_brute_force_rejects_a_non_int_length():
+    lmc, pi1, pi2 = half_distance_instance()
+    for bad in (0.5, 1.5, Fraction(1)):
+        with pytest.raises(DomainError, match="nonnegative int"):
+            brute_force_best_event(lmc, pi1, pi2, bad)
+    with pytest.raises(DomainError, match="must be nonnegative, got -1"):
+        brute_force_best_event(lmc, pi1, pi2, -1)

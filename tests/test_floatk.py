@@ -165,6 +165,11 @@ def test_precision_for_frozen_value():
     assert precision_for(12, 3, Fraction(1, 8)) == 10
 
 
+def test_precision_for_rejects_a_non_int_length():
+    with pytest.raises(DomainError, match="nonnegative int"):
+        precision_for(12.0, 3, Fraction(1, 8))
+
+
 def test_precision_for_is_minimal():
     k = precision_for(12, 3, Fraction(1, 8))
     need = 2 * (12 + 2) * 3 / Fraction(1, 8)

@@ -5,6 +5,8 @@ against independent routes."""
 
 import itertools
 import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from lmcdist import (
     InitialDistribution,
     Lmc,
     DomainError,
+    LengthExceededError,
     acceptance_probability,
     are_equivalent,
     disjoint_union,
@@ -33,7 +36,7 @@ from lmcdist import (
     validate,
     word_probability,
 )
-from lmcdist.approx import BitStream, _Sampler
+from lmcdist.approx import BitStream, _first_read_lookup, _Sampler
 from lmcdist.automata import _solve_linear
 from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
 
@@ -176,10 +179,10 @@ def test_distance_budget_counts_distinct_vector_pairs_per_depth(seed, kind):
 
 
 @st.composite
-def weight_lists(draw):
-    """1-6 positive integer weights with a total from 2 to 2**80, powers of
-    two included."""
-    total = draw(st.one_of(st.integers(2, 2**80), st.integers(1, 80).map(lambda k: 2**k)))
+def weight_lists(draw, totals=st.one_of(st.integers(2, 2**80), st.integers(1, 80).map(lambda k: 2**k))):
+    """1-6 positive integer weights whose total is drawn from ``totals``, by
+    default 2 to 2**80 with powers of two included."""
+    total = draw(totals)
     n = min(draw(st.integers(1, 6)), total)
     cuts = draw(st.lists(st.integers(1, total - 1), min_size=n - 1, max_size=n - 1, unique=True))
     bounds = [0, *sorted(cuts), total]
@@ -212,6 +215,61 @@ def test_sampler_step_matches_reference_chooser(weights, seed):
     assert stream.bits_consumed == ref.bits_consumed
     # The draw loop wrote the stream's buffer back: both streams go on alike.
     assert [stream.bits(n) for n in (1, 7, 64, 65)] == [ref.bits(n) for n in (1, 7, 64, 65)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_lists(st.one_of(st.integers(2, 2**12), st.integers(2**80 - 8, 2**80 + 8))), seeds)
+def test_first_read_lookup_matches_bisection(weights, seed):
+    # Entry h names a bucket exactly when every first read under top bits h
+    # lands in that bucket without straddling a bound.  The first and last
+    # reads under h decide that, so wide tables check them and a sample.
+    _, _, total, width, bounds = _Sampler._table(list(weights), weights, sum(weights), "u")
+    lookup = _first_read_lookup(bounds, total, width)
+    drop = width - min(width, 8)
+    assert len(lookup) == 1 << (width - drop)
+
+    def bucket(a):
+        lo = a * total
+        i = bisect_right(bounds, lo)
+        return i if lo + total <= bounds[i] else None
+
+    rng = random.Random(seed)
+    for h, entry in enumerate(lookup):
+        first, stop = h << drop, (h + 1) << drop
+        reads = range(first, stop)
+        if width > 12:
+            reads = [first, stop - 1, *(rng.randrange(first, stop) for _ in range(3))]
+        got = {bucket(a) for a in reads}
+        assert entry == (got.pop() if len(got) == 1 and None not in got else -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from(["acyclic", "split", "cyclic"]), st.integers(1, 60))
+def test_tally_matches_reference_draws(seed, kind, count):
+    # One batch of ``count`` draws tallies the words of ``count`` reference
+    # draws and reads the same bits.  A cyclic chain gets the cap one below
+    # its longest word among those draws, so the batch trips on that word.
+    rng = random.Random(seed)
+    lmc = random_cyclic_lmc(rng) if kind == "cyclic" else random_acyclic_lmc(rng)
+    if kind == "split":
+        lmc = split_letters(lmc)
+    pi = random_distribution(rng, lmc)
+    cap = lmc.n_states
+    if kind == "cyclic":
+        probe = BitStream(seed)
+        cap = max(max(len(reference_draw(lmc, pi, probe, 10**6)) for _ in range(count)) - 1, 0)
+    stream, ref = BitStream(seed), BitStream(seed)
+    sampler = _Sampler(lmc, pi)
+    try:
+        expected = Counter(reference_draw(lmc, pi, ref, cap) for _ in range(count))
+    except LengthExceededError as exc:
+        with pytest.raises(LengthExceededError) as got:
+            sampler.tally(stream, cap, count)
+        assert got.value.prefix == exc.prefix
+    else:
+        assert sampler.tally(stream, cap, count) == expected
+    assert stream.bits_consumed == ref.bits_consumed
+    assert stream.bits(64) == ref.bits(64)
 
 
 def _reference_estimate(lmc, pi1, pi2, epsilon, delta, seed):
