@@ -51,6 +51,7 @@ from .exact import (
     tv_distance_acyclic,
 )
 from .formats import (
+    InputFile,
     decimal15,
     format_word,
     load_distribution,
@@ -69,13 +70,6 @@ DEFAULT_SUBSET_CAP = 2**20
 # -- reports --------------------------------------------------------------------
 
 
-def _sha256(path: str | Path) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
 class Report:
     """Accumulates manifest and result fields, then prints them exactly once."""
 
@@ -86,10 +80,14 @@ class Report:
         self._fields: dict[str, Any] = {}
         self._lines: list[str] = []
 
-    def input_file(self, role: str, path: str | Path) -> None:
+    def input_file(self, role: str, path: str) -> InputFile:
+        """Read an input file once, record its digest, and return its bytes
+        for a loader, so the digest describes what was analysed."""
+        source = InputFile.read(path)
         self.inputs.append(
-            {"role": role, "path": str(path), "sha256": _sha256(path)}
+            {"role": role, "path": path, "sha256": hashlib.sha256(source.data).hexdigest()}
         )
+        return source
 
     def param(self, name: str, value: Any) -> None:
         self.parameters[name] = str(value) if isinstance(value, Fraction) else value
@@ -156,15 +154,13 @@ def _seed(text: str) -> int | None:
 
 
 def _load_chain(report: Report, path: str, strict: bool = True) -> Lmc:
-    report.input_file("chain", path)
-    return load_lmc(path, strict=strict)
+    return load_lmc(report.input_file("chain", path), strict=strict)
 
 
 def _load_dist(
     report: Report, role: str, path: str, lmc: Lmc
 ) -> InitialDistribution:
-    report.input_file(role, path)
-    return load_distribution(path, lmc)
+    return load_distribution(report.input_file(role, path), lmc)
 
 
 def _load_pair(ns: argparse.Namespace, report: Report) -> tuple[
@@ -222,7 +218,7 @@ def _cmd_exact(ns: argparse.Namespace) -> int:
     report = Report("exact")
     lmc, pi1, pi2 = _load_pair(ns, report)
     report.param("budget", ns.budget)
-    result = tv_distance_acyclic(lmc, pi1, pi2, budget=ns.budget)
+    result = tv_distance_acyclic(lmc, pi1, pi2, budget=ns.budget, list_words=ns.words)
     report.rational("distance", result.distance)
     report.field("witness_word_count", result.witness.word_count)
     report.rational("witness_mass_1", result.witness.mass_1)
@@ -343,8 +339,7 @@ def _write_instance(report: Report, out: str, red) -> None:
 
 def _cmd_from_nfa(ns: argparse.Namespace) -> int:
     report = Report("from-nfa")
-    report.input_file("nfa", ns.nfa)
-    nfa = load_nfa(ns.nfa)
+    nfa = load_nfa(report.input_file("nfa", ns.nfa))
     report.param("word_length", ns.length)
     report.param("out", ns.out)
     report.param("subset_cap", ns.cap)
@@ -382,8 +377,7 @@ def _cmd_from_nfa(ns: argparse.Namespace) -> int:
 
 def _cmd_from_pa(ns: argparse.Namespace) -> int:
     report = Report("from-pa")
-    report.input_file("pa", ns.pa)
-    pa = load_pa(ns.pa)
+    pa = load_pa(report.input_file("pa", ns.pa))
     report.param("out", ns.out)
     red = pa_to_lmc(pa)
     _write_instance(report, ns.out, red)
@@ -400,8 +394,7 @@ def _cmd_from_pa(ns: argparse.Namespace) -> int:
 
 def _cmd_count_nfa(ns: argparse.Namespace) -> int:
     report = Report("count-nfa")
-    report.input_file("nfa", ns.nfa)
-    nfa = load_nfa(ns.nfa)
+    nfa = load_nfa(report.input_file("nfa", ns.nfa))
     report.param("word_length", ns.length)
     report.param("subset_cap", ns.cap)
     count = count_accepted_words(nfa, ns.length, state_cap=ns.cap)
@@ -428,8 +421,7 @@ def _cmd_extract_count(ns: argparse.Namespace) -> int:
 
 def _cmd_pa_witness(ns: argparse.Namespace) -> int:
     report = Report("pa-witness")
-    report.input_file("pa", ns.pa)
-    pa = load_pa(ns.pa)
+    pa = load_pa(report.input_file("pa", ns.pa))
     report.param("max_len", ns.max_len)
     witness = find_majority_witness(pa, ns.max_len)
     if witness is None:

@@ -72,7 +72,7 @@ class WitnessSummary:
     """The event W = {support words with p1(w) >= p2(w)} in summary form.
 
     ``words`` is the explicit list (in enumeration order) when the event has
-    at most ``WITNESS_WORD_CAP`` words, else None.
+    at most ``WITNESS_WORD_CAP`` words and the caller asked for it, else None.
     """
 
     word_count: int
@@ -195,6 +195,8 @@ def tv_distance_acyclic(
     pi1: InitialDistribution,
     pi2: InitialDistribution,
     budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    list_words: bool = True,
 ) -> DistanceReport:
     """Exact total variation distance between the two word distributions.
 
@@ -205,7 +207,9 @@ def tv_distance_acyclic(
     (``model.walk_layers``), and ``budget`` caps those distinct nodes, per
     depth.  The listed witness words
     are in the order of a depth-first walk: each word before its extensions,
-    siblings in alphabet order.
+    siblings in alphabet order.  With ``list_words=False`` no word is spelled
+    and the witness's ``words`` is None whatever the event's size; its count
+    and masses are the same.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -216,7 +220,7 @@ def tv_distance_acyclic(
     gap, mass_1, mass_2 = {}, {}, {}
     count = 0
     enumerated = 0
-    edges: list | None = []  # per depth, while the witness words may be listed
+    edges: list | None = [] if list_words else None  # per depth, while the words may be listed
     hits: list[tuple[int, int]] = []  # (depth, index) of the witness nodes
     for layer in walk_layers(root, step, vector_key, budget):
         depth = layer.depth

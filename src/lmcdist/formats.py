@@ -7,7 +7,21 @@ and element named, and so does an object that repeats a key (plain JSON
 parsing would silently keep the last value).  Semantic violations (rows not
 summing to one, states that can never stop) are also ``ParseError`` under
 the default strict loading, or can be collected separately via ``validate``
-after a shape-only load.
+after a shape-only load.  A file that is not UTF-8, nests too deeply for
+the JSON parser or holds a number past the interpreter's int/str digit
+limit is malformed input too.
+
+What each check runs on, in a strict chain load:
+
+* the bytes, read once (``InputFile``): UTF-8 and JSON syntax;
+* each transition record: one test of its type, key set and name types,
+  with the field-by-field checks and their location text only on failure;
+* each distinct probability string or int of a file: ``parse_prob`` once
+  (``_prob_reader``); a bad value raises at its first occurrence;
+* the chain: names and duplicates in ``Lmc.from_transitions``, rows in one
+  pass each in ``Lmc``, and row sums and stopping on integers in
+  ``validate``; the start: its weights as integers over their lcm in
+  ``InitialDistribution``.
 
 File shapes:
 
@@ -25,6 +39,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from dataclasses import dataclass
 from decimal import ROUND_05UP, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +79,8 @@ def parse_prob(value: Any, where: str) -> Fraction:
             prob = Fraction(value)
         except ZeroDivisionError:
             raise ParseError(f"{where}: {value!r} has denominator zero") from None
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise _too_many_digits(where) from None
     elif isinstance(value, float):
         raise ParseError(
             f"{where}: {value!r} is a binary float; write the exact rational "
@@ -73,6 +91,31 @@ def parse_prob(value: Any, where: str) -> Fraction:
     if not 0 <= prob <= 1:
         raise ParseError(f"{where}: probability {prob} is outside [0, 1]")
     return prob
+
+
+def _too_many_digits(where: str) -> ParseError:
+    return ParseError(
+        f"{where}: a number has more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def _prob_reader():
+    """``parse_prob`` for one file: each distinct string or int value is
+    parsed once.  Only accepted values are kept, so a bad value raises at
+    each occurrence, the first one first.  The location is
+    ``where.format(*args)``, built only when a value is parsed."""
+    parsed: dict = {}
+
+    def read(value: Any, where: str, *args: Any) -> Fraction:
+        # Exact types only: True == 1 and 1.0 == 1 must not hit the int's entry.
+        if type(value) is not str and type(value) is not int:
+            return parse_prob(value, where.format(*args))
+        prob = parsed.get(value)
+        if prob is None:
+            prob = parsed[value] = parse_prob(value, where.format(*args))
+        return prob
+
+    return read
 
 
 def prob_str(value: Fraction) -> str:
@@ -159,22 +202,35 @@ def _expect_str(value: Any, where: str) -> str:
 _WEIGHTED = ("from", "label", "to", "prob")
 
 
+def _spot(where: str, i: int) -> str:
+    """Names record ``i`` of the transitions in a message."""
+    return f"{where}: transitions[{i}]"
+
+
 def _transitions(data: dict, keys: Sequence[str], where: str):
-    """Each record of ``data["transitions"]`` as ``(spot, item, from, label,
+    """Each record of ``data["transitions"]`` as ``(i, item, from, label,
     to)``, checked for shape only.
 
     A generator, so a caller's own checks on one record run before the next
-    record is read, and faults are reported in file order.
+    record is read, and faults are reported in file order.  A record with
+    exactly ``keys`` and string names passes one test; any other is checked
+    field by field, and its location is formatted only then.
     """
     items = data["transitions"]
     if not isinstance(items, list):
         raise ParseError(f"{where}: transitions: expected an array")
+    wanted = set(keys)
     for i, item in enumerate(items):
-        spot = f"{where}: transitions[{i}]"
+        if type(item) is dict and item.keys() == wanted:
+            src, label, tgt = item["from"], item["label"], item["to"]
+            if type(src) is str and type(label) is str and type(tgt) is str:
+                yield i, item, src, label, tgt
+                continue
+        spot = _spot(where, i)
         item = _expect_dict(item, spot)
         _expect_keys(item, keys, spot)
         yield (
-            spot,
+            i,
             item,
             _expect_str(item["from"], f"{spot}: from"),
             _expect_str(item["label"], f"{spot}: label"),
@@ -182,25 +238,58 @@ def _transitions(data: dict, keys: Sequence[str], where: str):
         )
 
 
-def _load_json(path: str | Path) -> Any:
-    path = Path(path)
+@dataclass(frozen=True)
+class InputFile:
+    """The bytes of one input file, read once: a loader given an
+    ``InputFile`` in place of a path parses these bytes, so a digest of
+    ``data`` describes exactly what was loaded."""
+
+    path: str
+    data: bytes
+
+    @classmethod
+    def read(cls, path: str | Path) -> "InputFile":
+        try:
+            return cls(str(path), Path(path).read_bytes())
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from None
+
+    def __str__(self) -> str:
+        return self.path
+
+
+def _load_json(source: str | Path | InputFile) -> Any:
+    if not isinstance(source, InputFile):
+        source = InputFile.read(source)
+    path = source.path
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        text = source.data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    # Universal newlines, as a file opened in text mode reads them, so that
+    # the positions in a JSON error message count the same characters.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-        data: dict = {}
-        for key, value in pairs:
-            if key in data:
-                raise ParseError(f"{path}: repeated key {key!r}")
-            data[key] = value
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"{path}: repeated key {key!r}")
+                seen.add(key)
         return data
 
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
+    except ParseError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError:  # an integer past the interpreter's int/str digit limit
+        raise _too_many_digits(path) from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _write_json(data: Any, path: str | Path) -> None:
@@ -222,15 +311,14 @@ def lmc_from_dict(data: Any, strict: bool = True, where: str = "<chain>") -> Lmc
     _expect_keys(data, ("states", "alphabet", "transitions", "eow"), where)
     states = _expect_names(data["states"], f"{where}: states")
     alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
+    read = _prob_reader()
     records = [
-        (src, label, tgt, parse_prob(item["prob"], f"{spot}: prob"))
-        for spot, item, src, label, tgt in _transitions(data, _WEIGHTED, where)
+        (src, label, tgt, read(item["prob"], "{}: transitions[{}]: prob", where, i))
+        for i, item, src, label, tgt in _transitions(data, _WEIGHTED, where)
     ]
     eow_data = _expect_dict(data["eow"], f"{where}: eow")
     eow = {
-        _expect_str(state, f"{where}: eow key"): parse_prob(
-            prob, f"{where}: eow[{state!r}]"
-        )
+        _expect_str(state, f"{where}: eow key"): read(prob, "{}: eow[{!r}]", where, state)
         for state, prob in eow_data.items()
     }
     try:
@@ -244,7 +332,7 @@ def lmc_from_dict(data: Any, strict: bool = True, where: str = "<chain>") -> Lmc
     return lmc
 
 
-def load_lmc(path: str | Path, strict: bool = True) -> Lmc:
+def load_lmc(path: str | Path | InputFile, strict: bool = True) -> Lmc:
     return lmc_from_dict(_load_json(path), strict=strict, where=str(path))
 
 
@@ -279,8 +367,9 @@ def distribution_from_dict(
     data: Any, lmc: Lmc, where: str = "<distribution>"
 ) -> InitialDistribution:
     data = _expect_dict(data, where)
+    read = _prob_reader()
     weights = {
-        _expect_str(state, f"{where}: key"): parse_prob(prob, f"{where}[{state!r}]")
+        _expect_str(state, f"{where}: key"): read(prob, "{}[{!r}]", where, state)
         for state, prob in data.items()
     }
     try:
@@ -289,7 +378,7 @@ def distribution_from_dict(
         raise ParseError(f"{where}: {exc}") from None
 
 
-def load_distribution(path: str | Path, lmc: Lmc) -> InitialDistribution:
+def load_distribution(path: str | Path | InputFile, lmc: Lmc) -> InitialDistribution:
     return distribution_from_dict(_load_json(path), lmc, where=str(path))
 
 
@@ -310,9 +399,9 @@ def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "initial", "accepting", "transitions"), where)
     triples: dict[tuple[str, str, str], None] = {}  # in file order
-    for spot, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where):
+    for i, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where):
         if (src, label, tgt) in triples:
-            raise ParseError(f"{spot}: duplicate transition")
+            raise ParseError(f"{_spot(where, i)}: duplicate transition")
         triples[src, label, tgt] = None
     try:
         return Nfa(
@@ -326,7 +415,7 @@ def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def load_nfa(path: str | Path) -> Nfa:
+def load_nfa(path: str | Path | InputFile) -> Nfa:
     return nfa_from_dict(_load_json(path), where=str(path))
 
 
@@ -346,23 +435,24 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
         raise ParseError(f"{where}: state names and labels must be unique")
     grids = [[[Fraction(0)] * len(states) for _ in states] for _ in alphabet]
     seen = set()
-    for spot, item, src, label, tgt in _transitions(data, _WEIGHTED, where):
+    read = _prob_reader()
+    for i, item, src, label, tgt in _transitions(data, _WEIGHTED, where):
         if src not in sidx or tgt not in sidx:
-            raise ParseError(f"{spot}: names an unknown state")
+            raise ParseError(f"{_spot(where, i)}: names an unknown state")
         if label not in lidx:
-            raise ParseError(f"{spot}: label {label!r} is not in the alphabet")
+            raise ParseError(f"{_spot(where, i)}: label {label!r} is not in the alphabet")
         if (src, label, tgt) in seen:
-            raise ParseError(f"{spot}: duplicate transition")
+            raise ParseError(f"{_spot(where, i)}: duplicate transition")
         seen.add((src, label, tgt))
-        grids[lidx[label]][sidx[src]][sidx[tgt]] = parse_prob(
-            item["prob"], f"{spot}: prob"
+        grids[lidx[label]][sidx[src]][sidx[tgt]] = read(
+            item["prob"], "{}: transitions[{}]: prob", where, i
         )
     init_data = _expect_dict(data["initial_dist"], f"{where}: initial_dist")
     weights = [Fraction(0)] * len(states)
     for state, prob in init_data.items():
         if state not in sidx:
             raise ParseError(f"{where}: initial_dist names unknown state {state!r}")
-        weights[sidx[state]] = parse_prob(prob, f"{where}: initial_dist[{state!r}]")
+        weights[sidx[state]] = read(prob, "{}: initial_dist[{!r}]", where, state)
     try:
         return Pa(
             states=states,
@@ -375,7 +465,7 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def load_pa(path: str | Path) -> Pa:
+def load_pa(path: str | Path | InputFile) -> Pa:
     return pa_from_dict(_load_json(path), where=str(path))
 
 

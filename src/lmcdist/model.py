@@ -35,12 +35,15 @@ Probabilities enter and leave as ``fractions.Fraction``; floats are rejected
 so that no silent rounding can creep in.  Inside, every vector kernel (the
 walkers, ``word_probability``, ``state_tails``, ``eliminate``) runs on
 integers over a common denominator: the same rationals times a known power
-of it, so it is exact too; so are ``validate`` and the exact sampler's
-tables (``approx._Sampler._table``).  Fraction entries are still read by
-``floatk.RoundedModel``, which rounds each probability to k bits on its own,
-and on the PA side, where ``automata.Pa`` checks dense Fraction rows and
-``automata.pa_to_lmc`` builds a dense Fraction system for its bound.  All
-model types are frozen and safe to share between threads.
+of it, so it is exact too; so are ``validate``, the range and sum checks
+of ``InitialDistribution`` and the exact sampler's tables
+(``approx._Sampler._table``).  ``Lmc`` checks each row in one pass: all its
+targets (int, in range, strictly ascending), then its entries' exactness,
+converting only entries that are not already Fractions.  Fraction entries
+are still read by ``floatk.RoundedModel``, which rounds each probability to
+k bits on its own, and on the PA side, where ``automata.Pa`` checks dense
+Fraction rows and ``automata.pa_to_lmc`` builds a dense Fraction system for
+its bound.  All model types are frozen and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -83,20 +86,37 @@ def as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
 
 
 def _freeze_rows(rows, size: int, label: str) -> SparseRows:
+    """One label's rows, checked and copied in one pass per row: every
+    target of a row (an int, in range, strictly ascending) before any of its
+    probabilities, which must be exact; zero pairs are dropped."""
     rows = tuple(rows)
     if len(rows) != size:
         raise DomainError(f"label {label!r} has {len(rows)} rows, expected {size}")
-    what = f"transition probability for label {label!r}"
     out = []
-    for row in map(tuple, rows):
-        targets = [e[0] if isinstance(e, tuple) and len(e) == 2 else None for e in row]
-        if not all(type(j) is int and 0 <= j < size for j in targets) or targets != sorted(set(targets)):
+    for row in rows:
+        if not row:
+            out.append(())
+            continue
+        pairs = []
+        last = -1
+        for e in row:
+            if isinstance(e, tuple) and len(e) == 2:
+                j = e[0]
+                if type(j) is int and last < j < size:
+                    pairs.append(e)
+                    last = j
+                    continue
             raise DomainError(
                 f"a row for label {label!r} must hold (target, probability) pairs "
                 f"with int targets in [0, {size}), strictly ascending"
             )
-        pairs = [(j, as_fraction(p, what)) for j, p in row]
-        out.append(tuple((j, p) for j, p in pairs if p))
+        frozen = []
+        for j, p in pairs:
+            if type(p) is not Fraction:
+                p = as_fraction(p, f"transition probability for label {label!r}")
+            if p:
+                frozen.append((j, p))
+        out.append(tuple(frozen))
     return tuple(out)
 
 
@@ -132,7 +152,10 @@ class Lmc:
         if len(rows) != len(alphabet):
             raise DomainError(f"got {len(rows)} row sets for {len(alphabet)} labels")
         rows = tuple(_freeze_rows(r, n, a) for r, a in zip(rows, alphabet))
-        eow = tuple(as_fraction(e, "end-of-word probability") for e in self.eow)
+        eow = tuple(
+            e if type(e) is Fraction else as_fraction(e, "end-of-word probability")
+            for e in self.eow
+        )
         if len(eow) != n:
             raise DomainError(f"end-of-word vector has length {len(eow)}, expected {n}")
         object.__setattr__(self, "states", states)
@@ -174,7 +197,9 @@ class Lmc:
             row = rows[lidx[label]][sidx[src]]
             if sidx[tgt] in row:
                 raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
-            row[sidx[tgt]] = as_fraction(prob, "transition probability")
+            row[sidx[tgt]] = (
+                prob if type(prob) is Fraction else as_fraction(prob, "transition probability")
+            )
         for state in eow:
             if state not in sidx:
                 raise DomainError(f"end-of-word entry names unknown state {state!r}")
@@ -229,8 +254,9 @@ class Lmc:
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Per state: targets reachable by one positive-probability step."""
+        # A Fraction's sign is its numerator's; comparing Fractions costs more.
         return tuple(
-            tuple(sorted({j for rows in self.sparse_rows for j, p in rows[i] if p > 0}))
+            tuple(sorted({j for rows in self.sparse_rows for j, p in rows[i] if p.numerator > 0}))
             for i in range(self.n_states)
         )
 
@@ -241,20 +267,29 @@ class InitialDistribution:
 
     Unlike :class:`Lmc`, construction enforces the invariants (entries in
     [0, 1], total exactly 1): a broken start distribution is never useful.
+    Both are checked on the weights' integers over their common denominator.
     """
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        weights = tuple(as_fraction(w, "initial weight") for w in self.weights)
+        weights = tuple(
+            w if type(w) is Fraction else as_fraction(w, "initial weight")
+            for w in self.weights
+        )
         if not weights:
             raise DomainError("an initial distribution needs at least one state")
+        den = common_denominator(weights)
+        total = 0
         for i, w in enumerate(weights):
-            if not (0 <= w <= 1):
+            x = _times(w, den)
+            if not 0 <= x <= den:
                 raise DomainError(f"initial weight at position {i} is {w}, outside [0, 1]")
-        total = sum(weights)
-        if total != 1:
-            raise DomainError(f"initial weights sum to {total}, expected exactly 1")
+            total += x
+        if total != den:
+            raise DomainError(
+                f"initial weights sum to {Fraction(total, den)}, expected exactly 1"
+            )
         object.__setattr__(self, "weights", weights)
 
     @classmethod

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from lmcdist import InitialDistribution, Lmc, Nfa, Pa, disjoint_union
 from lmcdist.approx import ln_upper
-from lmcdist.errors import DomainError, LengthExceededError
+from lmcdist.errors import DomainError, LengthExceededError, ParseError
+from lmcdist.formats import _WEIGHTED, _expect_dict, _expect_keys, _expect_names, _expect_str, parse_prob
 from lmcdist.model import ONE, ZERO, advance, as_fraction, check_distribution, sparse_matrices, stop_mass
 
 # ---------------------------------------------------------------------------
@@ -683,3 +684,150 @@ def reference_pair_nodes(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistrib
         children = [(times(v1, mat), times(v2, mat)) for v1, v2 in frontier for mat in lmc.matrices]
         frontier = [(n1, n2) for n1, n2 in children if any(n1) or any(n2)]
     return total
+
+
+# ---------------------------------------------------------------------------
+# The strict chain loader as it was before the one-pass checks: every record
+# names its location up front, every probability is parsed where it stands,
+# rows are checked target list first, and starts are checked on Fractions.
+# ---------------------------------------------------------------------------
+
+
+def reference_freeze_rows(rows, size: int, label: str):
+    rows = tuple(rows)
+    if len(rows) != size:
+        raise DomainError(f"label {label!r} has {len(rows)} rows, expected {size}")
+    what = f"transition probability for label {label!r}"
+    out = []
+    for row in map(tuple, rows):
+        targets = [e[0] if isinstance(e, tuple) and len(e) == 2 else None for e in row]
+        if not all(type(j) is int and 0 <= j < size for j in targets) or targets != sorted(set(targets)):
+            raise DomainError(
+                f"a row for label {label!r} must hold (target, probability) pairs "
+                f"with int targets in [0, {size}), strictly ascending"
+            )
+        pairs = [(j, as_fraction(p, what)) for j, p in row]
+        out.append(tuple((j, p) for j, p in pairs if p))
+    return tuple(out)
+
+
+def reference_lmc(states, alphabet, sparse_rows, eow) -> Lmc:
+    """``Lmc(...)`` with its rows and end-of-word entries checked the old
+    way first."""
+    states, alphabet, sparse_rows = tuple(states), tuple(alphabet), tuple(sparse_rows)
+    if not states:
+        raise DomainError("a chain needs at least one state")
+    if len(set(states)) != len(states):
+        raise DomainError("state names must be unique")
+    if len(set(alphabet)) != len(alphabet):
+        raise DomainError("labels must be unique")
+    if len(sparse_rows) != len(alphabet):
+        raise DomainError(f"got {len(sparse_rows)} row sets for {len(alphabet)} labels")
+    rows = tuple(reference_freeze_rows(r, len(states), a) for r, a in zip(sparse_rows, alphabet))
+    eow = tuple(as_fraction(e, "end-of-word probability") for e in eow)
+    return Lmc(states, alphabet, rows, eow)
+
+
+def reference_initial_weights(weights) -> tuple[Fraction, ...]:
+    """The checks of ``InitialDistribution(weights)``, on Fractions."""
+    weights = tuple(as_fraction(w, "initial weight") for w in weights)
+    if not weights:
+        raise DomainError("an initial distribution needs at least one state")
+    for i, w in enumerate(weights):
+        if not (0 <= w <= 1):
+            raise DomainError(f"initial weight at position {i} is {w}, outside [0, 1]")
+    total = sum(weights)
+    if total != 1:
+        raise DomainError(f"initial weights sum to {total}, expected exactly 1")
+    return weights
+
+
+def _reference_transitions(data: dict, keys, where: str):
+    items = data["transitions"]
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: transitions: expected an array")
+    for i, item in enumerate(items):
+        spot = f"{where}: transitions[{i}]"
+        item = _expect_dict(item, spot)
+        _expect_keys(item, keys, spot)
+        yield (
+            spot,
+            item,
+            _expect_str(item["from"], f"{spot}: from"),
+            _expect_str(item["label"], f"{spot}: label"),
+            _expect_str(item["to"], f"{spot}: to"),
+        )
+
+
+def _reference_from_transitions(states, alphabet, transitions, eow) -> Lmc:
+    states = tuple(states)
+    alphabet = tuple(alphabet)
+    sidx = {s: i for i, s in enumerate(states)}
+    lidx = {a: i for i, a in enumerate(alphabet)}
+    if len(sidx) != len(states):
+        raise DomainError("state names must be unique")
+    if len(lidx) != len(alphabet):
+        raise DomainError("labels must be unique")
+    rows: list[list[dict[int, Fraction]]] = [[{} for _ in states] for _ in alphabet]
+    for src, label, tgt, prob in transitions:
+        if src not in sidx:
+            raise DomainError(f"transition source {src!r} is not a declared state")
+        if tgt not in sidx:
+            raise DomainError(f"transition target {tgt!r} is not a declared state")
+        if label not in lidx:
+            raise DomainError(f"transition label {label!r} is not in the alphabet")
+        row = rows[lidx[label]][sidx[src]]
+        if sidx[tgt] in row:
+            raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
+        row[sidx[tgt]] = as_fraction(prob, "transition probability")
+    for state in eow:
+        if state not in sidx:
+            raise DomainError(f"end-of-word entry names unknown state {state!r}")
+    eow_vec = tuple(as_fraction(eow.get(s, ZERO), "end-of-word probability") for s in states)
+    sparse = tuple(tuple(tuple(sorted(row.items())) for row in label_rows) for label_rows in rows)
+    return reference_lmc(states, alphabet, sparse, eow_vec)
+
+
+def reference_lmc_from_dict(data, strict: bool = True, where: str = "<chain>") -> Lmc:
+    data = _expect_dict(data, where)
+    _expect_keys(data, ("states", "alphabet", "transitions", "eow"), where)
+    states = _expect_names(data["states"], f"{where}: states")
+    alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
+    records = [
+        (src, label, tgt, parse_prob(item["prob"], f"{spot}: prob"))
+        for spot, item, src, label, tgt in _reference_transitions(data, _WEIGHTED, where)
+    ]
+    eow_data = _expect_dict(data["eow"], f"{where}: eow")
+    eow = {
+        _expect_str(state, f"{where}: eow key"): parse_prob(
+            prob, f"{where}: eow[{state!r}]"
+        )
+        for state, prob in eow_data.items()
+    }
+    try:
+        lmc = _reference_from_transitions(states, alphabet, records, eow)
+    except DomainError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    if strict:
+        violations = reference_validate(lmc)
+        if violations:
+            raise ParseError(f"{where}: " + "; ".join(violations))
+    return lmc
+
+
+def reference_distribution_from_dict(data, lmc: Lmc, where: str = "<distribution>") -> InitialDistribution:
+    data = _expect_dict(data, where)
+    weights = {
+        _expect_str(state, f"{where}: key"): parse_prob(prob, f"{where}[{state!r}]")
+        for state, prob in data.items()
+    }
+    try:
+        for state in weights:
+            if state not in lmc.state_index:
+                raise DomainError(f"initial distribution names unknown state {state!r}")
+        checked = reference_initial_weights(
+            as_fraction(weights.get(s, ZERO), "initial weight") for s in lmc.states
+        )
+    except DomainError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    return InitialDistribution(checked)

@@ -18,6 +18,7 @@ from lmcdist import (
     threshold_decide_acyclic,
     tv_distance_acyclic,
 )
+from lmcdist.exact import DistanceReport, WitnessSummary
 
 from helpers import (
     half_distance_instance,
@@ -41,6 +42,23 @@ def test_half_distance_fixture():
     assert report.witness.mass_1 == Fraction(1, 2)
     assert report.witness.mass_2 == 0
     assert report.witness.mass_1 - report.witness.mass_2 == report.distance
+
+
+def test_witness_words_are_spelled_only_on_request():
+    rng = random.Random(7)
+    for _ in range(20):
+        lmc, pi1, pi2 = random_acyclic_instance(rng)
+        spelled = tv_distance_acyclic(lmc, pi1, pi2)
+        summary = tv_distance_acyclic(lmc, pi1, pi2, list_words=False)
+        assert summary.witness.words is None
+        assert summary.witness.word_count == len(spelled.witness.words)
+        assert summary == DistanceReport(
+            spelled.distance,
+            WitnessSummary(
+                spelled.witness.word_count, spelled.witness.mass_1, spelled.witness.mass_2, None
+            ),
+            spelled.enumerated_words,
+        )
 
 
 def test_distance_zero_on_identical_starts():

@@ -1,8 +1,10 @@
 """Loader messages: the exact ``ParseError`` text for malformed ``transitions``
-in chain, NFA and PA files, the order in which two faults are reported, and
-the rejection of a key repeated in any JSON object."""
+in chain, NFA and PA files, the order in which two faults are reported, the
+rejection of a key repeated in any JSON object, and exit 3 for files that
+are not UTF-8, nest too deeply or hold over-long numbers."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 import lmcdist
 from lmcdist.cli import main
 from lmcdist.errors import ParseError
-from lmcdist.formats import decimal15, load_lmc, load_nfa, load_pa
+from lmcdist.formats import InputFile, decimal15, load_lmc, load_nfa, load_pa
 
 CHAIN = {
     "states": ["s", "t"],
@@ -241,3 +243,94 @@ def test_decimal15_rounds_once_at_the_fifteenth_digit():
     assert decimal15(tie + Fraction(1, 10**80)) == "0.123456789012345"
     assert decimal15(tie) == "0.123456789012344"
     assert decimal15(tie - Fraction(1, 10**80)) == "0.123456789012344"
+
+
+#: (file name, its bytes): each is malformed below the JSON grammar's checks.
+MALFORMED = {
+    "not-utf8": b'\xff{',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long-json-integer": b'{"states": ["s"], "alphabet": [], "transitions": [], "eow": {"s": '
+    + b"1" * 5000
+    + b"}}",
+    "long-probability-string": b'{"states": ["s"], "alphabet": [], "transitions": [], "eow": {"s": "1/'
+    + b"1" * 5000
+    + b'"}}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_files_exit_3(tmp_path, monkeypatch, capsys, case):
+    # Each of these raised past the loader (UnicodeDecodeError, RecursionError,
+    # ValueError) and exited 1 with a traceback.
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_bytes(MALFORMED[case])
+    assert main(["validate", "f.json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: f.json") and err.count("\n") == 1
+
+
+def test_a_repeated_bad_probability_is_reported_where_it_first_occurs(tmp_path, monkeypatch):
+    data = copy.deepcopy(CHAIN)
+    data["transitions"] = [
+        {"from": "s", "label": "a", "to": "t", "prob": "1/2"},
+        {"from": "t", "label": "a", "to": "t", "prob": "1/0"},
+        {"from": "t", "label": "a", "to": "s", "prob": "1/0"},
+    ]
+    data["eow"] = {"s": "1/0", "t": "1/2"}
+    with pytest.raises(ParseError) as exc:
+        load_lmc(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == "f.json: transitions[1]: prob: '1/0' has denominator zero"
+    # Without the bad records, the first bad value is the stop probability.
+    del data["transitions"][1:]
+    with pytest.raises(ParseError) as exc:
+        load_lmc(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == "f.json: eow['s']: '1/0' has denominator zero"
+
+
+def test_each_input_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("lmc.json").write_text(json.dumps(CHAIN), encoding="utf-8")
+    Path("pi1.json").write_text('{"s": "1"}', encoding="utf-8")
+    Path("pi2.json").write_text('{"t": 1}', encoding="utf-8")
+    digests = [hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in ("lmc.json", "pi1.json", "pi2.json")]
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        original = getattr(Path, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            reads.append(str(self))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    assert main(["exact", "lmc.json", "pi1.json", "pi2.json", "--json"]) == 0
+    assert sorted(reads) == ["lmc.json", "pi1.json", "pi2.json"]
+    inputs = json.loads(capsys.readouterr().out)["manifest"]["inputs"]
+    assert [item["sha256"] for item in inputs] == digests
+
+
+def test_a_loader_parses_the_bytes_it_is_given(tmp_path, monkeypatch):
+    # The file on disk changed after it was read: the chain comes from the
+    # bytes read, which are the ones a report hashes.
+    path = _write(tmp_path, monkeypatch, CHAIN)
+    source = InputFile.read(path)
+    Path(path).write_text("not JSON", encoding="utf-8")
+    assert load_lmc(source).states == ("s", "t")
+    assert str(source) == "f.json"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "f.json: eow['t']: expected a probability, got True"),
+        (1.0, 'f.json: eow[\'t\']: 1.0 is a binary float; write the exact rational as "num/den"'),
+    ],
+)
+def test_a_bool_or_float_is_not_taken_for_an_equal_int(tmp_path, monkeypatch, value, message):
+    # True == 1 and 1.0 == 1: a parse of the int 1 must not be reused for them.
+    data = copy.deepcopy(CHAIN)
+    data["transitions"][0]["prob"] = 1
+    data["eow"] = {"s": 0, "t": value}
+    with pytest.raises(ParseError) as exc:
+        load_lmc(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == message

@@ -1,8 +1,9 @@
 """Property tests: results of the prefix walker, the sampler, the integer
 elimination, the integer tail and acceptance kernels, the integer
-``validate`` and sampler tables, and the bounded estimator's exact classes
-against independent routes."""
+``validate`` and sampler tables, the bounded estimator's exact classes and
+the one-pass chain loader against independent routes."""
 
+import copy
 import itertools
 import random
 from bisect import bisect_right
@@ -39,6 +40,7 @@ from lmcdist import (
 from lmcdist.approx import BitStream, _first_read_lookup, _Sampler
 from lmcdist.automata import _solve_linear
 from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
+from lmcdist.formats import distribution_from_dict, distribution_to_dict, lmc_from_dict, lmc_to_dict
 
 from helpers import (
     all_two_state_nfas,
@@ -55,6 +57,10 @@ from helpers import (
     relabeled_copy,
     reference_acceptance_probability,
     reference_bounded_classes,
+    reference_distribution_from_dict,
+    reference_initial_weights,
+    reference_lmc,
+    reference_lmc_from_dict,
     reference_length_bound,
     reference_pair_nodes,
     reference_sampler_table,
@@ -519,3 +525,166 @@ def test_sampler_tables_match_fraction_reference(seed, kind):
         return
     sampler = _Sampler(lmc, pi)
     assert [sampler._start, *sampler._tables] == expected
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return "ok", build()
+    except (ValueError, TypeError) as exc:  # ParseError and DomainError among them
+        return type(exc), str(exc)
+
+
+#: Faults written into a chain's or a start's interchange dictionary; the
+#: probability faults land on a random transition, stop or start entry.
+FILE_FAULTS = {
+    "float": lambda rng: rng.choice([0.5, 1.0, 0.0]),
+    "negative": lambda rng: rng.choice(["-1/2", -1]),
+    "above-one": lambda rng: rng.choice(["3/2", 2, "5/4"]),
+    "zero-denominator": lambda rng: "1/0",
+    "shifted": lambda rng: rng.choice(["1/7", "0", "1", 0]),
+}
+RECORD_FAULTS = ("unknown-key", "unknown-state", "unknown-label", "duplicate", "repeat-bad")
+
+
+def _break_files(rng, chain: dict, start: dict, fault: str) -> None:
+    records = chain["transitions"]
+    if fault in RECORD_FAULTS and records:
+        record = rng.choice(records)
+        if fault == "unknown-key":
+            record["weight"] = record["prob"]
+        elif fault == "unknown-state":
+            record[rng.choice(["from", "to"])] = "zz"
+        elif fault == "unknown-label":
+            record["label"] = "zz"
+        elif fault == "duplicate":
+            records.insert(rng.randrange(len(records) + 1), dict(record))
+        else:  # one bad string in several records
+            for other in rng.sample(records, rng.randint(1, len(records))):
+                other["prob"] = "1/0"
+    elif fault in FILE_FAULTS:
+        places = [(r, "prob") for r in records] + [(chain["eow"], k) for k in chain["eow"]]
+        places += [(start, k) for k in start]
+        where, key = rng.choice(places)
+        where[key] = FILE_FAULTS[fault](rng)
+    elif fault == "unknown-start":
+        start["zz"] = "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds,
+    st.sampled_from(["acyclic", "cyclic", "pa"]),
+    st.sampled_from([None, *FILE_FAULTS, *RECORD_FAULTS, "unknown-start"]),
+    st.booleans(),
+)
+def test_chain_loader_matches_reference(seed, kind, fault, strict):
+    # Loaded chains and starts equal the old loader's, and every fault
+    # raises the same error with the same text.
+    rng = random.Random(seed)
+    lmc = _valid_chain(kind, rng)
+    chain = lmc_to_dict(lmc)
+    start = distribution_to_dict(random_distribution(rng, lmc), lmc)
+    _break_files(rng, chain, start, fault)
+
+    def load(from_chain, from_start):
+        def build():
+            loaded = from_chain(copy.deepcopy(chain), strict=strict, where="c.json")
+            return loaded, from_start(copy.deepcopy(start), loaded, where="d.json")
+
+        return build
+
+    got = _outcome(load(lmc_from_dict, distribution_from_dict))
+    assert got == _outcome(load(reference_lmc_from_dict, reference_distribution_from_dict))
+    if fault is None:
+        assert got[0] == "ok" and got[1][0] == lmc
+
+
+ROW_FAULTS = ("descending", "repeated", "out-of-range", "negative", "bool", "float-target",
+              "not-a-pair", "list-pair", "float-prob", "float-then-bad-target", "zero-prob",
+              "int-prob", "generator")
+
+
+def _break_rows(rng, lmc: Lmc, fault: str):
+    """``lmc.sparse_rows`` as lists, one row changed by ``fault``."""
+    rows = [[list(row) for row in label_rows] for label_rows in lmc.sparse_rows]
+    row = rng.choice(rng.choice(rows))
+    at = rng.randrange(len(row)) if row else 0
+    j, p = row[at] if row else (0, Fraction(1, 2))
+    size = lmc.n_states
+    if fault == "descending" and len(row) > 1:
+        row.reverse()
+    elif fault == "repeated" and row:
+        row.insert(at, row[at])
+    elif fault == "out-of-range":
+        row.append((rng.choice([size, size + 3]), p))
+    elif fault == "negative":
+        row.insert(0, (-1, p))
+    elif fault == "bool":
+        row[at:at + 1] = [(j == 1, p)]
+    elif fault == "float-target":
+        row[at:at + 1] = [(float(j), p)]
+    elif fault == "not-a-pair":
+        row[at:at + 1] = [rng.choice([(j, p, 0), (j,), j])]
+    elif fault == "list-pair":
+        row[at:at + 1] = [[j, p]]
+    elif fault == "float-prob":
+        row[at:at + 1] = [(j, float(p))]
+    elif fault == "float-then-bad-target":  # the target is reported, not the float
+        row[at:at + 1] = [(j, float(p))]
+        row.append((size, p))
+    elif fault == "zero-prob":
+        row[at:at + 1] = [(j, rng.choice([0, Fraction(0)]))]
+    elif fault == "int-prob":
+        row[at:at + 1] = [(j, rng.choice([1, True, 2, -1]))]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.sampled_from(["acyclic", "cyclic", "pa"]), st.sampled_from([None, *ROW_FAULTS]))
+def test_chain_rows_match_reference(seed, kind, fault):
+    # Lmc(...) checks every target of a row before its probabilities, as
+    # the old two-pass check did, and stores the same rows.
+    rng = random.Random(seed)
+    lmc = _valid_chain(kind, rng)
+    rows = _break_rows(rng, lmc, fault) if fault else lmc.sparse_rows
+
+    def fresh():  # each side gets its own one-shot rows
+        if fault == "generator":
+            return [[iter(row) for row in label_rows] for label_rows in rows]
+        return rows
+
+    got = _outcome(lambda: Lmc(lmc.states, lmc.alphabet, fresh(), lmc.eow))
+    assert got == _outcome(lambda: reference_lmc(lmc.states, lmc.alphabet, fresh(), lmc.eow))
+    if got[0] == "ok":
+        stored = got[1].sparse_rows
+        assert all(type(e) is tuple and type(e[1]) is Fraction for r in stored for row in r for e in row)
+
+
+def _near_start(rng):
+    """Weights summing to 1, perhaps with one entry nudged."""
+    parts = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+    parts[0] += 1
+    total = sum(parts)
+    weights = [Fraction(x, total) for x in parts]
+    if rng.random() < 0.5:
+        weights[rng.randrange(len(weights))] += rng.choice([Fraction(1, 7), Fraction(-1, total), 1])
+    return weights
+
+
+start_weights = st.lists(
+    st.one_of(
+        st.fractions(min_value=-1, max_value=2, max_denominator=12),
+        st.integers(-1, 2),
+        st.sampled_from([0.5, True, False, "1"]),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(start_weights, seeds.map(lambda s: _near_start(random.Random(s)))))
+def test_initial_distribution_matches_reference(weights):
+    got = _outcome(lambda: InitialDistribution(tuple(weights)).weights)
+    assert got == _outcome(lambda: reference_initial_weights(weights))
+
