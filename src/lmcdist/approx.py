@@ -10,10 +10,14 @@ distributions of two starting points:
 
 * ``tv_bounded`` -- deterministic: cut the support at a length where at most
   epsilon/4 of the mass remains (``length_bound``), enumerate all words up to
-  that length with the package's depth-first walk, and classify each word
-  exactly by comparing its two integer stop masses.  The exact masses of the
-  two classes then pin the distance to within epsilon/2 (only the cut tail is
-  unknown), with no randomness and no cycle restriction.
+  that length, and classify each word exactly by comparing its two integer
+  stop masses.  The exact masses of the two classes then pin the distance to
+  within epsilon/2 (only the cut tail is unknown), with no randomness and no
+  cycle restriction.  The package's depth-first walk covers the top half of
+  the prefix tree; each node at its bottom reads the rest from a table of
+  suffix stop vectors (``_SuffixTable``), two dot products per word.  It
+  holds O(depth) vectors plus at most min(budget, |alphabet|**h) table
+  entries of n integers, h = ceil(cutoff/2).
 
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
@@ -29,7 +33,8 @@ integer form (``Lmc.integer_form``), but each is reduced to the least
 denominator of its own outcomes (``_Sampler._table``), not kept over the
 chain's, because another total would change the bits a seed draws.  Each
 distinct word drawn on either side is classified once, by the sign of its
-integer (p1 - p2) stop mass.  The logarithms needed for sample sizes and
+integer (p1 - p2) stop mass; the words are walked in sorted order, so each
+distinct prefix is advanced once.  The logarithms needed for sample sizes and
 fallback length bounds are certified rational upper bounds (truncated series
 plus an explicit remainder term), so every derived count errs on the safe
 side.
@@ -44,6 +49,8 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt, not_
+from typing import Iterator
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
 from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start, require_acyclic
@@ -53,6 +60,8 @@ from .model import (
     ZERO,
     InitialDistribution,
     Lmc,
+    _check_budget,
+    _over_budget,
     advance,
     as_fraction,
     check_distribution,
@@ -397,14 +406,24 @@ def tv_sample_acyclic(
     # ties count as not below.
     _, rows, eow = lmc.integer_form
     _, diff = _difference(pi1, pi2)
+    # In sorted order each word shares its longest common prefix with the
+    # one before it, so ``path`` (the vectors after each of the previous
+    # word's prefixes) is kept up to there and advanced over the rest only.
     label_rows = {label: rows[li] for label, li in lmc.label_index.items()}
     below = set()
-    for word in tally1.keys() | tally2.keys():
-        vec = diff
-        for label in word:
-            vec = advance(vec, label_rows[label])
-        if stop_mass(vec, eow) < 0:
+    path, previous = [diff], ()
+    for word in sorted(tally1.keys() | tally2.keys()):
+        shared = 0
+        for a, b in zip(word, previous):
+            if a != b:
+                break
+            shared += 1
+        del path[shared + 1 :]
+        for label in word[shared:]:
+            path.append(advance(path[-1], label_rows[label]))
+        if stop_mass(path[-1], eow) < 0:
             below.add(word)
+        previous = word
     hits1 = sum(n for word, n in tally1.items() if word in below)
     hits2 = sum(n for word, n in tally2.items() if word not in below)
     p_hat_1 = Fraction(hits1, m)
@@ -483,6 +502,105 @@ class BoundedEstimate:
     words_enumerated: int
 
 
+class _SuffixTable:
+    """Stop vectors of every suffix up to ``height`` letters, by level.
+
+    For a word w, M_w is the product of its letters' integer rows (over
+    L**len(w)) and g_w = M_w * eow its per-state stop vector, integers over
+    L**(len(w)+1).  Level d holds the words of length d with a nonzero row of
+    M_w, in the slice ``spans[d-1]`` of ``columns[i]`` (g_w[i] for state i)
+    and ``lives`` (the bitmask of states whose row is nonzero).  Level d+1
+    comes from level d without any M_w: g_aw = M_a * g_w, as in
+    ``model.state_tails``, and state i is live in a.w when one of its
+    a-successors is live in w.
+
+    The table grows a level at a time while it holds at most ``budget``
+    entries (the empty word included), so ``height`` may come out lower than
+    asked; it stops early, keeping ``height``, at an empty level, since every
+    longer word is dead too.
+    """
+
+    def __init__(self, lmc: Lmc, height: int, budget: int | None):
+        _, rows, eow = lmc.integer_form
+        n = lmc.n_states
+        self._successors = [[sum(1 << j for j, _ in row) for row in label_rows] for label_rows in rows]
+        self._live_before: list[dict[int, int]] = [{} for _ in rows]
+        self._reached: dict[int, int] = {}
+        self.columns: list[list[int]] = [[] for _ in range(n)]
+        self.lives: list[int] = []
+        self.spans: list[tuple[int, int]] = []
+        level, lives = [[e] for e in eow], [(1 << n) - 1]
+        for depth in range(1, height + 1):
+            children = list(self._children(lives))
+            if not children:
+                break
+            if budget is not None and 1 + len(self.lives) + len(children) > budget:
+                height = depth - 1
+                break
+            # g_aw[i] = sum over i's a-row of p * g_w[j].
+            kept: list[list[int]] = [[] for _ in rows]
+            for li, k, _ in children:
+                kept[li].append(k)
+            new_level: list[list[int]] = [[] for _ in range(n)]
+            for label_rows, ks in zip(rows, kept):
+                for column, row in zip(new_level, label_rows):
+                    col = [0] * len(ks)
+                    for j, p in row:
+                        g = level[j]
+                        col = [c + p * g[k] for c, k in zip(col, ks)]
+                    column.extend(col)
+            start = len(self.lives)
+            self.spans.append((start, start + len(children)))
+            lives = [live for _, _, live in children]
+            self.lives.extend(lives)
+            for column, col in zip(self.columns, new_level):
+                column.extend(col)
+            level = new_level
+        self.height = height
+
+    def _children(self, lives: list[int]) -> Iterator[tuple[int, int, int]]:
+        """``(letter, index, mask)`` of every one-letter extension a.w of the
+        words whose masks are ``lives`` that has a live state, by letter and
+        then by the index of w."""
+        for li, succ in enumerate(self._successors):
+            cache = self._live_before[li]
+            for k, live in enumerate(lives):
+                new = cache.get(live)
+                if new is None:
+                    new = cache[live] = sum(1 << i for i, s in enumerate(succ) if s & live)
+                if new:
+                    yield li, k, new
+
+    def reached(self, mask: int) -> int:
+        """How many entries are live on some state of ``mask``: the nodes
+        below a node with that support."""
+        count = self._reached.get(mask)
+        if count is None:
+            count = self._reached[mask] = sum(1 for live in self.lives if live & mask)
+        return count
+
+    def depth_of(self, mask: int, k: int) -> int:
+        """The length of the ``k``-th (from 0) entry live on ``mask`` in
+        preorder: alphabet order, each word before its extensions."""
+        words, lives = [()], [(1 << len(self.columns)) - 1]
+        found = []
+        for _ in self.spans:
+            children = list(self._children(lives))
+            words = [(li,) + words[at] for li, at, _ in children]
+            lives = [live for _, _, live in children]
+            found.extend(w for w, live in zip(words, lives) if live & mask)
+        return len(sorted(found)[k])
+
+
+def _combine(coefs: list[int], columns: list[list[int]]) -> list[int] | None:
+    """Sum of ``coefs[i] * columns[i]`` entrywise; None when every coefficient is 0."""
+    out = None
+    for c, column in zip(coefs, columns):
+        if c:
+            out = [c * x for x in column] if out is None else [y + c * x for y, x in zip(out, column)]
+    return out
+
+
 def tv_bounded(
     lmc: Lmc,
     pi1: InitialDistribution,
@@ -495,9 +613,14 @@ def tv_bounded(
     Works for cyclic chains: the support is cut at a length keeping the tail
     mass of either start below epsilon/4, and every remaining word is
     classified by comparing its two integer stop masses.  The class masses
-    are accumulated exactly, so the cut tail is the only error source.  The
-    walk stays depth-first: it holds one path, not a whole layer of the
-    prefix tree.
+    are accumulated exactly, so the cut tail is the only error source.
+
+    The walk is depth-first over the top levels of the prefix tree and reads
+    the bottom ``h = ceil(cutoff/2)`` levels from a ``_SuffixTable``: below a
+    node v at depth cutoff - h, the word v.w has stop masses v1 . g_w and
+    v2 . g_w.  It holds one path and the table, counts nodes in the order of
+    the full depth-first walk and so visits, sums and raises exactly as that
+    walk does.
     """
     epsilon = as_fraction(epsilon, "epsilon")
     if epsilon <= 0:
@@ -508,21 +631,52 @@ def tv_bounded(
     rounding_budget = epsilon / 8
     cutoff = length_bound(lmc, tail_budget)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
+    _check_budget(budget)
+    n = lmc.n_states
     den = lmc.integer_form[0]
-    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, cutoff)
+    table = _SuffixTable(lmc, (cutoff + 1) // 2, budget)
+    top = cutoff - table.height
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, top)
     # Stop masses are integers over base * den**depth.  The walk prunes where
     # both prefix vectors vanish: every word below has zero mass on both sides.
     below: defaultdict[int, int] = defaultdict(int)
     at_least: defaultdict[int, int] = defaultdict(int)
     count = 0
     try:
-        for path, vec in walk_prefixes(root, step, budget):
+        for path, vec in walk_prefixes(root, step):
+            depth = len(path)
             count += 1
+            if budget is not None and count > budget:
+                raise _over_budget(budget, count, depth)
             s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
             if s1 < s2:
-                below[len(path)] += s1
+                below[depth] += s1
             else:
-                at_least[len(path)] += s2
+                at_least[depth] += s2
+            if depth < top or not table.lives:
+                continue
+            # The subtree of v: the suffixes live on v's support, in the
+            # walk's preorder.  A suffix dead on the support has g_w zero
+            # there, so summing over every entry adds only zeros for it.
+            v1, v2, mask = [0] * n, [0] * n, 0
+            for i, x in vec.items():
+                if i < n:
+                    v1[i] = x
+                else:
+                    v2[i - n] = x
+                mask |= 1 << (i % n)
+            reached = table.reached(mask)
+            if budget is not None and count + reached > budget:
+                raise _over_budget(budget, budget + 1, top + table.depth_of(mask, budget - count))
+            count += reached
+            masses1 = _combine(v1, table.columns)
+            masses2 = _combine(v2, table.columns)
+            if masses1 is None or masses2 is None:
+                continue  # one side is zero below v: every mass filed is 0
+            lower = list(map(lt, masses1, masses2))
+            for d, (lo, hi) in enumerate(table.spans, top + 1):
+                below[d] += sum(itertools.compress(masses1[lo:hi], lower[lo:hi]))
+                at_least[d] += sum(itertools.compress(masses2[lo:hi], map(not_, lower[lo:hi])))
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"{exc} (length cutoff {cutoff})",

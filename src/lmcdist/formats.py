@@ -50,7 +50,8 @@ from .automata import Nfa, Pa
 from .errors import DomainError, ParseError
 from .model import InitialDistribution, Lmc, Word, validate
 
-_PROB_RE = re.compile(r"^\d+(/\d+)?$")
+#: The documented probability strings: ASCII digits, at most one "/", nothing else.
+_PROB_RE = re.compile(r"[0-9]+(/[0-9]+)?")
 
 #: Name of the empty word in command-line input and text reports.
 EMPTY_WORD_MARK = "ε"
@@ -70,7 +71,7 @@ def parse_prob(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         prob = Fraction(value)
     elif isinstance(value, str):
-        if not _PROB_RE.match(value):
+        if not _PROB_RE.fullmatch(value):
             raise ParseError(
                 f"{where}: {value!r} is not a probability; write it as "
                 f'"num/den" or an integer string'

@@ -23,9 +23,10 @@ Contents:
   search: one entry per distinct prefix vector per depth, weighted by how
   many words reach it.
 * ``walk_prefixes`` -- the depth-first walk, one node per word, kept for the
-  exhaustive-subset oracle (an independent route) and the bounded estimator,
-  whose cyclic chains merge few vectors, so one path takes less memory than
-  a whole layer.
+  exhaustive-subset oracle (an independent route) and the top half of the
+  bounded estimator's tree, whose cyclic chains merge few vectors, so one
+  path takes less memory than a whole layer; the estimator reads the bottom
+  half from a table of suffix stop vectors (``approx._SuffixTable``).
 * Both walk integer vectors over a common denominator (``Lmc.integer_form``);
   ``depth_total`` reads per-depth sums out as one Fraction.
 * ``eliminate`` -- the one fraction-free elimination on the same integer
@@ -413,8 +414,9 @@ def eliminate(vec: dict[int, int], echelon: list[tuple[int, dict[int, int]]]) ->
 # reduction instances of the paper thousands of words collapse to a few
 # hundred entries.  ``walk_prefixes`` visits every word and holds only the
 # current path: it stays for the subset oracle, an independent route, and for
-# the bounded estimator, whose cyclic chains merge few vectors while a layer
-# of their prefix tree grows with the alphabet at every depth.
+# the top half of the bounded estimator's tree, whose cyclic chains merge few
+# vectors while a layer of their prefix tree grows with the alphabet at every
+# depth.
 
 
 def walk_prefixes(

@@ -9,14 +9,26 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 from lmcdist import InitialDistribution, Lmc, Nfa, Pa, disjoint_union
-from lmcdist.approx import ln_upper
-from lmcdist.errors import DomainError, LengthExceededError, ParseError
+from lmcdist.approx import BoundedEstimate, length_bound, ln_upper
+from lmcdist.errors import BudgetExceededError, DomainError, LengthExceededError, ParseError
+from lmcdist.exact import DEFAULT_NODE_BUDGET, _pair_start
+from lmcdist.floatk import precision_for
 from lmcdist.formats import _WEIGHTED, _expect_dict, _expect_keys, _expect_names, _expect_str, parse_prob
-from lmcdist.model import ONE, ZERO, advance, as_fraction, check_distribution, sparse_matrices, stop_mass
+from lmcdist.model import (
+    ONE,
+    ZERO,
+    advance,
+    as_fraction,
+    check_distribution,
+    depth_total,
+    sparse_matrices,
+    stop_mass,
+    walk_prefixes,
+)
 
 # ---------------------------------------------------------------------------
 # Hand-built fixtures
@@ -193,7 +205,7 @@ def random_acyclic_lmc(
     edges stops with probability 1, so validity is guaranteed."""
     n = rng.randint(2, max_states)
     states = [f"s{i}" for i in range(n)]
-    alphabet = ("a", "b")[:n_labels]
+    alphabet = ("a", "b", "c")[:n_labels]
     transitions = []
     eow = {}
     for i in range(n):
@@ -220,7 +232,7 @@ def random_cyclic_lmc(
     stopping probability, so validity is guaranteed."""
     n = rng.randint(2, max_states)
     states = [f"s{i}" for i in range(n)]
-    alphabet = ("a", "b")[:n_labels]
+    alphabet = ("a", "b", "c")[:n_labels]
     transitions = []
     eow = {}
     for i in range(n):
@@ -685,6 +697,60 @@ def reference_pair_nodes(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistrib
         frontier = [(n1, n2) for n1, n2 in children if any(n1) or any(n2)]
     return total
 
+
+def reference_tv_bounded(
+    lmc: Lmc,
+    pi1: InitialDistribution,
+    pi2: InitialDistribution,
+    epsilon: Fraction | int,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> BoundedEstimate:
+    """``approx.tv_bounded`` as it was before it read the bottom levels of
+    the prefix tree from a suffix table: one depth-first walk over every
+    word up to the cutoff, each node advanced and both stop masses taken on
+    its own.  The body is unchanged."""
+    epsilon = as_fraction(epsilon, "epsilon")
+    if epsilon <= 0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    check_distribution(lmc, pi1, "first initial distribution")
+    check_distribution(lmc, pi2, "second initial distribution")
+    tail_budget = epsilon / 4
+    rounding_budget = epsilon / 8
+    cutoff = length_bound(lmc, tail_budget)
+    precision = precision_for(cutoff, lmc.n_states, rounding_budget)
+    den = lmc.integer_form[0]
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, cutoff)
+    # Stop masses are integers over base * den**depth.  The walk prunes where
+    # both prefix vectors vanish: every word below has zero mass on both sides.
+    below: defaultdict[int, int] = defaultdict(int)
+    at_least: defaultdict[int, int] = defaultdict(int)
+    count = 0
+    try:
+        for path, vec in walk_prefixes(root, step, budget):
+            count += 1
+            s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
+            if s1 < s2:
+                below[len(path)] += s1
+            else:
+                at_least[len(path)] += s2
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{exc} (length cutoff {cutoff})",
+            nodes_visited=exc.nodes_visited,
+            depth=exc.depth,
+        ) from None
+    mass1_lt = depth_total(below, base, den)
+    mass2_ge = depth_total(at_least, base, den)
+    return BoundedEstimate(
+        estimate=1 - mass1_lt - mass2_ge,
+        mass1_lt=mass1_lt,
+        mass2_ge=mass2_ge,
+        length_cutoff=cutoff,
+        precision=precision,
+        tail_budget=tail_budget,
+        rounding_budget=rounding_budget,
+        words_enumerated=count,
+    )
 
 # ---------------------------------------------------------------------------
 # The strict chain loader as it was before the one-pass checks: every record

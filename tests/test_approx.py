@@ -24,7 +24,7 @@ from lmcdist import (
     word_probability,
 )
 from lmcdist import floatk
-from lmcdist.approx import BitStream
+from lmcdist.approx import BitStream, _SuffixTable
 from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
 from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
 
@@ -342,3 +342,13 @@ def test_bounded_walk_keeps_floats_in_relative_band():
             for exact, fp in ((p1, model.stop_mass(f1)), (p2, model.stop_mass(f2))):
                 assert (exact == 0) == fp.is_zero
                 assert exact * (1 - theta) <= fp.value <= exact * (1 + theta)
+
+
+def test_suffix_table_grows_while_it_holds_at_most_budget_entries():
+    # From q1 of the worked example every word over {a, b} is live, so level
+    # d holds 2**d entries and levels 0..6 hold 127 with the empty word.
+    union, _, _ = worked_example_union()
+    for budget, height in [(None, 6), (127, 6), (126, 5), (63, 5), (62, 4), (1, 0)]:
+        table = _SuffixTable(union, 6, budget)
+        assert table.height == height
+        assert len(table.lives) == 2 ** (height + 1) - 2

@@ -17,7 +17,7 @@ import pytest
 import lmcdist
 from lmcdist.cli import main
 from lmcdist.errors import ParseError
-from lmcdist.formats import InputFile, decimal15, load_lmc, load_nfa, load_pa
+from lmcdist.formats import InputFile, decimal15, load_lmc, load_nfa, load_pa, parse_prob
 
 CHAIN = {
     "states": ["s", "t"],
@@ -334,3 +334,22 @@ def test_a_bool_or_float_is_not_taken_for_an_equal_int(tmp_path, monkeypatch, va
     with pytest.raises(ParseError) as exc:
         load_lmc(_write(tmp_path, monkeypatch, data))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", ["1/2\n", "\u0661/\u0662", "\uff11", "1/2 "])
+def test_a_probability_string_is_ascii_digits_and_nothing_else(value):
+    # A trailing newline and non-ASCII decimal digits are not the "num/den"
+    # form, though a looser pattern and Fraction would both read them.
+    with pytest.raises(ParseError) as info:
+        parse_prob(value, "here")
+    assert str(info.value) == (
+        f'here: {value!r} is not a probability; write it as "num/den" or an integer string'
+    )
+
+
+def test_num_den_and_integer_strings_still_parse():
+    assert parse_prob("1/2", "here") == Fraction(1, 2)
+    assert parse_prob("1", "here") == 1
+    # "3" has the documented form; only the range check refuses it.
+    with pytest.raises(ParseError, match=r"^here: probability 3 is outside \[0, 1\]$"):
+        parse_prob("3", "here")

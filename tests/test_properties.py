@@ -54,6 +54,7 @@ from helpers import (
     reference_draw,
     reference_equivalent,
     reference_solve,
+    reference_tv_bounded,
     relabeled_copy,
     reference_acceptance_probability,
     reference_bounded_classes,
@@ -457,6 +458,49 @@ def test_bounded_classifies_every_word_exactly(seed, kind, eps):
         distance = tv_distance_acyclic(lmc, pi1, pi2).distance
         assert est.estimate - tail <= distance <= est.estimate
 
+
+def _bounded_instance(kind, rng):
+    """A random pair of starts on a cyclic, acyclic or three-letter chain, or
+    on a cyclic chain next to an acyclic one, whose rows die out while the
+    cyclic part's stay live."""
+    if kind == "cyclic":
+        lmc = random_cyclic_lmc(rng)
+    elif kind == "acyclic":
+        lmc = random_acyclic_lmc(rng)
+    elif kind == "three-letter":
+        lmc = random_cyclic_lmc(rng, max_states=3, n_labels=3)
+    else:
+        cyclic, acyclic = random_cyclic_lmc(rng, max_states=3), random_acyclic_lmc(rng, max_states=4)
+        lmc, _, _ = disjoint_union(
+            cyclic, random_distribution(rng, cyclic), acyclic, random_distribution(rng, acyclic)
+        )
+    return lmc, random_distribution(rng, lmc), random_distribution(rng, lmc)
+
+
+def _bounded_outcome(estimator, *args, **kwargs):
+    try:
+        return estimator(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return str(exc), exc.nodes_visited, exc.depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(["cyclic", "acyclic", "three-letter", "dying"]))
+def test_bounded_matches_full_walk_at_every_budget(seed, kind):
+    # Reading the bottom levels from the suffix table changes neither the
+    # result nor where a budget stops the walk: every budget from 1 to the
+    # node count gives the full walk's message, node count and depth.
+    rng = random.Random(seed)
+    lmc, pi1, pi2 = _bounded_instance(kind, rng)
+    eps = Fraction(1, 8)
+    while length_bound(lmc, eps / 4) > (4 if kind == "three-letter" else 7):
+        eps *= 2
+    assert tv_bounded(lmc, pi1, pi2, eps) == reference_tv_bounded(lmc, pi1, pi2, eps)
+    while (nodes := reference_tv_bounded(lmc, pi1, pi2, eps).words_enumerated) > 120:
+        eps *= 2
+    for budget in range(1, nodes + 2):
+        got = _bounded_outcome(tv_bounded, lmc, pi1, pi2, eps, budget)
+        assert got == _bounded_outcome(reference_tv_bounded, lmc, pi1, pi2, eps, budget)
 
 def _chain_of_kind(kind, rng):
     """A random acyclic or cyclic chain, or a cyclic one broken on purpose:
