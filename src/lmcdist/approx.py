@@ -22,26 +22,33 @@ distributions of two starting points:
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
 approximation in the statistical estimator is the finite sample size.  The
-integer thresholds of every choice are computed once per sampler, together
-with a lookup list indexed by the top (at most ``_LOOKUP_BITS``) bits of the
-choice's first read, which names the outcome whenever those bits decide it.
-All of a side's words are drawn in one loop (``_Sampler.tally``) that keeps
-the bit stream's buffer in locals and returns how often each word was drawn;
-it consumes exactly the bits of a one-choice-at-a-time refinement, so a seed
-replays the same words and estimates.  The tables are built from the chain's
-integer form (``Lmc.integer_form``), but each is reduced to the least
-denominator of its own outcomes (``_Sampler._table``), not kept over the
-chain's, because another total would change the bits a seed draws.  Each
-distinct word drawn on either side is classified once, by the sign of its
-integer (p1 - p2) stop mass; the words are walked in sorted order, so each
-distinct prefix is advanced once.  The logarithms needed for sample sizes and
-fallback length bounds are certified rational upper bounds (truncated series
-plus an explicit remainder term), so every derived count errs on the safe
-side.
+integer thresholds of every choice are computed once per call, together with a
+lookup list indexed by the top (at most ``_LOOKUP_BITS``) bits of the choice's
+first read, which names the outcome whenever those bits decide it.  Each node
+(the start, or a state) also gets, on its first visit in a call that draws
+more than one word, a window table indexed by the next ``_LOOKUP_BITS`` bits
+of the stream, whose entry names every choice those bits decide, so one index
+often draws a whole word; it holds at most 2**8 entry references, plus at most
+2**8 - 1 in the narrower tables it is joined from, and equal entries are one
+object.  The state windows depend only on the chain, so both sides of a call
+share them; nothing is kept between calls.  All of a side's words are drawn in
+one loop (``_Sampler.tally``) that keeps the bit stream's buffer in locals and
+returns how often each word was drawn; it consumes exactly the bits of a
+one-choice-at-a-time refinement, so a seed replays the same words and
+estimates.  The tables are built from the chain's integer form
+(``Lmc.integer_form``), but each is reduced to the least denominator of its
+own outcomes (``_Sampler._table``), not kept over the chain's, because another
+total would change the bits a seed draws.  Each distinct word drawn on either
+side is classified once, by the sign of its integer (p1 - p2) stop mass; the
+words are walked in sorted order, so each distinct prefix is advanced once.
+The logarithms needed for sample sizes and fallback length bounds are
+certified rational upper bounds (truncated series plus an explicit remainder
+term), so every derived count errs on the safe side.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -126,13 +133,18 @@ def ln_upper(x: Fraction | int, terms: int = _LN_TERMS) -> Fraction:
 
 class BitStream:
     """A buffered stream of pseudo-random bits from a fixed, documented
-    generator (Mersenne Twister), so seeded runs replay identically."""
+    generator (Mersenne Twister), so seeded runs replay identically.
+
+    The seed must be a nonnegative int: ``random.Random`` seeds with the
+    absolute value, so a negative seed would replay its positive twin."""
 
     algorithm = "mt19937"
 
     __slots__ = ("seed", "_rng", "_buffer", "_available", "bits_consumed")
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise DomainError(f"seed must be a nonnegative int, got {seed!r}")
         self.seed = seed
         self._rng = random.Random(seed)
         self._buffer = 0
@@ -155,7 +167,8 @@ class BitStream:
         return self.bits(1)
 
 
-#: Bits of a first read that index a table's lookup list (2**8 entries at most).
+#: Bits of a first read that index a table's lookup list, and bits of the
+#: stream that index a window table (2**8 entries at most, either way).
 _LOOKUP_BITS = 8
 
 
@@ -190,20 +203,32 @@ class _Sampler:
     straddles one bound, and then each further bit halves it until it fits.
     Power-of-two totals always decide on the first read; a one-outcome table
     reads nothing.  Each table also carries its ``_first_read_lookup``, so a
-    first read whose top bits decide the bucket costs one list index; the
-    rest take the bisection and refinement, and the bits read are the same
-    either way.
+    first read whose top bits decide the bucket costs one list index.
+
+    On top of that, each node (the start, or a state) has a window table
+    indexed by the next ``_LOOKUP_BITS`` bits of the stream.  Its entry
+    ``(labels, letters, bits, next)`` names every choice those bits decide,
+    in order: the node's outcome on each value, by the same first read and
+    refinement (``_decided``), joined to the successor's table for the bits
+    left (``_decode``), so one index often draws a whole word; ``next`` is
+    the state to go on from, or -1 after a stop.  Where the window decides
+    no choice (the bits run out first, or the table is wider than the
+    window) or the entry has more letters than the cap leaves, the draw
+    takes one choice the slow way: the lookup, then bisection and
+    refinement.  The bits read are the same either way.  A state's window
+    is built on its first visit by a ``tally`` of more than one word, with
+    the narrower tables of its successors that it joins (``_window``); a
+    node holds at most 2**8 entry references in its window and at most
+    2**8 - 1 in its narrower tables, and equal entries are one object.  The
+    state tables and windows depend only on the chain, so ``from_start``
+    shares them between starts; nothing outlives the sampler.
     """
 
     def __init__(self, lmc: Lmc, pi: InitialDistribution):
         check_distribution(lmc, pi)
-        # Outcomes: (None, state) at the start, then None = stop or
-        # (label, target) per state.
-        den_pi = common_denominator(pi.weights)
-        start = scale(pi.weights, den_pi)
-        self._start = self._table(
-            [(None, i) for i in start], list(start.values()), den_pi, "the initial distribution"
-        )
+        self._lmc = lmc
+        self._start_from(pi)
+        # Outcomes: None = stop or (label, target) per state.
         den, rows, eow = lmc.integer_form
         self._tables = []
         for i in range(lmc.n_states):
@@ -218,8 +243,32 @@ class _Sampler:
                         outs.append((label, j))
                         weights.append(x)
             self._tables.append(self._table(outs, weights, den, f"state {lmc.states[i]!r}"))
-        self._start_step = self._step(self._start)
         self._steps = [self._step(table) for table in self._tables]
+        # An unbuilt window reads None everywhere, which sends the draw loop
+        # to the one-choice path; a tally of more than one word builds it
+        # there.
+        self._unbuilt = [None] * (1 << _LOOKUP_BITS)
+        self._windows = [self._unbuilt] * lmc.n_states
+        self._decoded: dict[tuple[int, int], list] = {}
+        self._entries: dict[tuple, tuple] = {}
+
+    def _start_from(self, pi: InitialDistribution) -> None:
+        # Outcomes: (None, state).
+        den_pi = common_denominator(pi.weights)
+        start = scale(pi.weights, den_pi)
+        self._start = self._table(
+            [(None, i) for i in start], list(start.values()), den_pi, "the initial distribution"
+        )
+        self._start_step = self._step(self._start)
+        self._start_window = None
+
+    def from_start(self, pi: InitialDistribution) -> _Sampler:
+        """A sampler of the same chain from ``pi``, sharing this one's state
+        tables, windows and entries."""
+        check_distribution(self._lmc, pi)
+        other = copy.copy(self)
+        other._start_from(pi)
+        return other
 
     @staticmethod
     def _table(outs: list, weights: list[int], den: int, where: str) -> tuple:
@@ -253,6 +302,79 @@ class _Sampler:
         top = min(width, _LOOKUP_BITS)
         return outs, lookup, width, width - top, (1 << top) - 1, table
 
+    def _window(self, state: int, r: int = _LOOKUP_BITS) -> list:
+        """The ``r``-bit table of ``state`` (memoized): ``_decode`` of its
+        step, joined to its successors' tables unless it reads 0 bits."""
+        table = self._decoded.get((state, r))
+        if table is None:
+            step = self._steps[state]
+            table = self._decoded[state, r] = self._decode(step, r, step[2] > 0)
+        return table
+
+    @staticmethod
+    def _decided(table: tuple, r: int) -> list[tuple[int, int]]:
+        """The choice of ``table`` on each r-bit value, in order, as runs
+        ``(bits, outcome)``: the values whose first ``bits`` bits decide
+        ``outcome`` by the draw loop's refinement, or a single value with
+        outcome -1 that leaves it undecided."""
+        _, uppers, total, width, _ = table
+        if total == 1:
+            return [(0, 0)]
+        runs = []
+
+        def refine(read: int, shift: int) -> None:
+            lo = read * total
+            i = bisect_right(uppers, lo >> shift)
+            if lo + total <= uppers[i] << shift:
+                runs.append((shift, i))
+            elif shift == r:
+                runs.append((r, -1))
+            else:
+                refine(read << 1, shift + 1)
+                refine(read << 1 | 1, shift + 1)
+
+        for read in range(1 << width):
+            refine(read, width)
+        return runs
+
+    def _decode(self, step: tuple, r: int, follow: bool) -> list:
+        """Entry v, for each r-bit value v of the stream: the choices v
+        decides from ``step`` on, as one interned ``(labels, letters, bits,
+        next)``, or None where v does not decide the first one.  With
+        ``follow`` the first outcome is joined to the successor's table for
+        the bits left; without it (a one-outcome state, so that a cycle of
+        them ends) the entry stops at the successor."""
+        outs, width, table = step[0], step[2], step[5]
+        if width > r:
+            return [None] * (1 << r)
+        intern = self._entries.setdefault
+        entries: list = []
+        for used, i in self._decided(table, r):
+            size = 1 << (r - used)
+            if i < 0:
+                entries.append(None)
+                continue
+            pick = outs[i]
+            if pick is None:
+                stop = ((), 0, used, -1)
+                entries += [intern(stop, stop)] * size
+                continue
+            label, target = pick
+            head = () if label is None else (label,)
+            letters = len(head)
+            previous = joined = None
+            for entry in self._window(target, r - used) if follow else [None] * size:
+                if joined is None or entry is not previous:
+                    previous = entry
+                    if entry is None:
+                        joined = (head, letters, used, target)
+                    else:
+                        labels, n, bits, end = entry
+                        joined = (head + labels, letters + n, used + bits, end)
+                    joined = intern(joined, joined)
+                entries.append(joined)
+        return entries
+
     def tally(self, stream: BitStream, max_len: int, count: int) -> dict[tuple[str, ...], int]:
         """Draw ``count`` words; return how often each was drawn.
 
@@ -261,6 +383,11 @@ class _Sampler:
         up to that letter.
         """
         check_length(max_len, "word length cap")
+        # A window costs far more to build than one draw saves, so a single
+        # draw builds none and takes the one-choice path throughout.
+        build = count > 1
+        if build and self._start_window is None:
+            self._start_window = self._decode(self._start_step, _LOOKUP_BITS, True)
         # The stream's buffer lives in locals for all the draws and is written
         # back on the way out; ``drawn`` counts every bit that entered it, so
         # the bits used are ``drawn - avail``.
@@ -268,14 +395,41 @@ class _Sampler:
         buf = stream._buffer
         avail = drawn = stream._available
         steps = self._steps
+        windows = self._windows
+        unbuilt = self._unbuilt
+        start = unbuilt if self._start_window is None else self._start_window
         first = self._start_step
+        bits = _LOOKUP_BITS
+        mask = (1 << bits) - 1
         counts: dict[tuple[str, ...], int] = {}
         try:
             for _ in range(count):
-                outs, lookup, width, drop, top_mask, table = first
-                word: list[str] = []
+                win = start
+                node = -1
+                word: tuple[str, ...] = ()
                 room = max_len
                 while True:
+                    if avail < bits:
+                        buf = (buf & ((1 << avail) - 1)) << 64 | getrandbits(64)
+                        avail += 64
+                        drawn += 64
+                    entry = win[buf >> (avail - bits) & mask]
+                    if entry is not None:
+                        labels, n, used, target = entry
+                        if n <= room:
+                            avail -= used
+                            room -= n
+                            word += labels
+                            if target < 0:
+                                break
+                            node = target
+                            win = windows[target]
+                            continue
+                    if win is unbuilt and build:
+                        win = windows[node] = self._window(node)
+                        continue
+                    # One choice at ``node``.
+                    outs, lookup, width, drop, top_mask, table = steps[node] if node >= 0 else first
                     while avail < width:
                         buf = (buf & ((1 << avail) - 1)) << 64 | getrandbits(64)
                         avail += 64
@@ -302,17 +456,16 @@ class _Sampler:
                     pick = outs[i]
                     if pick is None:
                         break
-                    label, target = pick
+                    label, node = pick
                     if label is not None:
-                        word.append(label)
+                        word += (label,)
                         room -= 1
                         if room < 0:
                             raise LengthExceededError(
-                                f"trajectory exceeded {max_len} letters", prefix=tuple(word)
+                                f"trajectory exceeded {max_len} letters", prefix=word
                             )
-                    outs, lookup, width, drop, top_mask, table = steps[target]
-                key = tuple(word)
-                counts[key] = counts.get(key, 0) + 1
+                    win = windows[node]
+                counts[word] = counts.get(word, 0) + 1
         finally:
             stream._buffer = buf & ((1 << avail) - 1)
             stream._available = avail
@@ -389,10 +542,12 @@ def tv_sample_acyclic(
     """Estimate the distance to within epsilon with confidence 1 - delta.
 
     Draws ``sample_count(epsilon, delta)`` words from each start with the
-    exact sampler, one ``_Sampler.tally`` call per side, classifies each
-    distinct drawn word once by the sign of p1 - p2, computed exactly in
-    integers, and combines the two empirical fractions.  One seeded bit
-    stream drives both sides, so a fixed seed replays exactly.
+    exact sampler, one ``_Sampler.tally`` call per side (the second side
+    reuses the first's state windows through ``from_start``), classifies
+    each distinct drawn word once by the sign of p1 - p2, computed exactly
+    in integers, and combines the two empirical fractions.  One seeded bit
+    stream drives both sides, so a fixed seed replays exactly; the seed is
+    a nonnegative int.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -400,8 +555,9 @@ def tv_sample_acyclic(
     m = sample_count(epsilon, delta)
     horizon = max_support_length(lmc)
     stream = BitStream(seed)
-    tally1 = _Sampler(lmc, pi1).tally(stream, horizon, m)
-    tally2 = _Sampler(lmc, pi2).tally(stream, horizon, m)
+    sampler = _Sampler(lmc, pi1)
+    tally1 = sampler.tally(stream, horizon, m)
+    tally2 = sampler.from_start(pi2).tally(stream, horizon, m)
     # After a word w, the stop mass of diff has the sign of p1(w) - p2(w);
     # ties count as not below.
     _, rows, eow = lmc.integer_form

@@ -148,9 +148,13 @@ def _seed(text: str) -> int | None:
     if text == "random":
         return None
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise ValueError(f"seed must be an integer or 'random', got {text!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        # random.Random seeds with abs(seed): -5 would replay seed 5.
+        raise ValueError(f"seed must be a nonnegative integer or 'random', got {text!r}")
+    return seed
 
 
 def _load_chain(report: Report, path: str, strict: bool = True) -> Lmc:
@@ -538,7 +542,7 @@ def build_parser() -> _Parser:
         "--seed",
         type=_seed,
         default=DEFAULT_SEED,
-        help="integer seed or 'random' (default %(default)s)",
+        help="nonnegative integer seed or 'random' (default %(default)s)",
     )
 
     p = command(

@@ -24,7 +24,7 @@ from lmcdist import (
     word_probability,
 )
 from lmcdist import floatk
-from lmcdist.approx import BitStream, _SuffixTable
+from lmcdist.approx import BitStream, _Sampler, _SuffixTable
 from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
 from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
 
@@ -99,6 +99,18 @@ def test_bitstream_refuses_a_bad_count_and_stays_intact():
     assert stream.bits(64) == fresh.bits(64)
 
 
+def test_bitstream_refuses_a_negative_or_bool_seed():
+    # random.Random seeds with abs(seed): BitStream(-5) would replay
+    # BitStream(5).  True and False would pass as the ints 1 and 0.
+    for bad in (-5, -1, True, False, 1.0, "5"):
+        with pytest.raises(DomainError, match="seed"):
+            BitStream(bad)
+    lmc, pi1, pi2 = half_distance_instance()
+    with pytest.raises(DomainError, match="seed"):
+        tv_sample_acyclic(lmc, pi1, pi2, Fraction(1, 4), Fraction(1, 4), seed=-5)
+    assert BitStream(0).bits(64) != BitStream(1).bits(64)
+
+
 def test_sample_word_distribution_on_fixture():
     lmc, pi1, _ = half_distance_instance()
     stream = BitStream(42)
@@ -156,6 +168,38 @@ def test_sample_word_rejects_a_bad_length_before_drawing():
         with pytest.raises(DomainError, match="word length cap"):
             sample_word(lmc, pi1, stream, bad)
     assert stream.bits_consumed == 0
+
+
+def test_window_entries_are_interned_and_built_on_a_first_visit():
+    # u and v have equal tables (stop, or a or b to t, in thirds), so their
+    # windows share entries; w is never reached and gets no window, and a
+    # single draw builds none.
+    third = Fraction(1, 3)
+    lmc = Lmc.from_transitions(
+        ["u", "v", "t", "w"],
+        ["a", "b"],
+        [(s, x, "t", third) for s in ("u", "v") for x in ("a", "b")] + [("w", "a", "t", 1)],
+        {"u": third, "v": third, "t": 1},
+    )
+    pi = InitialDistribution.from_map(lmc, {"u": Fraction(1, 2), "v": Fraction(1, 2)})
+    sampler = _Sampler(lmc, pi)
+    sampler.draw(BitStream(2), 2)
+    assert sampler._start_window is None and not sampler._decoded
+    other = sampler.from_start(InitialDistribution.dirac(lmc, "v"))
+    sampler.tally(BitStream(3), 2, 200)
+    other.tally(BitStream(4), 2, 200)
+    u, v, _, w = range(4)
+    assert sampler._windows is other._windows and sampler._decoded is other._decoded
+    assert sampler._windows[w] is sampler._unbuilt
+    assert w not in {state for state, _ in sampler._decoded}
+    assert sampler._window(u) is not sampler._window(v)
+    assert all(x is y for x, y in zip(sampler._window(u), sampler._window(v), strict=True))
+    seen = {}
+    for table in [sampler._start_window, other._start_window, *sampler._decoded.values()]:
+        for entry in table:
+            if entry is not None:
+                assert seen.setdefault(entry, entry) is entry
+    assert len(seen) == len(sampler._entries)
 
 
 def test_sampled_words_match_model_probabilities():

@@ -308,6 +308,20 @@ def test_random_seed_is_recorded_and_replayable(half_files, capsys):
     assert replay == out
 
 
+def test_negative_seed_is_rejected_like_a_malformed_one(half_files, capsys):
+    # random.Random seeds with abs(seed), so -5 would replay seed 5 under
+    # another name: it is refused as malformed input, as "abc" is.
+    for bad in ("-5", "-1", "abc"):
+        code, out, err = run(
+            capsys, "sample", *half_files, "--eps", "1/10", "--delta", "1/20", "--seed", bad,
+        )
+        assert (code, out) == (3, "") and "--seed" in err
+    code, out, _ = run(
+        capsys, "sample", *half_files, "--eps", "1/10", "--delta", "1/20", "--seed", "0",
+    )
+    assert code == 0 and "# param seed = 0" in out
+
+
 def test_bounded_cli_on_cyclic_union(tmp_path, capsys):
     union, u1, u2 = worked_example_union()
     chain = tmp_path / "union.json"

@@ -279,6 +279,79 @@ def test_tally_matches_reference_draws(seed, kind, count):
     assert stream.bits(64) == ref.bits(64)
 
 
+#: Totals of the window tests' tables: small, just past the 8-bit window,
+#: powers of two, and near 2**80.
+window_totals = st.one_of(
+    st.integers(2, 40),
+    st.integers(2**8, 2**12),
+    st.integers(1, 80).map(lambda k: 2**k),
+    st.integers(2**80 - 8, 2**80 + 8),
+)
+
+
+@st.composite
+def window_parts(draw, k):
+    """``k`` positive probabilities summing to 1: just 1 for one outcome,
+    else a cut of a total drawn from ``window_totals``."""
+    if k == 1:
+        return [Fraction(1)]
+    total = draw(window_totals.filter(lambda t: t >= k))
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    bounds = [0, *sorted(cuts), total]
+    return [Fraction(b - a, total) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def window_chains(draw):
+    """A chain of 1-4 states, cycles allowed, and two starts.  A state has
+    1-4 outcomes among the stop and every (letter, state); with one outcome
+    it reads 0 bits, so such states sit in the middle of words and on
+    cycles."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+    alphabet = ("a", "b", "c")
+    outcomes = [None, *itertools.product(alphabet, states)]
+    transitions, eow = [], {}
+    for state in states:
+        k = draw(st.integers(1, 4))
+        picks = draw(st.lists(st.sampled_from(outcomes), min_size=k, max_size=k, unique=True))
+        for pick, p in zip(picks, draw(window_parts(k))):
+            if pick is None:
+                eow[state] = p
+            else:
+                transitions.append((state, pick[0], pick[1], p))
+    lmc = Lmc.from_transitions(states, alphabet, transitions, eow)
+
+    def start():
+        support = draw(st.lists(st.sampled_from(states), min_size=1, max_size=4, unique=True))
+        weights = draw(window_parts(len(support)))
+        return InitialDistribution.from_map(lmc, dict(zip(support, weights)))
+
+    return lmc, start(), start()
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_chains(), seeds, st.integers(0, 70), st.integers(0, 40), st.integers(1, 30))
+def test_window_tables_draw_what_the_reference_draws(case, seed, offset, cap, count):
+    # Both starts draw through one set of shared state windows.  Totals past
+    # the window, 0-bit states, caps inside a window and stream offsets that
+    # put windows across the 64-bit refill all read the reference's bits.
+    lmc, pi1, pi2 = case
+    stream, ref = BitStream(seed), BitStream(seed)
+    assert stream.bits(offset) == ref.bits(offset)
+    sampler = _Sampler(lmc, pi1)
+    for current, pi in ((sampler, pi1), (sampler.from_start(pi2), pi2)):
+        try:
+            expected = Counter(reference_draw(lmc, pi, ref, cap) for _ in range(count))
+        except LengthExceededError as exc:
+            with pytest.raises(LengthExceededError) as got:
+                current.tally(stream, cap, count)
+            assert got.value.prefix == exc.prefix
+        else:
+            assert current.tally(stream, cap, count) == expected
+        assert stream.bits_consumed == ref.bits_consumed
+    assert stream.bits(64) == ref.bits(64)
+
+
 def _reference_estimate(lmc, pi1, pi2, epsilon, delta, seed):
     """(estimate, p_hat_1, p_hat_2) from reference draws and Fraction
     comparisons of ``word_probability``."""
