@@ -14,10 +14,12 @@ distributions of two starting points:
   stop masses.  The exact masses of the two classes then pin the distance to
   within epsilon/2 (only the cut tail is unknown), with no randomness and no
   cycle restriction.  The package's depth-first walk covers the top half of
-  the prefix tree; each node at its bottom reads the rest from a table of
-  suffix stop vectors (``_SuffixTable``), two dot products per word.  It
-  holds O(depth) vectors plus at most min(budget, |alphabet|**h) table
-  entries of n integers, h = ceil(cutoff/2).
+  the prefix tree; each node at its bottom files its whole subtree with a
+  few big-integer operations on a table of suffix stop vectors
+  (``_SuffixTable``), packed as one integer per state with one fixed-width
+  field per suffix.  It holds O(depth) vectors, the n packed integers of at
+  most min(budget, |alphabet|**h) fields each, h = ceil(cutoff/2), and a few
+  temporaries of the same size per node.
 
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
@@ -56,7 +58,6 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt, not_
 from typing import Iterator
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
@@ -659,32 +660,33 @@ class BoundedEstimate:
 
 
 class _SuffixTable:
-    """Stop vectors of every suffix up to ``height`` letters, by level.
+    """Stop vectors of every suffix up to ``height`` letters, packed by state.
 
     For a word w, M_w is the product of its letters' integer rows (over
     L**len(w)) and g_w = M_w * eow its per-state stop vector, integers over
-    L**(len(w)+1).  Level d holds the words of length d with a nonzero row of
-    M_w, in the slice ``spans[d-1]`` of ``columns[i]`` (g_w[i] for state i)
-    and ``lives`` (the bitmask of states whose row is nonzero).  Level d+1
-    comes from level d without any M_w: g_aw = M_a * g_w, as in
-    ``model.state_tails``, and state i is live in a.w when one of its
-    a-successors is live in w.
+    L**(len(w)+1).  The entries are the words of length 1..height with a
+    nonzero row of M_w, level by level; ``lives[k]`` is entry k's bitmask of
+    states whose row is nonzero.  Level d+1 comes from level d without any
+    M_w: g_aw = M_a * g_w, as in ``model.state_tails``, and state i is live
+    in a.w when one of its a-successors is live in w.
 
     The table grows a level at a time while it holds at most ``budget``
     entries (the empty word included), so ``height`` may come out lower than
     asked; it stops early, keeping ``height``, at an empty level, since every
-    longer word is dead too.
+    longer word is dead too.  ``pack`` then lays each state's column out as
+    one integer of at most min(budget, |alphabet|**height) fields and drops
+    the level lists, so the table keeps n such integers and the masks.
     """
 
     def __init__(self, lmc: Lmc, height: int, budget: int | None):
-        _, rows, eow = lmc.integer_form
+        den, rows, eow = lmc.integer_form
         n = lmc.n_states
         self._successors = [[sum(1 << j for j, _ in row) for row in label_rows] for label_rows in rows]
         self._live_before: list[dict[int, int]] = [{} for _ in rows]
         self._reached: dict[int, int] = {}
-        self.columns: list[list[int]] = [[] for _ in range(n)]
+        self._den, self._rows = den, rows
+        self._levels: list[list[list[int]]] = []
         self.lives: list[int] = []
-        self.spans: list[tuple[int, int]] = []
         level, lives = [[e] for e in eow], [(1 << n) - 1]
         for depth in range(1, height + 1):
             children = list(self._children(lives))
@@ -705,14 +707,54 @@ class _SuffixTable:
                         g = level[j]
                         col = [c + p * g[k] for c, k in zip(col, ks)]
                     column.extend(col)
-            start = len(self.lives)
-            self.spans.append((start, start + len(children)))
             lives = [live for _, _, live in children]
             self.lives.extend(lives)
-            for column, col in zip(self.columns, new_level):
-                column.extend(col)
+            self._levels.append(new_level)
             level = new_level
         self.height = height
+        self.n_states = n
+
+    def pack(self, start: dict[int, int], steps: int) -> tuple[list[int], int]:
+        """``(columns, width)``: ``columns[i]`` holds state i's stop masses in
+        ``width``-bit fields, field k being g_{w_k}[i] * L**(height - |w_k|),
+        so every entry is at the scale of length ``height`` (over
+        L**(height+1)).  ``start`` is the walk's two-copy root vector and
+        ``steps`` the depth of the nodes that read the table.
+
+        The width bound holds for any chain with nonnegative entries.  A
+        side's nodes at depth ``steps`` sum to V = start * (sum_a
+        M_a)**steps.  So in one node's combination sum_i v_i * columns[i],
+        and in any sum of such combinations' fields over distinct nodes,
+        every field and the total of all fields are at most B = (sum of V) *
+        C, with C the largest field total of one column and V from the side
+        with the larger sum, taken as at least 1 so that B also bounds the
+        columns themselves.  B.bit_length() + 2 bits, rounded up to whole
+        bytes, hold B with the top bit of every field clear: no field
+        carries into or borrows from the next one, and the field total is
+        below 2**width - 1.
+        """
+        n = self.n_states
+        levels, self._levels = self._levels, []
+        sides = [[start.get(i, 0) for i in range(n)], [start.get(n + i, 0) for i in range(n)]]
+        for _ in range(steps):
+            for k, vec in enumerate(sides):
+                out = [0] * n
+                for label_rows in self._rows:
+                    for x, row in zip(vec, label_rows):
+                        for j, p in row:
+                            out[j] += x * p
+                sides[k] = out
+        scales = [self._den ** (self.height - d) for d in range(1, len(levels) + 1)]
+        largest = max(sum(s * sum(level[i]) for s, level in zip(scales, levels)) for i in range(n))
+        size = ((max(1, *map(sum, sides)) * largest).bit_length() + 2 + 7) // 8
+        columns = [
+            int.from_bytes(
+                b"".join((s * x).to_bytes(size, "little") for s, level in zip(scales, levels) for x in level[i]),
+                "little",
+            )
+            for i in range(n)
+        ]
+        return columns, 8 * size
 
     def _children(self, lives: list[int]) -> Iterator[tuple[int, int, int]]:
         """``(letter, index, mask)`` of every one-letter extension a.w of the
@@ -738,23 +780,14 @@ class _SuffixTable:
     def depth_of(self, mask: int, k: int) -> int:
         """The length of the ``k``-th (from 0) entry live on ``mask`` in
         preorder: alphabet order, each word before its extensions."""
-        words, lives = [()], [(1 << len(self.columns)) - 1]
+        words, lives = [()], [(1 << self.n_states) - 1]
         found = []
-        for _ in self.spans:
+        for _ in range(self.height):
             children = list(self._children(lives))
             words = [(li,) + words[at] for li, at, _ in children]
             lives = [live for _, _, live in children]
             found.extend(w for w, live in zip(words, lives) if live & mask)
         return len(sorted(found)[k])
-
-
-def _combine(coefs: list[int], columns: list[list[int]]) -> list[int] | None:
-    """Sum of ``coefs[i] * columns[i]`` entrywise; None when every coefficient is 0."""
-    out = None
-    for c, column in zip(coefs, columns):
-        if c:
-            out = [c * x for x in column] if out is None else [y + c * x for y, x in zip(out, column)]
-    return out
 
 
 def tv_bounded(
@@ -774,25 +807,39 @@ def tv_bounded(
     The walk is depth-first over the top levels of the prefix tree and reads
     the bottom ``h = ceil(cutoff/2)`` levels from a ``_SuffixTable``: below a
     node v at depth cutoff - h, the word v.w has stop masses v1 . g_w and
-    v2 . g_w.  It holds one path and the table, counts nodes in the order of
-    the full depth-first walk and so visits, sums and raises exactly as that
-    walk does.
+    v2 . g_w.  With the table packed (``_SuffixTable.pack``), m1 = v1 .
+    columns holds every first-start mass below v, one field per suffix, and
+    m2 = v2 . columns the second; a bitwise compare marks the fields where
+    m1 < m2, m1's marked fields go to one accumulator and m2's others to a
+    second, and after the walk both field sums are filed at depth cutoff.
+    It holds one path, the n columns and a few integers of their size,
+    counts nodes in the order of the full depth-first walk and so visits,
+    sums and raises exactly as that walk does.  A chain with a negative
+    transition or stop entry raises ``DomainError``: its fields could
+    borrow from their neighbours.
     """
     epsilon = as_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
+    den, rows, eow = lmc.integer_form
+    if any(e < 0 for e in eow) or any(p < 0 for label_rows in rows for row in label_rows for _, p in row):
+        raise DomainError("tv_bounded needs nonnegative transition and stop probabilities")
     tail_budget = epsilon / 4
     rounding_budget = epsilon / 8
     cutoff = length_bound(lmc, tail_budget)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
     _check_budget(budget)
     n = lmc.n_states
-    den = lmc.integer_form[0]
     table = _SuffixTable(lmc, (cutoff + 1) // 2, budget)
     top = cutoff - table.height
     base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, top)
+    columns, width = table.pack(root, top)
+    shift, field = width - 1, (1 << width) - 1
+    ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * len(table.lives), "little")
+    high = ones << shift
+    acc1 = acc2 = 0
     # Stop masses are integers over base * den**depth.  The walk prunes where
     # both prefix vectors vanish: every word below has zero mass on both sides.
     below: defaultdict[int, int] = defaultdict(int)
@@ -814,31 +861,34 @@ def tv_bounded(
             # The subtree of v: the suffixes live on v's support, in the
             # walk's preorder.  A suffix dead on the support has g_w zero
             # there, so summing over every entry adds only zeros for it.
-            v1, v2, mask = [0] * n, [0] * n, 0
+            m1 = m2 = mask = 0
             for i, x in vec.items():
                 if i < n:
-                    v1[i] = x
+                    m1 += x * columns[i]
                 else:
-                    v2[i - n] = x
+                    m2 += x * columns[i - n]
                 mask |= 1 << (i % n)
             reached = table.reached(mask)
             if budget is not None and count + reached > budget:
                 raise _over_budget(budget, budget + 1, top + table.depth_of(mask, budget - count))
             count += reached
-            masses1 = _combine(v1, table.columns)
-            masses2 = _combine(v2, table.columns)
-            if masses1 is None or masses2 is None:
-                continue  # one side is zero below v: every mass filed is 0
-            lower = list(map(lt, masses1, masses2))
-            for d, (lo, hi) in enumerate(table.spans, top + 1):
-                below[d] += sum(itertools.compress(masses1[lo:hi], lower[lo:hi]))
-                at_least[d] += sum(itertools.compress(masses2[lo:hi], map(not_, lower[lo:hi])))
+            if m1 and m2:
+                # A field of m2 + high - m1 - ones is 2**(width-1) + m2_k -
+                # m1_k - 1, in [0, 2**width): its top bit is set exactly
+                # where m1_k < m2_k.  Ties stay with "at least".
+                lt = (((m2 + high - m1 - ones) & high) >> shift) * field
+                acc1 += m1 & lt
+                acc2 += m2 & ~lt
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"{exc} (length cutoff {cutoff})",
             nodes_visited=exc.nodes_visited,
             depth=exc.depth,
         ) from None
+    # x % (2**width - 1) is the sum of x's fields, since 2**width is 1 modulo
+    # it, and that sum is below 2**(width-2) (``_SuffixTable.pack``).
+    below[cutoff] += acc1 % field
+    at_least[cutoff] += acc2 % field
     mass1_lt = depth_total(below, base, den)
     mass2_ge = depth_total(at_least, base, den)
     return BoundedEstimate(

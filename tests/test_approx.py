@@ -23,7 +23,7 @@ from lmcdist import (
     tv_sample_acyclic,
     word_probability,
 )
-from lmcdist import floatk
+from lmcdist import approx, floatk
 from lmcdist.approx import BitStream, _Sampler, _SuffixTable
 from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
 from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
@@ -319,6 +319,27 @@ def test_tv_bounded_budget_and_epsilon_checks():
         tv_bounded(lmc, pi1, pi2, Fraction(1, 8), budget=1)
     with pytest.raises(DomainError):
         tv_bounded(lmc, pi1, pi2, Fraction(0))
+
+
+def test_tv_bounded_refuses_negative_entries(monkeypatch):
+    # A negative entry would make a packed field borrow from its neighbour.
+    # Such a chain has no word distribution (the strict loader refuses it),
+    # so the estimator refuses it before it builds or packs a table.
+    def refuse(*args):
+        raise AssertionError("suffix table built")
+
+    monkeypatch.setattr(approx, "_SuffixTable", refuse)
+    negative_move = Lmc.from_transitions(
+        ["s0", "s1"], ["a"], [("s0", "a", "s1", Fraction(-1, 4))], {"s0": Fraction(5, 4), "s1": 1}
+    )
+    negative_stop = Lmc.from_transitions(
+        ["s0", "s1"], ["a"], [("s0", "a", "s1", Fraction(5, 4))], {"s0": Fraction(-1, 4), "s1": 1}
+    )
+    for lmc in (negative_move, negative_stop):
+        pi1 = InitialDistribution.from_map(lmc, {"s0": 1})
+        pi2 = InitialDistribution.from_map(lmc, {"s1": 1})
+        with pytest.raises(DomainError, match="nonnegative transition and stop probabilities"):
+            tv_bounded(lmc, pi1, pi2, Fraction(1, 8))
 
 
 def test_tv_bounded_budget_message_names_cutoff_and_depth():

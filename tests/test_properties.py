@@ -5,6 +5,7 @@ the one-pass chain loader against independent routes."""
 
 import copy
 import itertools
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -574,6 +575,116 @@ def test_bounded_matches_full_walk_at_every_budget(seed, kind):
     for budget in range(1, nodes + 2):
         got = _bounded_outcome(tv_bounded, lmc, pi1, pi2, eps, budget)
         assert got == _bounded_outcome(reference_tv_bounded, lmc, pi1, pi2, eps, budget)
+
+
+#: Row and start totals of the packed-kernel tests: small, powers of two and
+#: up to 2**40, so that many fields are wider than 64 bits and their bit
+#: lengths fall on every residue modulo 8.
+packed_totals = st.one_of(
+    st.integers(2, 12),
+    st.integers(1, 40).map(lambda k: 2**k),
+    st.integers(2**20, 2**40),
+)
+
+
+@st.composite
+def packed_parts(draw, k, least=Fraction(0)):
+    """``k`` positive parts of a total from ``packed_totals``, the first at
+    least ``least`` of the total, as probabilities."""
+    if k == 1:
+        return [Fraction(1)]
+    total = draw(packed_totals.filter(lambda t: t >= 4 * k))
+    first = draw(st.integers(max(1, math.ceil(total * least)), total - k + 1))
+    cuts = []
+    if k > 2:
+        cuts = draw(st.lists(st.integers(first + 1, total - 1), min_size=k - 2, max_size=k - 2, unique=True))
+    bounds = [0, first, *sorted(cuts), total]
+    return [Fraction(b - a, total) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def packed_chain(draw, alphabet, prefix, acyclic=False):
+    """A chain of 1-3 states on ``alphabet``: each state stops with
+    probability at least 1/4 and moves on up to 3 (letter, state) pairs,
+    only to later states when ``acyclic``."""
+    states = [f"{prefix}{i}" for i in range(draw(st.integers(1, 3)))]
+    transitions, eow = [], {}
+    for i, state in enumerate(states):
+        targets = list(itertools.product(alphabet, states[i + 1 :] if acyclic else states))
+        moves = draw(st.lists(st.sampled_from(targets), max_size=3, unique=True)) if targets else []
+        stop, *probs = draw(packed_parts(len(moves) + 1, Fraction(1, 4)))
+        eow[state] = stop
+        transitions.extend((state, a, j, p) for (a, j), p in zip(moves, probs))
+    return Lmc.from_transitions(states, alphabet, transitions, eow)
+
+
+@st.composite
+def packed_start(draw, lmc, states):
+    support = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))
+    return InitialDistribution.from_map(lmc, dict(zip(support, draw(packed_parts(len(support))))))
+
+
+@st.composite
+def packed_cases(draw):
+    """Instances on 1-3 letters of one kind: any two starts, equal starts or
+    a chain next to its relabelled copy (every word ties), two chains side
+    by side with a start on each (one side is zero below many nodes), both
+    starts on an acyclic chain next to a cyclic one (the suffix table
+    outgrows the walk, so a budget the walk fits cuts the table short), or
+    "tight": eight instances whose fields come near the width bound."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    kind = draw(st.sampled_from(["pair", "equal", "relabelled", "side-by-side", "dying", "tight"]))
+    if kind == "tight":
+        # p0 loops on "a" with probability 1/q and p1 stops at once.  The
+        # first field under p0 is then at least 3/4 of the width bound, and
+        # the second start's weight 1/(t * 2**j) on p0, j = 0..7, doubles the
+        # bound at each step, so its bit length falls on every residue
+        # modulo 8.
+        q, t = draw(packed_totals.filter(lambda x: x >= 4)), draw(packed_totals)
+        lmc = Lmc.from_transitions(
+            ["p0", "p1"], alphabet, [("p0", "a", "p0", Fraction(1, q))], {"p0": 1 - Fraction(1, q), "p1": 1}
+        )
+        pi1 = InitialDistribution.from_map(lmc, {"p0": 1})
+        return kind, [
+            (lmc, pi1, InitialDistribution.from_map(lmc, {"p0": Fraction(1, t << j), "p1": 1 - Fraction(1, t << j)}))
+            for j in range(8)
+        ]
+    lmc = draw(packed_chain(alphabet, "p"))
+    if kind == "relabelled":
+        pi = draw(packed_start(lmc, lmc.states))
+        return kind, [disjoint_union(lmc, pi, *relabeled_copy(lmc, pi))]
+    if kind in ("side-by-side", "dying"):
+        other = draw(packed_chain(alphabet, "q", acyclic=kind == "dying"))
+        union, u1, u2 = disjoint_union(
+            lmc, draw(packed_start(lmc, lmc.states)), other, draw(packed_start(other, other.states))
+        )
+        if kind == "side-by-side":
+            return kind, [(union, u1, u2)]
+        return kind, [(union, draw(packed_start(union, other.states)), draw(packed_start(union, other.states)))]
+    pi1 = draw(packed_start(lmc, lmc.states))
+    return kind, [(lmc, pi1, pi1 if kind == "equal" else draw(packed_start(lmc, lmc.states)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases(), st.data())
+def test_packed_subtrees_match_full_walk(case, data):
+    # Each top node files its whole subtree through packed fields; the
+    # result, or the budget error's text, node count and depth, is that of
+    # the one-node-per-word walk.  Budgets: the default, exactly the walk's
+    # node count (with "dying" chains this cuts the suffix table short), and
+    # any smaller or one larger.
+    _, instances = case
+    for lmc, pi1, pi2 in instances:
+        eps = Fraction(1, 16)
+        while length_bound(lmc, eps / 4) > (12, 7, 5)[len(lmc.alphabet) - 1]:
+            eps *= 2
+        expected = reference_tv_bounded(lmc, pi1, pi2, eps)
+        assert tv_bounded(lmc, pi1, pi2, eps) == expected
+        nodes = expected.words_enumerated
+        budget = data.draw(st.sampled_from([nodes, nodes + 1]) | st.integers(1, nodes))
+        got = _bounded_outcome(tv_bounded, lmc, pi1, pi2, eps, budget)
+        assert got == _bounded_outcome(reference_tv_bounded, lmc, pi1, pi2, eps, budget)
+
 
 def _chain_of_kind(kind, rng):
     """A random acyclic or cyclic chain, or a cyclic one broken on purpose:
