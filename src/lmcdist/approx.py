@@ -74,10 +74,8 @@ from .model import (
     as_fraction,
     check_distribution,
     check_length,
-    common_denominator,
     depth_total,
     max_support_length,
-    scale,
     state_tails,
     stop_mass,
     walk_prefixes,
@@ -255,10 +253,9 @@ class _Sampler:
 
     def _start_from(self, pi: InitialDistribution) -> None:
         # Outcomes: (None, state).
-        den_pi = common_denominator(pi.weights)
-        start = scale(pi.weights, den_pi)
+        den_pi, start = pi.integer_form
         self._start = self._table(
-            [(None, i) for i in start], list(start.values()), den_pi, "the initial distribution"
+            [(None, i) for i, _ in start], [x for _, x in start], den_pi, "the initial distribution"
         )
         self._start_step = self._step(self._start)
         self._start_window = None
@@ -613,7 +610,7 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
         raise DomainError(f"tail budget must be positive, got {lam}")
     if step_cap < 0:
         raise DomainError(f"step cap must be nonnegative, got {step_cap}")
-    den = lmc.integer_form[0]
+    den, rows, eow = lmc.integer_form
     over = den  # L**(n+1)
     for n, tails in enumerate(state_tails(lmc)):
         if n > step_cap:
@@ -623,11 +620,11 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
         over *= den
     # Certified fallback.
     n_states = lmc.n_states
-    positives = [e for e in lmc.eow if e > 0]
-    positives.extend(p for rows in lmc.sparse_rows for row in rows for _, p in row if p > 0)
+    positives = [e for e in eow if e > 0]
+    positives.extend(x for label_rows in rows for row in label_rows for _, x in row if x > 0)
     if not positives:
         raise DomainError("chain has no positive probabilities; cannot bound its tail")
-    p_min = min(positives)
+    p_min = Fraction(min(positives), den)
     if p_min == 1:
         return max(n_states - 1, 0)
     k = math.ceil(ln_upper(1 / lam) / p_min**n_states)
@@ -790,6 +787,39 @@ class _SuffixTable:
         return len(sorted(found)[k])
 
 
+def _reachable_part(
+    lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution
+) -> tuple[Lmc, InitialDistribution, InitialDistribution]:
+    """The chain and both starts restricted to the states either start can
+    reach, states kept in order; the arguments themselves when that is every
+    state.  A state outside adds no word, so the distance is the same."""
+    reached = {*pi1.support(), *pi2.support()}
+    stack = list(reached)
+    while stack:
+        for j in lmc.successors[stack.pop()]:
+            if j not in reached:
+                reached.add(j)
+                stack.append(j)
+    if len(reached) == lmc.n_states:
+        return lmc, pi1, pi2
+    kept = sorted(reached)
+    new = {i: k for k, i in enumerate(kept)}
+    den, rows, eow = lmc.integer_form
+    part = Lmc.from_integer_form(
+        [lmc.states[i] for i in kept],
+        lmc.alphabet,
+        den,
+        [[tuple((new[j], x) for j, x in label_rows[i]) for i in kept] for label_rows in rows],
+        [eow[i] for i in kept],
+    )
+
+    def restricted(pi: InitialDistribution) -> InitialDistribution:
+        den_pi, pairs = pi.integer_form
+        return InitialDistribution.from_integer_form(len(kept), den_pi, ((new[i], x) for i, x in pairs))
+
+    return part, restricted(pi1), restricted(pi2)
+
+
 def tv_bounded(
     lmc: Lmc,
     pi1: InitialDistribution,
@@ -814,22 +844,27 @@ def tv_bounded(
     second, and after the walk both field sums are filed at depth cutoff.
     It holds one path, the n columns and a few integers of their size,
     counts nodes in the order of the full depth-first walk and so visits,
-    sums and raises exactly as that walk does.  A chain with a negative
-    transition or stop entry raises ``DomainError``: its fields could
-    borrow from their neighbours.
+    sums and raises exactly as that walk does.  The cutoff, the table and
+    the walk see only the states either start can reach
+    (``_reachable_part``).  A chain with a negative transition or stop
+    entry raises ``DomainError``: its fields could borrow from their
+    neighbours.
     """
     epsilon = as_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    den, rows, eow = lmc.integer_form
+    _, rows, eow = lmc.integer_form
     if any(e < 0 for e in eow) or any(p < 0 for label_rows in rows for row in label_rows for _, p in row):
         raise DomainError("tv_bounded needs nonnegative transition and stop probabilities")
+    n_states = lmc.n_states
+    lmc, pi1, pi2 = _reachable_part(lmc, pi1, pi2)
+    den = lmc.integer_form[0]
     tail_budget = epsilon / 4
     rounding_budget = epsilon / 8
     cutoff = length_bound(lmc, tail_budget)
-    precision = precision_for(cutoff, lmc.n_states, rounding_budget)
+    precision = precision_for(cutoff, n_states, rounding_budget)
     _check_budget(budget)
     n = lmc.n_states
     table = _SuffixTable(lmc, (cutoff + 1) // 2, budget)

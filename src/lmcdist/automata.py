@@ -41,6 +41,7 @@ from .model import (
     Lmc,
     Matrix,
     Word,
+    _Frozen,
     advance,
     as_fraction,
     check_length,
@@ -183,35 +184,38 @@ def total_accepting_runs(nfa: Nfa, length: int) -> int:
 # -- probabilistic automata -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pa:
+class Pa(_Frozen):
     """A probabilistic automaton: one stochastic matrix per letter, an initial
     distribution over states, and a set of accepting states.
 
     ``acceptance_probability`` of a word is the chance that the random walk
-    it drives ends in an accepting state.  The dense ``matrices`` are the
-    constructor's interface; every routine below reads ``chain``, the same
-    automaton as one sparse ``Lmc``.
+    it drives ends in an accepting state.  The automaton is stored as
+    ``chain``, one sparse integer ``Lmc`` whose end-of-word vector is the
+    0/1 acceptance flags, and ``start``, its initial distribution; every
+    routine below reads those.  The dense ``matrices`` and the Fraction
+    tuple ``initial`` are the positional constructor's interface and, on an
+    automaton, views; ``from_integer_form`` builds one from sparse integer
+    rows, as the file loader does.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    matrices: tuple[Matrix, ...]
-    initial: tuple[Fraction, ...]
     accepting: frozenset[str]
+    chain: Lmc
+    start: InitialDistribution
+    _fields = ("chain", "start", "accepting")
 
-    def __post_init__(self) -> None:
-        states = tuple(self.states)
-        alphabet = tuple(self.alphabet)
-        accepting = frozenset(self.accepting)
-        if len(set(states)) != len(states):
-            raise DomainError("state names must be unique")
-        if len(set(alphabet)) != len(alphabet):
-            raise DomainError("labels must be unique")
-        if not states:
-            raise DomainError("automaton needs at least one state")
+    def __init__(
+        self,
+        states: Sequence[str],
+        alphabet: Sequence[str],
+        matrices: Sequence[Matrix],
+        initial: Sequence[Fraction | int],
+        accepting: Iterable[str],
+    ):
+        states, alphabet, accepting = self._names(states, alphabet, accepting)
         n = len(states)
-        mats = tuple(self.matrices)
+        mats = tuple(matrices)
         if len(mats) != len(alphabet):
             raise DomainError(
                 f"expected one matrix per label ({len(alphabet)}), got {len(mats)}"
@@ -221,43 +225,95 @@ class Pa:
             mat = tuple(tuple(as_fraction(p, "transition probability") for p in row) for row in mat)
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise DomainError(f"matrix for label {label!r} is not {n}x{n}")
-            for i, row in enumerate(mat):
-                if any(p < 0 or p > 1 for p in row):
-                    raise DomainError(
-                        f"matrix for label {label!r} has an entry outside [0, 1] "
-                        f"in the row of state {states[i]!r}"
-                    )
-                if sum(row, ZERO) != 1:
-                    raise DomainError(
-                        f"row of state {states[i]!r} under label {label!r} sums to "
-                        f"{sum(row, ZERO)}, expected 1"
-                    )
             coerced.append(mat)
-        init = tuple(self.initial)
+        flags = tuple(ONE if q in accepting else ZERO for q in states)
+        chain = self._stochastic(Lmc(states, alphabet, sparse_matrices(coerced), flags))
+        init = tuple(initial)
         if len(init) != n:
             raise DomainError(f"initial distribution has {len(init)} entries, expected {n}")
-        init = InitialDistribution(init).weights
-        for q in accepting:
-            if q not in set(states):
-                raise DomainError(f"accepting state {q!r} is not declared")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "matrices", tuple(coerced))
-        object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "accepting", accepting)
+        self._finish(accepting, chain, InitialDistribution(init))
 
-    @cached_property
-    def chain(self) -> Lmc:
-        """The automaton as a chain whose end-of-word vector is the 0/1
-        acceptance flags: a word's acceptance probability is its
-        ``word_probability`` from ``initial``."""
-        flags = tuple(ONE if q in self.accepting else ZERO for q in self.states)
-        return Lmc(self.states, self.alphabet, sparse_matrices(self.matrices), flags)
+    @classmethod
+    def from_integer_form(
+        cls,
+        states: Sequence[str],
+        alphabet: Sequence[str],
+        den: int,
+        rows: Iterable,
+        initial: Iterable[tuple[int, int]],
+        accepting: Iterable[str],
+    ) -> "Pa":
+        """An automaton from sparse integer rows (per label and state, the
+        ``(target, probability * den)`` pairs, as in ``Lmc.from_integer_form``)
+        and the ``(state, weight * den)`` pairs of its initial distribution,
+        checked as the dense constructor checks its matrices."""
+        states, alphabet, accepting = cls._names(states, alphabet, accepting)
+        rows = tuple(rows)
+        if len(rows) != len(alphabet):
+            raise DomainError(
+                f"expected one matrix per label ({len(alphabet)}), got {len(rows)}"
+            )
+        flags = tuple(den if q in accepting else 0 for q in states)
+        chain = cls._stochastic(Lmc.from_integer_form(states, alphabet, den, rows, flags))
+        self = cls.__new__(cls)
+        self._finish(accepting, chain, InitialDistribution.from_integer_form(len(states), den, initial))
+        return self
+
+    @staticmethod
+    def _names(states, alphabet, accepting) -> tuple:
+        states = tuple(states)
+        alphabet = tuple(alphabet)
+        accepting = frozenset(accepting)
+        if len(set(states)) != len(states):
+            raise DomainError("state names must be unique")
+        if len(set(alphabet)) != len(alphabet):
+            raise DomainError("labels must be unique")
+        if not states:
+            raise DomainError("automaton needs at least one state")
+        return states, alphabet, accepting
+
+    @staticmethod
+    def _stochastic(chain: Lmc) -> Lmc:
+        """``chain`` once every row of every letter is checked on its
+        integers: each entry in [0, 1], and each row summing to exactly 1."""
+        den, rows, _ = chain.integer_form
+        for label, label_rows in zip(chain.alphabet, rows):
+            for state, row in zip(chain.states, label_rows):
+                if any(x < 0 or x > den for _, x in row):
+                    raise DomainError(
+                        f"matrix for label {label!r} has an entry outside [0, 1] "
+                        f"in the row of state {state!r}"
+                    )
+                total = sum(x for _, x in row)
+                if total != den:
+                    raise DomainError(
+                        f"row of state {state!r} under label {label!r} sums to "
+                        f"{Fraction(total, den)}, expected 1"
+                    )
+        return chain
+
+    def _finish(self, accepting: frozenset[str], chain: Lmc, start: InitialDistribution) -> None:
+        for q in accepting:
+            if q not in chain.state_index:
+                raise DomainError(f"accepting state {q!r} is not declared")
+        self.__dict__.update(
+            states=chain.states, alphabet=chain.alphabet, accepting=accepting, chain=chain, start=start
+        )
+
+    @property
+    def matrices(self) -> tuple[Matrix, ...]:
+        """Per letter, the dense stochastic matrix: a view of ``chain``."""
+        return self.chain.matrices
+
+    @property
+    def initial(self) -> tuple[Fraction, ...]:
+        """Per state, the initial weight: a view of ``start``."""
+        return self.start.weights
 
 
 def acceptance_probability(pa: Pa, word: Word) -> Fraction:
     """Exact probability that the automaton accepts the word."""
-    return word_probability(pa.chain, InitialDistribution(pa.initial), word)
+    return word_probability(pa.chain, pa.start, word)
 
 
 def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...]]:
@@ -292,7 +348,7 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     check_length(max_len, "word length")
     den, rows, eow = pa.chain.integer_form
     flags = tuple(1 if e else 0 for e in eow)
-    den_pi = common_denominator(pa.initial)
+    den_pi, start = pa.start.integer_form
     live = _live_flags(rows, flags)
     scales = [den_pi]  # the denominator of a prefix vector, per depth
 
@@ -309,7 +365,7 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
         return children
 
     edges = []
-    for layer in walk_layers(scale(pa.initial, den_pi), step, vector_key):
+    for layer in walk_layers(dict(start), step, vector_key):
         edges.append(layer.edges)
         for at, vec in enumerate(layer.nodes):
             if 2 * stop_mass(vec, flags) > scales[layer.depth]:
@@ -518,18 +574,20 @@ def pa_to_lmc(pa: Pa) -> ReductionOutput:
         {sink: ONE},
     )
     pi1 = InitialDistribution.dirac(lmc, start)
-    pi2 = InitialDistribution.from_map(
-        lmc, {q: w for q, w in zip(pa.states, pa.initial) if w}
-    )
-    # Total ``acc`` mass of the second start: x solves (I - sum_a M(a)/(2k)) x = chi_F / 2.
-    system = [[ONE if i == j else ZERO for j in range(s)] for i in range(s)]
-    for rows in pa.chain.sparse_rows:
-        for i, row in enumerate(rows):
-            for j, p in row:
-                system[i][j] -= p * crawl
-    rhs = [half * flag for flag in pa.chain.eow]
-    x = _solve_linear(system, rhs)
-    acc_mass = sum((w * xi for w, xi in zip(pa.initial, x)), ZERO)
+    den_pi, weights = pa.start.integer_form
+    # The automaton's states follow ``start`` in the chain.
+    pi2 = InitialDistribution.from_integer_form(lmc.n_states, den_pi, ((i + 1, w) for i, w in weights))
+    # Total ``acc`` mass of the second start: x solves (I - sum_a M(a)/(2k)) x
+    # = chi_F / 2, here times 2kL (L the automaton's denominator, its
+    # acceptance flags L or 0), so every coefficient is an integer.
+    den, rows, flags = pa.chain.integer_form
+    system = [[2 * k * den if i == j else 0 for j in range(s)] for i in range(s)]
+    for label_rows in rows:
+        for i, row in enumerate(label_rows):
+            for j, x in row:
+                system[i][j] -= x
+    x = _solve_linear(system, [k * flag for flag in flags])
+    acc_mass = sum((w * x[i] for i, w in weights), ZERO) / den_pi
     return ReductionOutput(
         lmc=lmc,
         pi1=pi1,

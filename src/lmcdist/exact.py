@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain as _chain
 from typing import Iterator
 
 from .errors import DomainError, OracleInfeasibleError
@@ -46,12 +45,12 @@ from .model import (
     as_fraction,
     check_distribution,
     check_length,
-    common_denominator,
     depth_total,
     eliminate,
     is_acyclic,
-    scale,
+    rows_by_state,
     spell_words,
+    start_vector,
     stop_mass,
     support_lengths,
     vector_key,
@@ -115,14 +114,29 @@ def require_acyclic(lmc: Lmc) -> None:
         )
 
 
-def _vector_step(rows, max_len: int | None):
-    """The walkers' ``step`` over integer vectors: one child per label's
-    ``rows``, None where it vanishes, and no children at ``max_len``."""
+def _vector_step(by_state, labels: int, max_len: int | None):
+    """The walkers' ``step`` over integer vectors: one child per label, None
+    where it vanishes, and no children at ``max_len``.  ``by_state`` holds
+    the rows grouped by source state (``model.rows_by_state``), so one pass
+    over a node's support advances it over every letter, and a letter with
+    no row there costs nothing."""
 
     def step(vec, depth):
         if depth == max_len:
             return None
-        return [advance(vec, r) or None for r in rows]
+        children = [None] * labels
+        for i, x in vec.items():
+            for li, row in by_state[i]:
+                out = children[li]
+                if out is None:
+                    children[li] = out = {}
+                for j, p in row:
+                    out[j] = out.get(j, 0) + x * p
+        for li, out in enumerate(children):
+            # Difference vectors can cancel; sums of positive terms cannot.
+            if out is not None and 0 in out.values():
+                children[li] = {j: v for j, v in out.items() if v} or None
+        return children
 
     return step
 
@@ -134,18 +148,23 @@ def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, ma
     masses, integers over ``base * L**d`` at depth d (L from ``integer_form``)."""
     den, rows, eow = lmc.integer_form
     n = lmc.n_states
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
-    doubled = [r + tuple(tuple((j + n, p) for j, p in row) for row in r) for r in rows]
-    root = scale(pi1.weights + pi2.weights, den_pi)
-    return den_pi * den, root, _vector_step(doubled, max_len), (eow + (0,) * n, (0,) * n + eow)
+    den_pi = math.lcm(pi1.integer_form[0], pi2.integer_form[0])
+    root = start_vector(pi1, den_pi)
+    root.update(start_vector(pi2, den_pi, n))
+    by_state = rows_by_state(rows, n)
+    by_state += [[(li, tuple((j + n, p) for j, p in row)) for li, row in out] for out in by_state]
+    return den_pi * den, root, _vector_step(by_state, len(rows), max_len), (eow + (0,) * n, (0,) * n + eow)
 
 
 def _difference(pi1: InitialDistribution, pi2: InitialDistribution) -> tuple[int, dict[int, int]]:
     """``(L_pi, v)``: L_pi the lcm of both starts' denominators and v the
     integer vector of pi1 - pi2 times L_pi.  Advanced over a word w, v is
     p1 - p2's prefix vector over ``L_pi * L**len(w)``."""
-    den_pi = common_denominator([*pi1.weights, *pi2.weights])
-    return den_pi, scale([a - b for a, b in zip(pi1.weights, pi2.weights)], den_pi)
+    den_pi = math.lcm(pi1.integer_form[0], pi2.integer_form[0])
+    diff = start_vector(pi1, den_pi)
+    for i, x in start_vector(pi2, den_pi).items():
+        diff[i] = diff.get(i, 0) - x
+    return den_pi, {i: x for i, x in sorted(diff.items()) if x}
 
 
 def _power_sum(
@@ -156,10 +175,11 @@ def _power_sum(
     distinct difference vectors, and each sum is weighted by its words."""
     den, rows, eow = lmc.integer_form
     den_pi, diff = _difference(pi1, pi2)
+    step = _vector_step(rows_by_state(rows, lmc.n_states), len(rows), max_len)
     # Stop masses at depth d are integers over den_pi * den**(d+1).
     sums = {
         layer.depth: sum(c * abs(stop_mass(vec, eow)) ** k for vec, c in zip(layer.nodes, layer.counts))
-        for layer in walk_layers(diff, _vector_step(rows, max_len), vector_key, budget)
+        for layer in walk_layers(diff, step, vector_key, budget)
     }
     return depth_total(sums, (den_pi * den) ** k, den**k)
 
@@ -316,10 +336,14 @@ def threshold_decide_acyclic(
     if not (0 <= tau <= 1):
         raise DomainError(f"threshold must lie in [0, 1], got {tau}")
 
-    entries = (p for rows in lmc.sparse_rows for row in rows for _, p in row)
-    denom_product = math.prod(
-        f.denominator for f in _chain(pi1.weights, pi2.weights, lmc.eow, entries, (tau,))
-    )
+    # D from the integer forms: an entry x over L is a Fraction with reduced
+    # denominator L / gcd(x, L), which is 1 for x = 0.
+    den, rows, eow = lmc.integer_form
+    entries = [*eow, *(x for label_rows in rows for row in label_rows for _, x in row)]
+    denom_product = tau.denominator * math.prod(den // math.gcd(x, den) for x in entries)
+    for pi in (pi1, pi2):
+        den_pi, pairs = pi.integer_form
+        denom_product *= math.prod(den_pi // math.gcd(x, den_pi) for _, x in pairs)
     lengths = support_lengths(lmc)
     n = max((lengths[i] for i in {*pi1.support(), *pi2.support()} if lengths[i] is not None), default=0)
 

@@ -16,12 +16,16 @@ What each check runs on, in a strict chain load:
 * the bytes, read once (``InputFile``): UTF-8 and JSON syntax;
 * each transition record: one test of its type, key set and name types,
   with the field-by-field checks and their location text only on failure;
-* each distinct probability string or int of a file: ``parse_prob`` once
-  (``_prob_reader``); a bad value raises at its first occurrence;
-* the chain: names and duplicates in ``Lmc.from_transitions``, rows in one
-  pass each in ``Lmc``, and row sums and stopping on integers in
-  ``validate``; the start: its weights as integers over their lcm in
-  ``InitialDistribution``.
+* each distinct probability string or int of a file: ``parse_prob`` once,
+  then one conversion to an integer over the lcm of the file's
+  denominators (``_prob_reader``); a bad value raises at its first
+  occurrence;
+* the chain: names and duplicates in ``model.group_records``, the integer
+  rows in one shape pass each in ``Lmc.from_integer_form``, and row sums
+  and stopping on integers in ``validate``; the start: its integer weights
+  in ``InitialDistribution.from_integer_form``.  A loaded chain or start
+  is stored in that integer form; no Fraction is built for its entries
+  until a reader asks for the ``Fraction`` views.
 
 File shapes:
 
@@ -38,6 +42,7 @@ File shapes:
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -48,7 +53,7 @@ from typing import Any, Sequence
 
 from .automata import Nfa, Pa
 from .errors import DomainError, ParseError
-from .model import InitialDistribution, Lmc, Word, validate
+from .model import InitialDistribution, Lmc, Word, check_start_names, group_records, validate
 
 #: The documented probability strings: ASCII digits, at most one "/", nothing else.
 _PROB_RE = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -101,27 +106,35 @@ def _too_many_digits(where: str) -> ParseError:
 
 
 def _prob_reader():
-    """``parse_prob`` for one file: each distinct string or int value is
-    parsed once.  Only accepted values are kept, so a bad value raises at
+    """``(read, integers)``: ``parse_prob`` for one file, each distinct
+    string or int value parsed once.
+
+    ``read(value, where, *args)`` checks a value and returns its key, the
+    value itself; only accepted values are kept, so a bad value raises at
     each occurrence, the first one first.  The location is
-    ``where.format(*args)``, built only when a value is parsed."""
+    ``where.format(*args)``, built only when a value is parsed.
+    ``integers()`` returns ``(L, {key: probability * L})`` over every value
+    read so far, L the lcm of their denominators: each distinct probability
+    becomes an integer once.
+    """
     parsed: dict = {}
 
-    def read(value: Any, where: str, *args: Any) -> Fraction:
-        # Exact types only: True == 1 and 1.0 == 1 must not hit the int's entry.
+    def read(value: Any, where: str, *args: Any) -> Any:
+        # Exact types only: True == 1 and 1.0 == 1 must not hit the int's
+        # entry.  Any other value that parses is keyed by its probability.
         if type(value) is not str and type(value) is not int:
-            return parse_prob(value, where.format(*args))
-        prob = parsed.get(value)
-        if prob is None:
-            prob = parsed[value] = parse_prob(value, where.format(*args))
-        return prob
+            prob = parse_prob(value, where.format(*args))
+            parsed[prob] = prob
+            return prob
+        if value not in parsed:
+            parsed[value] = parse_prob(value, where.format(*args))
+        return value
 
-    return read
+    def integers() -> tuple[int, dict]:
+        den = math.lcm(*{p.denominator for p in parsed.values()})
+        return den, {key: p.numerator * (den // p.denominator) for key, p in parsed.items()}
 
-
-def prob_str(value: Fraction) -> str:
-    """Interchange form of a probability ("num/den" in lowest terms)."""
-    return str(value)
+    return read, integers
 
 
 def decimal15(value: Fraction | int) -> str:
@@ -201,6 +214,23 @@ def _expect_str(value: Any, where: str) -> str:
 
 #: Keys of a chain or PA transition record.
 _WEIGHTED = ("from", "label", "to", "prob")
+
+
+def _integer_rows(rows: list[list[dict[int, Any]]], ints: dict) -> list[list[tuple]]:
+    """Rows grouped as ``{target: key}`` dicts (``model.group_records``) as
+    ``(target, integer)`` pairs, targets ascending, each key's integer from
+    ``ints``."""
+    out = []
+    for label_rows in rows:
+        converted = [()] * len(label_rows)
+        for i, row in enumerate(label_rows):
+            if len(row) == 1:
+                ((j, v),) = row.items()
+                converted[i] = ((j, ints[v]),)
+            elif row:
+                converted[i] = tuple(sorted([(j, ints[v]) for j, v in row.items()]))
+        out.append(converted)
+    return out
 
 
 def _spot(where: str, i: int) -> str:
@@ -312,7 +342,7 @@ def lmc_from_dict(data: Any, strict: bool = True, where: str = "<chain>") -> Lmc
     _expect_keys(data, ("states", "alphabet", "transitions", "eow"), where)
     states = _expect_names(data["states"], f"{where}: states")
     alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
-    read = _prob_reader()
+    read, integers = _prob_reader()
     records = [
         (src, label, tgt, read(item["prob"], "{}: transitions[{}]: prob", where, i))
         for i, item, src, label, tgt in _transitions(data, _WEIGHTED, where)
@@ -323,7 +353,15 @@ def lmc_from_dict(data: Any, strict: bool = True, where: str = "<chain>") -> Lmc
         for state, prob in eow_data.items()
     }
     try:
-        lmc = Lmc.from_transitions(states, alphabet, records, eow)
+        states, alphabet, rows, stops = group_records(states, alphabet, records, eow)
+        den, ints = integers()
+        lmc = Lmc.from_integer_form(
+            states,
+            alphabet,
+            den,
+            _integer_rows(rows, ints),
+            [ints[stops[i]] if i in stops else 0 for i in range(len(states))],
+        )
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None
     if strict:
@@ -337,23 +375,41 @@ def load_lmc(path: str | Path | InputFile, strict: bool = True) -> Lmc:
     return lmc_from_dict(_load_json(path), strict=strict, where=str(path))
 
 
+def _ratio_strs(den: int):
+    """The interchange form of x / den ("num/den" in lowest terms, or an
+    integer) for an int x, each distinct x formatted once."""
+    done: dict[int, str] = {}
+
+    def text(x: int) -> str:
+        out = done.get(x)
+        if out is None:
+            g = math.gcd(x, den)
+            out = done[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return out
+
+    return text
+
+
 def _transition_dicts(lmc: Lmc) -> list[dict]:
+    den, rows, _ = lmc.integer_form
+    text = _ratio_strs(den)
+    states = lmc.states
     return [
-        {"from": src, "label": label, "to": tgt, "prob": prob_str(prob)}
-        for src, label, tgt, prob in lmc.transition_records()
+        {"from": states[i], "label": label, "to": states[j], "prob": text(x)}
+        for label, label_rows in zip(lmc.alphabet, rows)
+        for i, row in enumerate(label_rows)
+        for j, x in row
     ]
 
 
 def lmc_to_dict(lmc: Lmc) -> dict:
+    den, _, eow = lmc.integer_form
+    text = _ratio_strs(den)
     return {
         "states": list(lmc.states),
         "alphabet": list(lmc.alphabet),
         "transitions": _transition_dicts(lmc),
-        "eow": {
-            state: prob_str(prob)
-            for state, prob in zip(lmc.states, lmc.eow)
-            if prob
-        },
+        "eow": {state: text(e) for state, e in zip(lmc.states, eow) if e},
     }
 
 
@@ -368,13 +424,18 @@ def distribution_from_dict(
     data: Any, lmc: Lmc, where: str = "<distribution>"
 ) -> InitialDistribution:
     data = _expect_dict(data, where)
-    read = _prob_reader()
+    read, integers = _prob_reader()
     weights = {
         _expect_str(state, f"{where}: key"): read(prob, "{}[{!r}]", where, state)
         for state, prob in data.items()
     }
     try:
-        return InitialDistribution.from_map(lmc, weights)
+        check_start_names(lmc, weights)
+        den, ints = integers()
+        index = lmc.state_index
+        return InitialDistribution.from_integer_form(
+            lmc.n_states, den, sorted((index[s], ints[v]) for s, v in weights.items())
+        )
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -384,9 +445,9 @@ def load_distribution(path: str | Path | InputFile, lmc: Lmc) -> InitialDistribu
 
 
 def distribution_to_dict(pi: InitialDistribution, lmc: Lmc) -> dict:
-    return {
-        state: prob_str(w) for state, w in zip(lmc.states, pi.weights) if w
-    }
+    den, pairs = pi.integer_form
+    text = _ratio_strs(den)
+    return {lmc.states[i]: text(x) for i, x in pairs}
 
 
 def save_distribution(pi: InitialDistribution, lmc: Lmc, path: str | Path) -> None:
@@ -434,33 +495,33 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
     lidx = {a: i for i, a in enumerate(alphabet)}
     if len(sidx) != len(states) or len(lidx) != len(alphabet):
         raise ParseError(f"{where}: state names and labels must be unique")
-    grids = [[[Fraction(0)] * len(states) for _ in states] for _ in alphabet]
-    seen = set()
-    read = _prob_reader()
+    rows: list[list[dict[int, Any]]] = [[{} for _ in states] for _ in alphabet]
+    read, integers = _prob_reader()
     for i, item, src, label, tgt in _transitions(data, _WEIGHTED, where):
         if src not in sidx or tgt not in sidx:
             raise ParseError(f"{_spot(where, i)}: names an unknown state")
         if label not in lidx:
             raise ParseError(f"{_spot(where, i)}: label {label!r} is not in the alphabet")
-        if (src, label, tgt) in seen:
+        row = rows[lidx[label]][sidx[src]]
+        if sidx[tgt] in row:
             raise ParseError(f"{_spot(where, i)}: duplicate transition")
-        seen.add((src, label, tgt))
-        grids[lidx[label]][sidx[src]][sidx[tgt]] = read(
-            item["prob"], "{}: transitions[{}]: prob", where, i
-        )
+        row[sidx[tgt]] = read(item["prob"], "{}: transitions[{}]: prob", where, i)
     init_data = _expect_dict(data["initial_dist"], f"{where}: initial_dist")
-    weights = [Fraction(0)] * len(states)
+    weights = {}
     for state, prob in init_data.items():
         if state not in sidx:
             raise ParseError(f"{where}: initial_dist names unknown state {state!r}")
         weights[sidx[state]] = read(prob, "{}: initial_dist[{!r}]", where, state)
+    accepting = frozenset(_expect_names(data["accepting"], f"{where}: accepting"))
+    den, ints = integers()
     try:
-        return Pa(
-            states=states,
-            alphabet=alphabet,
-            matrices=tuple(tuple(tuple(row) for row in grid) for grid in grids),
-            initial=tuple(weights),
-            accepting=frozenset(_expect_names(data["accepting"], f"{where}: accepting")),
+        return Pa.from_integer_form(
+            states,
+            alphabet,
+            den,
+            _integer_rows(rows, ints),
+            sorted((i, ints[v]) for i, v in weights.items()),
+            accepting,
         )
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None
@@ -475,9 +536,7 @@ def pa_to_dict(pa: Pa) -> dict:
         "states": list(pa.states),
         "alphabet": list(pa.alphabet),
         "transitions": _transition_dicts(pa.chain),
-        "initial_dist": {
-            state: prob_str(w) for state, w in zip(pa.states, pa.initial) if w
-        },
+        "initial_dist": distribution_to_dict(pa.start, pa.chain),
         "accepting": [q for q in pa.states if q in pa.accepting],
     }
 

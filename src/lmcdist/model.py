@@ -8,9 +8,11 @@ package analyses.
 
 Contents:
 
-* ``Lmc`` and ``InitialDistribution`` -- immutable model types.  A chain
-  stores its transitions as sparse rows only (``Lmc.sparse_rows``);
-  ``Lmc.matrices`` is a dense view for readers outside the library.
+* ``Lmc`` and ``InitialDistribution`` -- immutable model types, each
+  stored in its integer form only (``integer_form``: integers over a common
+  denominator, sparse); ``Lmc.sparse_rows``, ``Lmc.eow``, the dense
+  ``Lmc.matrices`` and ``InitialDistribution.weights`` are Fraction views
+  for readers outside the library, built on first use.
 * ``validate`` -- semantic invariant violations, returned as data.
 * ``word_probability`` -- exact probability of a single word.
 * ``is_acyclic`` / ``max_support_length`` -- shape of the word support.
@@ -38,20 +40,20 @@ walkers, ``word_probability``, ``state_tails``, ``eliminate``) runs on
 integers over a common denominator: the same rationals times a known power
 of it, so it is exact too; so are ``validate``, the range and sum checks
 of ``InitialDistribution`` and the exact sampler's tables
-(``approx._Sampler._table``).  ``Lmc`` checks each row in one pass: all its
-targets (int, in range, strictly ascending), then its entries' exactness,
-converting only entries that are not already Fractions.  Fraction entries
-are still read by ``floatk.RoundedModel``, which rounds each probability to
-k bits on its own, and on the PA side, where ``automata.Pa`` checks dense
-Fraction rows and ``automata.pa_to_lmc`` builds a dense Fraction system for
-its bound.  All model types are frozen and safe to share between threads.
+(``approx._Sampler._table``).  ``Lmc`` and ``Lmc.from_integer_form`` check
+each row in one pass: all its targets (int, in range, strictly ascending),
+then its entries' exactness (Fractions or ints, or ints over the given
+denominator), and keep a row of plain nonzero pairs as it is.  The
+Fraction views are read only by ``floatk.RoundedModel``, which rounds each
+probability to k bits on its own, and by callers outside the library.  All
+model types are frozen and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -86,85 +88,192 @@ def as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
     )
 
 
-def _freeze_rows(rows, size: int, label: str) -> SparseRows:
+def _as_int(value: Any, what: str) -> int:
+    """An entry of an integer form: an int and nothing else (not a bool)."""
+    if type(value) is int:
+        return value
+    raise DomainError(f"{what} must be an int, got {type(value).__name__}")
+
+
+def _check_rows(rows, size: int, label: str, kind: type) -> tuple:
     """One label's rows, checked and copied in one pass per row: every
     target of a row (an int, in range, strictly ascending) before any of its
-    probabilities, which must be exact; zero pairs are dropped."""
+    entries, which must be of type ``kind`` (Fractions may also be given as
+    ints); zero pairs are dropped.  A row that is already a tuple of such
+    pairs, none zero, is kept as it is."""
     rows = tuple(rows)
     if len(rows) != size:
         raise DomainError(f"label {label!r} has {len(rows)} rows, expected {size}")
     out = []
     for row in rows:
+        if type(row) is not tuple:
+            row = tuple(row)
         if not row:
             out.append(())
             continue
-        pairs = []
         last = -1
+        kept = True
         for e in row:
             if isinstance(e, tuple) and len(e) == 2:
-                j = e[0]
+                j, p = e
                 if type(j) is int and last < j < size:
-                    pairs.append(e)
                     last = j
+                    if type(p) is not kind or not p or type(e) is not tuple:
+                        kept = False
                     continue
             raise DomainError(
                 f"a row for label {label!r} must hold (target, probability) pairs "
                 f"with int targets in [0, {size}), strictly ascending"
             )
-        frozen = []
-        for j, p in pairs:
-            if type(p) is not Fraction:
-                p = as_fraction(p, f"transition probability for label {label!r}")
-            if p:
-                frozen.append((j, p))
-        out.append(tuple(frozen))
+        if not kept:
+            coerce, what = (
+                (as_fraction, "transition probability") if kind is Fraction else (_as_int, "transition entry")
+            )
+            what = f"{what} for label {label!r}"
+            row = tuple((j, p) for j, p in ((j, p if type(p) is kind else coerce(p, what)) for j, p in row) if p)
+        out.append(row)
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Lmc:
+class _Frozen:
+    """An immutable value: no attribute can be set or deleted after
+    construction (constructors fill ``__dict__`` directly, and so does
+    ``cached_property``), and equality, hash and repr read the attributes
+    named in ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({parts})"
+
+
+def _chain_parts(states, alphabet, rows, eow, kind: type) -> tuple:
+    """``(states, alphabet, rows, eow)`` as tuples, checked in order: the
+    names, one row set per label (``_check_rows``), and one end-of-word
+    entry of type ``kind`` per state (Fractions may also be given as ints)."""
+    states = tuple(states)
+    alphabet = tuple(alphabet)
+    if not states:
+        raise DomainError("a chain needs at least one state")
+    if len(set(states)) != len(states):
+        raise DomainError("state names must be unique")
+    if len(set(alphabet)) != len(alphabet):
+        raise DomainError("labels must be unique")
+    n = len(states)
+    rows = tuple(rows)
+    if len(rows) != len(alphabet):
+        raise DomainError(f"got {len(rows)} row sets for {len(alphabet)} labels")
+    rows = tuple(_check_rows(r, n, a, kind) for r, a in zip(rows, alphabet))
+    coerce, what = (
+        (as_fraction, "end-of-word probability") if kind is Fraction else (_as_int, "end-of-word entry")
+    )
+    eow = tuple(e if type(e) is kind else coerce(e, what) for e in eow)
+    if len(eow) != n:
+        raise DomainError(f"end-of-word vector has length {len(eow)}, expected {n}")
+    return states, alphabet, rows, eow
+
+
+def _check_denominator(den: Any) -> None:
+    if type(den) is not int or den < 1:
+        raise DomainError(f"common denominator must be a positive int, got {den!r}")
+
+
+class Lmc(_Frozen):
     """A labelled Markov chain.
 
-    ``sparse_rows`` is the stored form of the transitions: per label (aligned
-    with ``alphabet``) and source state, the nonzero ``(target, probability)``
-    pairs, targets strictly ascending; zero pairs are dropped.  ``eow`` is the
-    per-state probability of stopping (ending the word).  ``matrices`` is a
-    dense view for readers outside the library.  Construction checks shape
-    and exactness only -- semantically broken models are representable on
-    purpose so that :func:`validate` can report their violations as data.
+    The stored form is ``integer_form = (L, rows, eow)``: L is the lcm of
+    every transition and end-of-word denominator; ``rows`` holds, per label
+    (aligned with ``alphabet``) and source state, the nonzero ``(target,
+    probability * L)`` pairs, targets strictly ascending; ``eow`` is the
+    per-state probability of stopping (ending the word), times L.  It is in
+    lowest terms, so equal chains have equal integer forms.
+    ``sparse_rows`` and ``eow`` are the same as Fractions and ``matrices``
+    dense, all three views built on first use for readers outside the
+    library.
+
+    ``Lmc(states, alphabet, sparse_rows, eow)`` takes Fraction (or int)
+    entries, ``from_integer_form`` the integers and L.  Construction checks
+    shape and exactness only -- semantically broken models are
+    representable on purpose so that :func:`validate` can report their
+    violations as data.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    sparse_rows: tuple[SparseRows, ...]
-    eow: tuple[Fraction, ...]
+    integer_form: tuple[int, tuple[IntRows, ...], tuple[int, ...]]
+    _fields = ("states", "alphabet", "integer_form")
 
-    def __post_init__(self):
-        states = tuple(self.states)
-        alphabet = tuple(self.alphabet)
-        if not states:
-            raise DomainError("a chain needs at least one state")
-        if len(set(states)) != len(states):
-            raise DomainError("state names must be unique")
-        if len(set(alphabet)) != len(alphabet):
-            raise DomainError("labels must be unique")
-        n = len(states)
-        rows = tuple(self.sparse_rows)
-        if len(rows) != len(alphabet):
-            raise DomainError(f"got {len(rows)} row sets for {len(alphabet)} labels")
-        rows = tuple(_freeze_rows(r, n, a) for r, a in zip(rows, alphabet))
-        eow = tuple(
-            e if type(e) is Fraction else as_fraction(e, "end-of-word probability")
-            for e in self.eow
+    def __init__(
+        self,
+        states: Sequence[str],
+        alphabet: Sequence[str],
+        sparse_rows: Iterable,
+        eow: Iterable[Fraction | int],
+    ):
+        states, alphabet, rows, eow = _chain_parts(states, alphabet, sparse_rows, eow, Fraction)
+        # The lcm of the reduced denominators leaves the integers in lowest terms.
+        den = math.lcm(
+            *{p.denominator for label_rows in rows for row in label_rows for _, p in row},
+            *{e.denominator for e in eow},
         )
-        if len(eow) != n:
-            raise DomainError(f"end-of-word vector has length {len(eow)}, expected {n}")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "sparse_rows", rows)
-        object.__setattr__(self, "eow", eow)
+        self.__dict__.update(
+            states=states,
+            alphabet=alphabet,
+            integer_form=(
+                den,
+                tuple(
+                    tuple(tuple((j, _times(p, den)) for j, p in row) for row in label_rows)
+                    for label_rows in rows
+                ),
+                tuple(_times(e, den) for e in eow),
+            ),
+        )
 
     # -- builders -----------------------------------------------------------
+
+    @classmethod
+    def from_integer_form(
+        cls,
+        states: Sequence[str],
+        alphabet: Sequence[str],
+        den: int,
+        rows: Iterable,
+        eow: Iterable[int],
+    ) -> "Lmc":
+        """A chain from its integer form: every transition and end-of-word
+        entry an int, the probability times ``den``.  The rows are checked
+        as the constructor checks Fraction rows, and the result is reduced
+        to lowest terms, so it equals the chain built from the Fractions."""
+        states, alphabet, rows, eow = _chain_parts(states, alphabet, rows, eow, int)
+        _check_denominator(den)
+        g = math.gcd(den, *eow, *(x for label_rows in rows for row in label_rows for _, x in row))
+        if g > 1:
+            den //= g
+            rows = tuple(
+                tuple(tuple((j, x // g) for j, x in row) for row in label_rows) for label_rows in rows
+            )
+            eow = tuple(e // g for e in eow)
+        self = cls.__new__(cls)
+        self.__dict__.update(states=states, alphabet=alphabet, integer_form=(den, rows, eow))
+        return self
 
     @classmethod
     def from_transitions(
@@ -179,33 +288,18 @@ class Lmc:
         States absent from ``eow`` get end-of-word probability 0.  Duplicate
         (source, label, target) records are rejected rather than summed.
         """
-        states = tuple(states)
-        alphabet = tuple(alphabet)
-        sidx = {s: i for i, s in enumerate(states)}
-        lidx = {a: i for i, a in enumerate(alphabet)}
-        if len(sidx) != len(states):
-            raise DomainError("state names must be unique")
-        if len(lidx) != len(alphabet):
-            raise DomainError("labels must be unique")
-        rows: list[list[dict[int, Fraction]]] = [[{} for _ in states] for _ in alphabet]
-        for src, label, tgt, prob in transitions:
-            if src not in sidx:
-                raise DomainError(f"transition source {src!r} is not a declared state")
-            if tgt not in sidx:
-                raise DomainError(f"transition target {tgt!r} is not a declared state")
-            if label not in lidx:
-                raise DomainError(f"transition label {label!r} is not in the alphabet")
-            row = rows[lidx[label]][sidx[src]]
-            if sidx[tgt] in row:
-                raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
-            row[sidx[tgt]] = (
-                prob if type(prob) is Fraction else as_fraction(prob, "transition probability")
-            )
-        for state in eow:
-            if state not in sidx:
-                raise DomainError(f"end-of-word entry names unknown state {state!r}")
-        eow_vec = tuple(as_fraction(eow.get(s, ZERO), "end-of-word probability") for s in states)
-        sparse = tuple(tuple(tuple(sorted(row.items())) for row in label_rows) for label_rows in rows)
+        states, alphabet, rows, stops = group_records(states, alphabet, transitions, eow)
+        sparse = [
+            [
+                sorted(
+                    (j, p if type(p) is Fraction else as_fraction(p, "transition probability"))
+                    for j, p in row.items()
+                )
+                for row in label_rows
+            ]
+            for label_rows in rows
+        ]
+        eow_vec = [as_fraction(stops.get(i, ZERO), "end-of-word probability") for i in range(len(states))]
         return cls(states, alphabet, sparse, eow_vec)
 
     # -- lookups ------------------------------------------------------------
@@ -225,14 +319,32 @@ class Lmc:
     def transition_records(self) -> list[tuple[str, str, str, Fraction]]:
         """All nonzero transitions as (source, label, target, probability),
         by label, then source, then target."""
+        den, rows, _ = self.integer_form
         return [
-            (self.states[i], label, self.states[j], p)
-            for label, rows in zip(self.alphabet, self.sparse_rows)
-            for i, row in enumerate(rows)
-            for j, p in row
+            (self.states[i], label, self.states[j], Fraction(x, den))
+            for label, label_rows in zip(self.alphabet, rows)
+            for i, row in enumerate(label_rows)
+            for j, x in row
         ]
 
-    # -- derived forms, built on first use -----------------------------------
+    # -- views and derived forms, built on first use -------------------------
+
+    @cached_property
+    def sparse_rows(self) -> tuple[SparseRows, ...]:
+        """Per label and source state, the nonzero ``(target, probability)``
+        pairs as Fractions: a view of ``integer_form``."""
+        den, rows, _ = self.integer_form
+        return tuple(
+            tuple(tuple((j, Fraction(x, den)) for j, x in row) for row in label_rows)
+            for label_rows in rows
+        )
+
+    @cached_property
+    def eow(self) -> tuple[Fraction, ...]:
+        """Per state, the end-of-word probability as a Fraction: a view of
+        ``integer_form``."""
+        den, _, eow = self.integer_form
+        return tuple(Fraction(e, den) for e in eow)
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
@@ -245,53 +357,117 @@ class Lmc:
         )
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[IntRows, ...], tuple[int, ...]]:
-        """``(L, rows, eow)``: L is the lcm of every transition and end-of-word
-        denominator, ``rows`` the sparse rows and ``eow`` the end-of-word
-        vector, both multiplied by L into integers."""
-        den, rows = integer_rows(self.sparse_rows, common_denominator(self.eow))
-        return den, rows, tuple(_times(e, den) for e in self.eow)
-
-    @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Per state: targets reachable by one positive-probability step."""
-        # A Fraction's sign is its numerator's; comparing Fractions costs more.
-        return tuple(
-            tuple(sorted({j for rows in self.sparse_rows for j, p in rows[i] if p.numerator > 0}))
-            for i in range(self.n_states)
-        )
+        targets: list[set[int]] = [set() for _ in self.states]
+        for label_rows in self.integer_form[1]:
+            for out, row in zip(targets, label_rows):
+                for j, x in row:
+                    if x > 0:
+                        out.add(j)
+        return tuple(tuple(sorted(out)) for out in targets)
 
 
-@dataclass(frozen=True)
-class InitialDistribution:
+def group_records(
+    states: Sequence[str],
+    alphabet: Sequence[str],
+    transitions: Iterable[tuple[str, str, str, Any]],
+    eow: Mapping[str, Any],
+) -> tuple[tuple[str, ...], tuple[str, ...], list[list[dict[int, Any]]], dict[int, Any]]:
+    """``(states, alphabet, rows, stops)`` from (source, label, target,
+    value) records and a state -> value map, names checked and values
+    untouched: ``rows[label][source]`` maps each target to its value and
+    ``stops`` each state index in ``eow`` to its value.  Duplicate (source,
+    label, target) records are rejected rather than summed."""
+    states = tuple(states)
+    alphabet = tuple(alphabet)
+    sidx = {s: i for i, s in enumerate(states)}
+    lidx = {a: i for i, a in enumerate(alphabet)}
+    if len(sidx) != len(states):
+        raise DomainError("state names must be unique")
+    if len(lidx) != len(alphabet):
+        raise DomainError("labels must be unique")
+    rows: list[list[dict[int, Any]]] = [[{} for _ in states] for _ in alphabet]
+    for src, label, tgt, value in transitions:
+        if src not in sidx:
+            raise DomainError(f"transition source {src!r} is not a declared state")
+        if tgt not in sidx:
+            raise DomainError(f"transition target {tgt!r} is not a declared state")
+        if label not in lidx:
+            raise DomainError(f"transition label {label!r} is not in the alphabet")
+        row = rows[lidx[label]][sidx[src]]
+        if sidx[tgt] in row:
+            raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
+        row[sidx[tgt]] = value
+    for state in eow:
+        if state not in sidx:
+            raise DomainError(f"end-of-word entry names unknown state {state!r}")
+    return states, alphabet, rows, {sidx[s]: e for s, e in eow.items()}
+
+
+class InitialDistribution(_Frozen):
     """An exact probability distribution over the states of a chain.
 
-    Unlike :class:`Lmc`, construction enforces the invariants (entries in
-    [0, 1], total exactly 1): a broken start distribution is never useful.
-    Both are checked on the weights' integers over their common denominator.
+    The stored form is ``integer_form = (L_pi, weights)``: L_pi is the lcm of
+    the weights' denominators and ``weights`` the ``(state, weight * L_pi)``
+    pairs of the nonzero weights, states ascending, in lowest terms.  The
+    attribute ``weights`` is the per-state Fraction view, built on first
+    use.  Unlike :class:`Lmc`, construction enforces the invariants (entries
+    in [0, 1], total exactly 1), on the integers: a broken start
+    distribution is never useful.
     """
 
-    weights: tuple[Fraction, ...]
+    n_states: int
+    integer_form: tuple[int, tuple[tuple[int, int], ...]]
+    _fields = ("n_states", "integer_form")
 
-    def __post_init__(self):
-        weights = tuple(
-            w if type(w) is Fraction else as_fraction(w, "initial weight")
-            for w in self.weights
-        )
+    def __init__(self, weights: Iterable[Fraction | int]):
+        weights = tuple(w if type(w) is Fraction else as_fraction(w, "initial weight") for w in weights)
         if not weights:
             raise DomainError("an initial distribution needs at least one state")
         den = common_denominator(weights)
+        self._set(len(weights), den, tuple((i, _times(w, den)) for i, w in enumerate(weights) if w))
+
+    @classmethod
+    def from_integer_form(
+        cls, n_states: int, den: int, weights: Iterable[tuple[int, int]]
+    ) -> "InitialDistribution":
+        """A start over ``n_states`` states from ``(state, weight * den)``
+        pairs, states strictly ascending (an omitted state has weight 0);
+        checked like Fraction weights and reduced to lowest terms."""
+        if type(n_states) is not int or n_states < 1:
+            raise DomainError("an initial distribution needs at least one state")
+        _check_denominator(den)
+        pairs = []
+        last = -1
+        for e in weights:
+            if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and last < e[0] < n_states):
+                raise DomainError(
+                    f"initial weights must be (state, int) pairs with int states in "
+                    f"[0, {n_states}), strictly ascending"
+                )
+            last = e[0]
+            x = _as_int(e[1], "initial weight entry")
+            if x:
+                pairs.append((last, x))
+        g = math.gcd(den, *(x for _, x in pairs))
+        self = cls.__new__(cls)
+        self._set(n_states, den // g, tuple((i, x // g) for i, x in pairs) if g > 1 else tuple(pairs))
+        return self
+
+    def _set(self, n_states: int, den: int, pairs: tuple[tuple[int, int], ...]) -> None:
         total = 0
-        for i, w in enumerate(weights):
-            x = _times(w, den)
+        for i, x in pairs:
             if not 0 <= x <= den:
-                raise DomainError(f"initial weight at position {i} is {w}, outside [0, 1]")
+                raise DomainError(
+                    f"initial weight at position {i} is {Fraction(x, den)}, outside [0, 1]"
+                )
             total += x
         if total != den:
             raise DomainError(
                 f"initial weights sum to {Fraction(total, den)}, expected exactly 1"
             )
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(n_states=n_states, integer_form=(den, pairs))
 
     @classmethod
     def dirac(cls, lmc: Lmc, state: str) -> "InitialDistribution":
@@ -300,18 +476,33 @@ class InitialDistribution:
             idx = lmc.state_index[state]
         except KeyError:
             raise DomainError(f"state {state!r} is not in the chain") from None
-        return cls(tuple(ONE if i == idx else ZERO for i in range(lmc.n_states)))
+        return cls.from_integer_form(lmc.n_states, 1, ((idx, 1),))
 
     @classmethod
     def from_map(cls, lmc: Lmc, weights: Mapping[str, Fraction | int]) -> "InitialDistribution":
         """Build from a state->weight map; omitted states get weight 0."""
-        for state in weights:
-            if state not in lmc.state_index:
-                raise DomainError(f"initial distribution names unknown state {state!r}")
+        check_start_names(lmc, weights)
         return cls(tuple(as_fraction(weights.get(s, ZERO), "initial weight") for s in lmc.states))
 
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Per state, the weight as a Fraction: a view of ``integer_form``."""
+        den, pairs = self.integer_form
+        out = [ZERO] * self.n_states
+        for i, x in pairs:
+            out[i] = Fraction(x, den)
+        return tuple(out)
+
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
+        return tuple(i for i, _ in self.integer_form[1])
+
+
+def check_start_names(lmc: Lmc, names: Iterable[str]) -> None:
+    """Raise ``DomainError`` for the first name that is not a state of the
+    chain."""
+    for state in names:
+        if state not in lmc.state_index:
+            raise DomainError(f"initial distribution names unknown state {state!r}")
 
 
 # -- shared sparse-vector plumbing (used by the analysis modules too) --------
@@ -335,15 +526,24 @@ def _times(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def integer_rows(
-    sparse: Sequence[SparseRows], den: int = 1
-) -> tuple[int, tuple[IntRows, ...]]:
-    """The lcm of ``den`` and every entry's denominator, and the sparse rows
-    multiplied by it into integers."""
-    den = math.lcm(den, common_denominator(p for rows in sparse for row in rows for _, p in row))
-    return den, tuple(
-        tuple(tuple((j, _times(p, den)) for j, p in row) for row in rows) for rows in sparse
-    )
+def rows_by_state(rows: Sequence[IntRows], n: int) -> list[list[tuple[int, tuple]]]:
+    """Per source state, the ``(label index, row)`` pairs of every label with
+    a nonempty row there: a step from a vector reads only the rows of its
+    support."""
+    out: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for li, label_rows in enumerate(rows):
+        for group, row in zip(out, label_rows):
+            if row:
+                group.append((li, row))
+    return out
+
+
+def start_vector(pi: InitialDistribution, den: int, offset: int = 0) -> dict[int, int]:
+    """``pi``'s weights times ``den`` as a sparse integer vector on states
+    ``offset``.. ; the start's own denominator must divide ``den``."""
+    den_pi, pairs = pi.integer_form
+    ratio = den // den_pi
+    return {i + offset: x * ratio for i, x in pairs}
 
 
 def scale(weights: Sequence[Fraction], den: int) -> dict[int, int]:
@@ -613,9 +813,9 @@ def depth_total(sums: Mapping[int, int], base: int, ratio: int) -> Fraction:
 
 
 def check_distribution(lmc: Lmc, pi: InitialDistribution, name: str = "initial distribution") -> None:
-    if len(pi.weights) != lmc.n_states:
+    if pi.n_states != lmc.n_states:
         raise DomainError(
-            f"{name} has {len(pi.weights)} weights but the chain has {lmc.n_states} states"
+            f"{name} has {pi.n_states} weights but the chain has {lmc.n_states} states"
         )
 
 
@@ -642,6 +842,7 @@ def validate(lmc: Lmc) -> list[str]:
     """
     den, rows, eow = lmc.integer_form
     problems: list[str] = []
+    totals = list(eow)
     for label, label_rows in zip(lmc.alphabet, rows):
         for i, row in enumerate(label_rows):
             for j, x in row:
@@ -650,14 +851,14 @@ def validate(lmc: Lmc) -> list[str]:
                         f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
                         f"has probability {Fraction(x, den)}, outside [0, 1]"
                     )
+                totals[i] += x
     for i, e in enumerate(eow):
         if not (0 <= e <= den):
             problems.append(
                 f"end-of-word probability at state {lmc.states[i]} is {Fraction(e, den)}, "
                 f"outside [0, 1]"
             )
-    for i, e in enumerate(eow):
-        total = e + sum(x for label_rows in rows for _, x in label_rows[i])
+    for i, total in enumerate(totals):
         if total != den:
             problems.append(
                 f"outgoing probability at state {lmc.states[i]} sums to "
@@ -691,8 +892,8 @@ def word_probability(lmc: Lmc, pi: InitialDistribution, word: Word) -> Fraction:
     Every label is checked, also after a prefix of probability 0."""
     check_distribution(lmc, pi)
     den, rows, eow = lmc.integer_form
-    den_pi = common_denominator(pi.weights)
-    vec = scale(pi.weights, den_pi)
+    den_pi, start = pi.integer_form
+    vec = dict(start)
     for label in word:
         li = lmc.label_index.get(label)
         if li is None:
@@ -734,9 +935,10 @@ def support_lengths(lmc: Lmc) -> list[int | None]:
     order = _topological_order(lmc)
     if order is None:
         raise DomainError("chain has a positive-probability cycle; word support is unbounded")
+    eow = lmc.integer_form[2]
     longest: list[int | None] = [None] * lmc.n_states
     for i in reversed(order):
-        best: int | None = 0 if lmc.eow[i] > 0 else None
+        best: int | None = 0 if eow[i] > 0 else None
         for j in lmc.successors[i]:
             lj = longest[j]
             if lj is not None and (best is None or lj + 1 > best):
@@ -775,11 +977,10 @@ def tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:
     ``pi . T_n`` (``state_tails``)."""
     check_distribution(lmc, pi)
     check_length(n, "length cutoff")
-    den_pi = common_denominator(pi.weights)
-    start = scale(pi.weights, den_pi)
+    den_pi, start = pi.integer_form
     for depth, tails in enumerate(state_tails(lmc)):
         if depth == n:
-            return Fraction(stop_mass(start, tails), den_pi * lmc.integer_form[0] ** (n + 1))
+            return Fraction(stop_mass(dict(start), tails), den_pi * lmc.integer_form[0] ** (n + 1))
     return ZERO
 
 
@@ -808,16 +1009,22 @@ def disjoint_union(
     else:
         names = m1.states + m2.states
     n1 = m1.n_states
-    zeros1 = (ZERO,) * n1
-    zeros2 = (ZERO,) * m2.n_states
+    den1, rows1, eow1 = m1.integer_form
+    den2, rows2, eow2 = m2.integer_form
+    den = math.lcm(den1, den2)
+    r1, r2 = den // den1, den // den2
     rows = tuple(
-        first + tuple(
-            tuple((j + n1, p) for j, p in row)
-            for row in m2.sparse_rows[m2.label_index[label]]
+        tuple(tuple((j, x * r1) for j, x in row) for row in first)
+        + tuple(
+            tuple((j + n1, x * r2) for j, x in row)
+            for row in rows2[m2.label_index[label]]
         )
-        for label, first in zip(m1.alphabet, m1.sparse_rows)
+        for label, first in zip(m1.alphabet, rows1)
     )
-    union = Lmc(names, m1.alphabet, rows, m1.eow + m2.eow)
-    lifted1 = InitialDistribution(pi1.weights + zeros2)
-    lifted2 = InitialDistribution(zeros1 + pi2.weights)
+    eow = tuple(e * r1 for e in eow1) + tuple(e * r2 for e in eow2)
+    union = Lmc.from_integer_form(names, m1.alphabet, den, rows, eow)
+    n = union.n_states
+    lifted1 = InitialDistribution.from_integer_form(n, *pi1.integer_form)
+    den_pi, pairs = pi2.integer_form
+    lifted2 = InitialDistribution.from_integer_form(n, den_pi, ((i + n1, x) for i, x in pairs))
     return union, lifted1, lifted2

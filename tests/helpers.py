@@ -698,6 +698,25 @@ def reference_pair_nodes(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistrib
     return total
 
 
+def reference_reachable_chain(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution) -> Lmc:
+    """The chain on the states either start reaches with positive probability,
+    found on the dense matrices and rebuilt from its transition records."""
+    reached = {i for pi in (pi1, pi2) for i, w in enumerate(pi.weights) if w > 0}
+    grown = True
+    while grown:
+        grown = False
+        for mat in lmc.matrices:
+            for i in list(reached):
+                for j, p in enumerate(mat[i]):
+                    if p > 0 and j not in reached:
+                        reached.add(j)
+                        grown = True
+    kept = [s for i, s in enumerate(lmc.states) if i in reached]
+    records = [r for r in lmc.transition_records() if r[0] in kept]
+    eow = {s: e for s, e in zip(lmc.states, lmc.eow) if s in kept}
+    return Lmc.from_transitions(kept, lmc.alphabet, records, eow)
+
+
 def reference_tv_bounded(
     lmc: Lmc,
     pi1: InitialDistribution,
@@ -708,7 +727,8 @@ def reference_tv_bounded(
     """``approx.tv_bounded`` as it was before it read the bottom levels of
     the prefix tree from a suffix table: one depth-first walk over every
     word up to the cutoff, each node advanced and both stop masses taken on
-    its own.  The body is unchanged."""
+    its own.  The body is unchanged, except that the cutoff is taken from
+    the states either start can reach (``reference_reachable_chain``)."""
     epsilon = as_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -716,7 +736,7 @@ def reference_tv_bounded(
     check_distribution(lmc, pi2, "second initial distribution")
     tail_budget = epsilon / 4
     rounding_budget = epsilon / 8
-    cutoff = length_bound(lmc, tail_budget)
+    cutoff = length_bound(reference_reachable_chain(lmc, pi1, pi2), tail_budget)
     precision = precision_for(cutoff, lmc.n_states, rounding_budget)
     den = lmc.integer_form[0]
     base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, cutoff)

@@ -13,6 +13,7 @@ from lmcdist import (
     InitialDistribution,
     LengthExceededError,
     Lmc,
+    disjoint_union,
     length_bound,
     ln_upper,
     sample_count,
@@ -340,6 +341,33 @@ def test_tv_bounded_refuses_negative_entries(monkeypatch):
         pi2 = InitialDistribution.from_map(lmc, {"s1": 1})
         with pytest.raises(DomainError, match="nonnegative transition and stop probabilities"):
             tv_bounded(lmc, pi1, pi2, Fraction(1, 8))
+
+
+def test_tv_bounded_reads_only_the_states_the_starts_reach(monkeypatch):
+    # The cyclic worked example beside s0 -a-> s1 -b-> s2 is out of both
+    # starts' reach: it sets neither the cutoff nor the suffix table.
+    union, pi, _ = worked_example_union()
+    line = Lmc.from_transitions(
+        ["s0", "s1", "s2"],
+        ["a", "b"],
+        [("s0", "a", "s1", Fraction(1, 2)), ("s1", "b", "s2", Fraction(1, 2))],
+        {"s0": Fraction(1, 2), "s1": Fraction(1, 2), "s2": 1},
+    )
+    lmc = disjoint_union(union, pi, line, InitialDistribution.dirac(line, "s0"))[0]
+    tables = []
+
+    class Recorded(_SuffixTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(approx, "_SuffixTable", Recorded)
+    pi1, pi2 = (InitialDistribution.dirac(lmc, s) for s in ("s0", "s1"))
+    estimate = tv_bounded(lmc, pi1, pi2, Fraction(1, 8))
+    assert estimate.length_cutoff == 2
+    assert [len(table.lives) for table in tables] == [2]
+    alone = tv_distance_acyclic(line, *(InitialDistribution.dirac(line, s) for s in ("s0", "s1")))
+    assert estimate.estimate == alone.distance == Fraction(1, 2)
 
 
 def test_tv_bounded_budget_message_names_cutoff_and_depth():

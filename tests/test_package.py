@@ -54,9 +54,12 @@ def test_library_code_has_no_assert_statements():
 
 
 def test_library_never_builds_the_dense_view(tmp_path):
-    # Sparse rows are a chain's one stored form; ``Lmc.matrices`` is a dense
-    # view for outside readers, cached in the instance once built.
+    # The integer form is a chain's and a start's one stored form;
+    # ``Lmc.matrices``, ``Lmc.sparse_rows``, ``Lmc.eow`` and
+    # ``InitialDistribution.weights`` are views for outside readers, cached
+    # in the instance once built.
     chains = []
+    starts = []
     for red in (nfa_to_lmc(example_nfa(), 3), pa_to_lmc(at_most_half_pa())):
         save_lmc(red.lmc, tmp_path / "lmc.json")
         save_distribution(red.pi1, red.lmc, tmp_path / "pi1.json")
@@ -64,6 +67,7 @@ def test_library_never_builds_the_dense_view(tmp_path):
         lmc = load_lmc(tmp_path / "lmc.json")
         pi1, pi2 = (load_distribution(tmp_path / f"pi{i}.json", lmc) for i in (1, 2))
         chains += [red.lmc, lmc]
+        starts += [red.pi1, red.pi2, pi1, pi2]
         assert validate(lmc) == []
         word_probability(lmc, pi1, lmc.alphabet[:1])
         tail_mass(lmc, pi1, 2)
@@ -76,23 +80,29 @@ def test_library_never_builds_the_dense_view(tmp_path):
             threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 4))
             tv_sample_acyclic(lmc, pi1, pi2, Fraction(1, 2), Fraction(1, 2))
     first, pi1, second, pi2 = worked_example_pair()
-    union = disjoint_union(first, pi1, second, pi2)[0]
+    union, lifted1, lifted2 = disjoint_union(first, pi1, second, pi2)
     chains += [first, second, union]
+    starts += [pi1, pi2, lifted1, lifted2]
     # A probabilistic automaton keeps dense matrices as its constructor's
     # interface, but every routine reads its sparse ``Pa.chain``.
     save_pa(at_most_half_pa(), tmp_path / "pa.json")
     pa = load_pa(tmp_path / "pa.json")
     acceptance_probability(pa, pa.alphabet[:1])
     find_majority_witness(pa, 3)
-    chains.append(pa_to_lmc(pa).lmc)
+    red = pa_to_lmc(pa)
+    chains.append(red.lmc)
+    starts += [red.pi1, red.pi2]
     save_pa(pa, tmp_path / "pa.json")
     chains.append(pa.chain)
-    assert [lmc for lmc in chains if "matrices" in vars(lmc)] == []
+    starts.append(pa.start)
+    views = ("matrices", "sparse_rows", "eow")
+    assert [lmc for lmc in chains if any(view in vars(lmc) for view in views)] == []
+    assert [pi for pi in starts if "weights" in vars(pi)] == []
 
 
 #: The only functions in the library that read a ``.matrices`` attribute:
-#: the automaton's dense constructor input and the chain's own dense view.
-DENSE_READERS = {"Pa.__post_init__", "Pa.chain", "Lmc.matrices"}
+#: the automaton's and the chain's dense views.
+DENSE_READERS = {"Pa.matrices", "Lmc.matrices"}
 
 
 def test_library_reads_dense_matrices_only_where_they_are_made():
