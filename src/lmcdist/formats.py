@@ -49,11 +49,15 @@ from dataclasses import dataclass
 from decimal import ROUND_05UP, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .automata import Nfa, Pa
 from .errors import DomainError, ParseError
 from .model import InitialDistribution, Lmc, Word, check_start_names, group_records, validate
+
+# The automaton readers import these where they build one, so reading or
+# writing a chain or a start never loads the automata module.
+if TYPE_CHECKING:
+    from .automata import Nfa, Pa
 
 #: The documented probability strings: ASCII digits, at most one "/", nothing else.
 _PROB_RE = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -458,6 +462,8 @@ def save_distribution(pi: InitialDistribution, lmc: Lmc, path: str | Path) -> No
 
 
 def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
+    from .automata import Nfa
+
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "initial", "accepting", "transitions"), where)
     triples: dict[tuple[str, str, str], None] = {}  # in file order
@@ -485,6 +491,8 @@ def load_nfa(path: str | Path | InputFile) -> Nfa:
 
 
 def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
+    from .automata import Pa
+
     data = _expect_dict(data, where)
     _expect_keys(
         data, ("states", "alphabet", "transitions", "initial_dist", "accepting"), where

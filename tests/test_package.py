@@ -1,14 +1,21 @@
-"""Package-wide checks: no assert statements in library code, no library
-entry point builds a chain's dense matrices (and only the functions that
-make dense matrices read them), and every name the benchmark's tracer wraps
-and every report field it counts still resolves."""
+"""Package-wide checks: the public names and which modules a fresh import
+loads, no assert statements in library code, no library entry point builds
+a chain's dense matrices (and only the functions that make dense matrices
+read them), and every name the benchmark's tracer wraps and every report
+field it counts still resolves."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import lmcdist
 from lmcdist import (
@@ -39,6 +46,120 @@ from helpers import at_most_half_pa, example_nfa, worked_example_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(lmcdist.__file__).parent.glob("*.py"))
+
+
+#: Starts each fresh-interpreter script below; ``loaded()`` lists the
+#: lmcdist submodules imported so far.
+_PRELUDE = """
+import json
+import sys
+
+import lmcdist
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("lmcdist."))
+"""
+
+
+def _fresh_python(code, cwd):
+    """Run ``code`` after ``_PRELUDE`` in a new interpreter that imports this
+    lmcdist; return its last line of stdout, read as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lmcdist.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", _PRELUDE + code],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+#: Builds, saves and loads chains and starts, as the benchmark's set-up does.
+_CHAIN_ROUND_TRIP = """
+from lmcdist import InitialDistribution, Lmc, disjoint_union, load_distribution, load_lmc
+from lmcdist import save_distribution, save_lmc
+
+chain = Lmc.from_transitions(["s", "t"], ["a"], [("s", "a", "t", 1)], {"t": 1})
+union, pi1, pi2 = disjoint_union(
+    chain, InitialDistribution.dirac(chain, "s"), chain, InitialDistribution.dirac(chain, "t"))
+save_lmc(union, "lmc.json")
+save_distribution(pi1, union, "pi1.json")
+save_distribution(pi2, union, "pi2.json")
+loaded_union = load_lmc("lmc.json")
+load_distribution("pi1.json", loaded_union)
+print(json.dumps(loaded()))
+"""
+
+
+def test_building_and_saving_chains_loads_only_the_model_and_formats(tmp_path):
+    assert _fresh_python(_CHAIN_ROUND_TRIP, tmp_path) == [
+        "lmcdist.errors",
+        "lmcdist.formats",
+        "lmcdist.model",
+    ]
+
+
+#: Reads an NFA, reduces it, reads and saves a PA, then reads two
+#: submodules as the package's attributes; after each step it records the loaded
+#: submodules.
+_AUTOMATA_ROUND_TRIP = """
+steps = {}
+nfa = lmcdist.load_nfa("nfa.json")
+steps["load_nfa"] = loaded()
+lmcdist.nfa_to_lmc(nfa, 2)
+steps["nfa_to_lmc"] = loaded()
+pa = lmcdist.load_pa("pa.json")
+steps["load_pa"] = loaded()
+lmcdist.save_pa(pa, "copy.json")
+steps["save_pa"] = loaded()
+lmcdist.approx.tv_bounded, lmcdist.floatk.fp_mul
+steps["approx"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_automaton_readers_load_automata_and_no_estimator(tmp_path):
+    nfa = example_nfa()
+    (tmp_path / "nfa.json").write_text(json.dumps({
+        "states": list(nfa.states),
+        "alphabet": list(nfa.alphabet),
+        "initial": nfa.initial,
+        "accepting": sorted(nfa.accepting),
+        "transitions": [{"from": s, "label": a, "to": t} for s, a, t in sorted(nfa.transitions)],
+    }))
+    save_pa(at_most_half_pa(), tmp_path / "pa.json")
+    steps = _fresh_python(_AUTOMATA_ROUND_TRIP, tmp_path)
+    expected = ["lmcdist.automata", "lmcdist.errors", "lmcdist.formats", "lmcdist.model"]
+    assert steps.pop("approx") == sorted(
+        [*expected, "lmcdist.approx", "lmcdist.exact", "lmcdist.floatk"])
+    assert steps == dict.fromkeys(("load_nfa", "nfa_to_lmc", "load_pa", "save_pa"), expected)
+
+
+def test_each_public_name_is_its_modules_object():
+    for module, names in lmcdist._EXPORTS.items():
+        owner = importlib.import_module(f"lmcdist.{module}")
+        for name in names:
+            value = getattr(lmcdist, name)
+            assert value is getattr(owner, name), name
+            if isinstance(value, (type, types.FunctionType)):
+                assert value.__module__ == owner.__name__, name
+
+
+def test_all_lists_each_public_name_once_under_one_module():
+    exported = [name for names in lmcdist._EXPORTS.values() for name in names]
+    assert lmcdist.__all__ == sorted(set(exported))
+    assert len(exported) == len(lmcdist.__all__)
+    assert set(lmcdist.__all__) <= set(dir(lmcdist))
+    namespace = {}
+    exec("from lmcdist import *", namespace)
+    assert {name: namespace[name] for name in lmcdist.__all__} == {
+        name: getattr(lmcdist, name) for name in lmcdist.__all__
+    }
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="module 'lmcdist' has no attribute 'no_such_name'"):
+        lmcdist.no_such_name
+    assert not hasattr(lmcdist, "no_such_name")
 
 
 def test_library_code_has_no_assert_statements():
