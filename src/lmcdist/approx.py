@@ -24,11 +24,9 @@ distributions of two starting points:
 Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
 approximation in the statistical estimator is the finite sample size.  The
-integer thresholds of every choice are computed once per call, together with a
-lookup list indexed by the top (at most ``_LOOKUP_BITS``) bits of the choice's
-first read, which names the outcome whenever those bits decide it.  Each node
-(the start, or a state) also gets, on its first visit in a call that draws
-more than one word, a window table indexed by the next ``_LOOKUP_BITS`` bits
+integer thresholds of every choice are computed once per call.  Each node
+(the start, or a state) gets, on its first visit in a call that draws more
+than one word, a window table indexed by the next ``_WINDOW_BITS`` bits
 of the stream, whose entry names every choice those bits decide, so one index
 often draws a whole word; it holds at most 2**8 entry references, plus at most
 2**8 - 1 in the narrower tables it is joined from, and equal entries are one
@@ -166,30 +164,8 @@ class BitStream:
         return self.bits(1)
 
 
-#: Bits of a first read that index a table's lookup list, and bits of the
-#: stream that index a window table (2**8 entries at most, either way).
-_LOOKUP_BITS = 8
-
-
-def _first_read_lookup(bounds: list[int], total: int, width: int) -> list[int]:
-    """The bucket of each value of the top ``min(width, _LOOKUP_BITS)`` bits of
-    a ``width``-bit first read, or -1 where those bits alone do not decide it.
-
-    A read ``a`` stands for [a*total, (a+1)*total) against ``bounds``, the
-    cumulative weights shifted left by ``width``; the reads sharing top bits
-    ``h`` cover [h*span, (h+1)*span) with ``span = total << (width - top)``.
-    The entry is a bucket only when that whole range lies inside it, so every
-    read under ``h`` lands there on the first read.
-    """
-    top = min(width, _LOOKUP_BITS)
-    span = total << (width - top)
-    lookup = []
-    i = 0
-    for lo in range(0, span << top, span):
-        while bounds[i] <= lo:
-            i += 1
-        lookup.append(i if lo + span <= bounds[i] else -1)
-    return lookup
+#: Bits of the stream that index a window table (2**8 entries at most).
+_WINDOW_BITS = 8
 
 
 class _Sampler:
@@ -201,11 +177,10 @@ class _Sampler:
     [a*total, (a+1)*total) over ``total << width`` lies in one bucket or
     straddles one bound, and then each further bit halves it until it fits.
     Power-of-two totals always decide on the first read; a one-outcome table
-    reads nothing.  Each table also carries its ``_first_read_lookup``, so a
-    first read whose top bits decide the bucket costs one list index.
+    has width 0 and reads nothing.
 
     On top of that, each node (the start, or a state) has a window table
-    indexed by the next ``_LOOKUP_BITS`` bits of the stream.  Its entry
+    indexed by the next ``_WINDOW_BITS`` bits of the stream.  Its entry
     ``(labels, letters, bits, next)`` names every choice those bits decide,
     in order: the node's outcome on each value, by the same first read and
     refinement (``_decided``), joined to the successor's table for the bits
@@ -213,10 +188,10 @@ class _Sampler:
     the state to go on from, or -1 after a stop.  Where the window decides
     no choice (the bits run out first, or the table is wider than the
     window) or the entry has more letters than the cap leaves, the draw
-    takes one choice the slow way: the lookup, then bisection and
-    refinement.  The bits read are the same either way.  A state's window
-    is built on its first visit by a ``tally`` of more than one word, with
-    the narrower tables of its successors that it joins (``_window``); a
+    takes one choice by the refinement loop above, reading the table
+    directly.  The bits read are the same either way.  A state's window is
+    built on its first visit by a ``tally`` of more than one word, with the
+    narrower tables of its successors that it joins (``_window``); a
     node holds at most 2**8 entry references in its window and at most
     2**8 - 1 in its narrower tables, and equal entries are one object.  The
     state tables and windows depend only on the chain, so ``from_start``
@@ -242,11 +217,10 @@ class _Sampler:
                         outs.append((label, j))
                         weights.append(x)
             self._tables.append(self._table(outs, weights, den, f"state {lmc.states[i]!r}"))
-        self._steps = [self._step(table) for table in self._tables]
         # An unbuilt window reads None everywhere, which sends the draw loop
         # to the one-choice path; a tally of more than one word builds it
         # there.
-        self._unbuilt = [None] * (1 << _LOOKUP_BITS)
+        self._unbuilt = [None] * (1 << _WINDOW_BITS)
         self._windows = [self._unbuilt] * lmc.n_states
         self._decoded: dict[tuple[int, int], list] = {}
         self._entries: dict[tuple, tuple] = {}
@@ -257,7 +231,6 @@ class _Sampler:
         self._start = self._table(
             [(None, i) for i, _ in start], [x for _, x in start], den_pi, "the initial distribution"
         )
-        self._start_step = self._step(self._start)
         self._start_window = None
 
     def from_start(self, pi: InitialDistribution) -> _Sampler:
@@ -270,10 +243,10 @@ class _Sampler:
 
     @staticmethod
     def _table(outs: list, weights: list[int], den: int, where: str) -> tuple:
-        """``(outcomes, uppers, total, width, bounds)`` for weights over
-        ``den``: ``total`` is their least common denominator (the same for any
+        """``(outcomes, uppers, total, width)`` for weights over ``den``:
+        ``total`` is their least common denominator (the same for any
         ``den``), ``uppers`` the cumulative weights over it (cum[1:]), and
-        ``bounds`` the same shifted left by the first read's ``width``."""
+        ``width`` the bits of the first read, 0 when ``total`` is 1."""
         if not weights:
             raise DomainError(f"cannot sample: {where} has no positive outcome")
         unit = math.gcd(den, *weights)
@@ -284,30 +257,16 @@ class _Sampler:
                 f"cannot sample: probabilities at {where} sum to "
                 f"{Fraction(uppers[-1], total)}, expected 1"
             )
-        width = max(1, (total - 1).bit_length())
-        return outs, uppers, total, width, [u << width for u in uppers]
+        return outs, uppers, total, (total - 1).bit_length()
 
-    @staticmethod
-    def _step(table: tuple) -> tuple:
-        """What the draw loop reads per choice: ``(outcomes, lookup, width,
-        drop, top_mask, table)``.  A one-outcome table reads 0 bits and looks
-        up its one outcome; otherwise the lookup is indexed by the first
-        read shifted right by ``drop``."""
-        outs, _, total, width, bounds = table
-        if total == 1:
-            return outs, [0], 0, 0, 0, table
-        lookup = _first_read_lookup(bounds, total, width)
-        top = min(width, _LOOKUP_BITS)
-        return outs, lookup, width, width - top, (1 << top) - 1, table
-
-    def _window(self, state: int, r: int = _LOOKUP_BITS) -> list:
+    def _window(self, state: int, r: int = _WINDOW_BITS) -> list:
         """The ``r``-bit table of ``state`` (memoized): ``_decode`` of its
-        step, joined to its successors' tables unless it reads 0 bits."""
-        table = self._decoded.get((state, r))
-        if table is None:
-            step = self._steps[state]
-            table = self._decoded[state, r] = self._decode(step, r, step[2] > 0)
-        return table
+        table, joined to its successors' tables unless it reads 0 bits."""
+        decoded = self._decoded.get((state, r))
+        if decoded is None:
+            table = self._tables[state]
+            decoded = self._decoded[state, r] = self._decode(table, r, table[3] > 0)
+        return decoded
 
     @staticmethod
     def _decided(table: tuple, r: int) -> list[tuple[int, int]]:
@@ -315,9 +274,7 @@ class _Sampler:
         ``(bits, outcome)``: the values whose first ``bits`` bits decide
         ``outcome`` by the draw loop's refinement, or a single value with
         outcome -1 that leaves it undecided."""
-        _, uppers, total, width, _ = table
-        if total == 1:
-            return [(0, 0)]
+        _, uppers, total, width = table
         runs = []
 
         def refine(read: int, shift: int) -> None:
@@ -335,14 +292,14 @@ class _Sampler:
             refine(read, width)
         return runs
 
-    def _decode(self, step: tuple, r: int, follow: bool) -> list:
+    def _decode(self, table: tuple, r: int, follow: bool) -> list:
         """Entry v, for each r-bit value v of the stream: the choices v
-        decides from ``step`` on, as one interned ``(labels, letters, bits,
-        next)``, or None where v does not decide the first one.  With
-        ``follow`` the first outcome is joined to the successor's table for
-        the bits left; without it (a one-outcome state, so that a cycle of
-        them ends) the entry stops at the successor."""
-        outs, width, table = step[0], step[2], step[5]
+        decides, starting with ``table``'s, as one interned ``(labels,
+        letters, bits, next)``, or None where v does not decide the first
+        one.  With ``follow`` the first outcome is joined to the successor's
+        table for the bits left; without it (a one-outcome state, so that a
+        cycle of them ends) the entry stops at the successor."""
+        outs, width = table[0], table[3]
         if width > r:
             return [None] * (1 << r)
         intern = self._entries.setdefault
@@ -385,19 +342,19 @@ class _Sampler:
         # draw builds none and takes the one-choice path throughout.
         build = count > 1
         if build and self._start_window is None:
-            self._start_window = self._decode(self._start_step, _LOOKUP_BITS, True)
+            self._start_window = self._decode(self._start, _WINDOW_BITS, True)
         # The stream's buffer lives in locals for all the draws and is written
         # back on the way out; ``drawn`` counts every bit that entered it, so
         # the bits used are ``drawn - avail``.
         getrandbits = stream._rng.getrandbits
         buf = stream._buffer
         avail = drawn = stream._available
-        steps = self._steps
+        tables = self._tables
         windows = self._windows
         unbuilt = self._unbuilt
         start = unbuilt if self._start_window is None else self._start_window
-        first = self._start_step
-        bits = _LOOKUP_BITS
+        first = self._start
+        bits = _WINDOW_BITS
         mask = (1 << bits) - 1
         counts: dict[tuple[str, ...], int] = {}
         try:
@@ -426,31 +383,25 @@ class _Sampler:
                     if win is unbuilt and build:
                         win = windows[node] = self._window(node)
                         continue
-                    # One choice at ``node``.
-                    outs, lookup, width, drop, top_mask, table = steps[node] if node >= 0 else first
-                    while avail < width:
+                    # One choice at ``node``: the first read, then one more
+                    # bit at a time until the interval fits in a bucket.
+                    outs, uppers, total, shift = tables[node] if node >= 0 else first
+                    while avail < shift:
                         buf = (buf & ((1 << avail) - 1)) << 64 | getrandbits(64)
                         avail += 64
                         drawn += 64
-                    avail -= width
-                    i = lookup[buf >> (avail + drop) & top_mask]
-                    if i < 0:
-                        _, uppers, total, _, bounds = table
-                        lo = (buf >> avail & ((1 << width) - 1)) * total
-                        i = bisect_right(bounds, lo)
-                        if lo + total > bounds[i]:
-                            shift = width
-                            while True:
-                                if not avail:
-                                    buf = getrandbits(64)
-                                    avail = 64
-                                    drawn += 64
-                                avail -= 1
-                                lo = (lo << 1) + total if buf >> avail & 1 else lo << 1
-                                shift += 1
-                                i = bisect_right(uppers, lo >> shift)
-                                if lo + total <= uppers[i] << shift:
-                                    break
+                    avail -= shift
+                    lo = (buf >> avail & ((1 << shift) - 1)) * total
+                    i = bisect_right(uppers, lo >> shift)
+                    while lo + total > uppers[i] << shift:
+                        if not avail:
+                            buf = getrandbits(64)
+                            avail = 64
+                            drawn += 64
+                        avail -= 1
+                        lo = (lo << 1) + total if buf >> avail & 1 else lo << 1
+                        shift += 1
+                        i = bisect_right(uppers, lo >> shift)
                     pick = outs[i]
                     if pick is None:
                         break

@@ -141,9 +141,12 @@ def count_accepted_words(nfa: Nfa, length: int, state_cap: int = 2**20) -> int:
 
     Tracks how many words of each length lead to each reachable state subset;
     raises ``BudgetExceededError`` if more than ``state_cap`` subsets appear
-    in one layer (worst case 2^s, so this is the oracle of last resort).
+    in one layer (worst case 2^s, so this is the oracle of last resort), and
+    ``DomainError`` for a ``state_cap`` below 1, before any work.
     """
     check_length(length, "word length")
+    if state_cap < 1:
+        raise DomainError(f"subset cap must be positive, got {state_cap}")
     layer: dict[frozenset[str], int] = {frozenset({nfa.initial}): 1}
     for _ in range(length):
         nxt: dict[frozenset[str], int] = {}

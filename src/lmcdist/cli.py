@@ -348,8 +348,13 @@ def _cmd_from_nfa(ns: argparse.Namespace) -> int:
     report.param("out", ns.out)
     report.param("subset_cap", ns.cap)
     red = nfa_to_lmc(nfa, ns.length)
-    _write_instance(report, ns.out, red)
     n = red.params["word_length"]
+    # Counted before the instance is written, so a refused cap leaves no files.
+    try:
+        count = count_accepted_words(nfa, n, state_cap=ns.cap)
+    except BudgetExceededError:
+        count = None
+    _write_instance(report, ns.out, red)
     k = red.params["alphabet_size"]
     s = red.params["state_count"]
     report.field("alphabet_size", k)
@@ -359,9 +364,7 @@ def _cmd_from_nfa(ns: argparse.Namespace) -> int:
     report.rational("count_unit", unit, "distance shift per accepted word")
     report.field("total_words", k**n, f"words of length {n}: {k**n}")
     report.line(f"identity: distance = y + ({k}^{n} - count) * {unit}")
-    try:
-        count = count_accepted_words(nfa, n, state_cap=ns.cap)
-    except BudgetExceededError:
+    if count is None:
         report.field(
             "accepted_count",
             None,

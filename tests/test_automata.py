@@ -88,6 +88,14 @@ def test_count_accepted_words_subset_cap():
         count_accepted_words(example_nfa(), 2, state_cap=1)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_count_accepted_words_rejects_a_nonpositive_cap(cap):
+    # Refused before any work, even at length 0, where no layer is built.
+    for n in (0, 2):
+        with pytest.raises(DomainError, match=f"subset cap must be positive, got {cap}"):
+            count_accepted_words(example_nfa(), n, state_cap=cap)
+
+
 def test_total_accepting_runs_matches_per_word_sums():
     nfa = example_nfa()
     assert total_accepting_runs(nfa, 3) == 7

@@ -398,6 +398,19 @@ def test_count_nfa(tmp_path, capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize(("command", "n"), [("count-nfa", "0"), ("count-nfa", "2"), ("from-nfa", "2")])
+def test_nonpositive_subset_cap_is_a_domain_error(tmp_path, capsys, command, n):
+    # from-nfa needs words of at least one letter; it writes no instance.
+    nfa = write(tmp_path / "nfa.json", EXAMPLE_NFA)
+    out_dir = tmp_path / "inst"
+    options = ["--out", str(out_dir)] if command == "from-nfa" else []
+    for cap in ("0", "-3"):
+        code, out, err = run(capsys, command, nfa, "-n", n, "--cap", cap, *options)
+        assert (code, out) == (1, "")
+        assert f"subset cap must be positive, got {cap}" in err
+    assert not out_dir.exists()
+
+
 def test_extract_count(capsys):
     base = ["extract-count", "--y", "7/64", "-n", "3", "-k", "2", "-s", "2"]
     code, out, _ = run(capsys, *base, "--dtilde", "11/64")

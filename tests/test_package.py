@@ -48,11 +48,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(lmcdist.__file__).parent.glob("*.py"))
 
 
-#: Starts each fresh-interpreter script below; ``loaded()`` lists the
-#: lmcdist submodules imported so far.
+#: Starts each fresh-interpreter script below; ``started`` holds the modules
+#: the interpreter loaded at start-up (site hooks among them), ``loaded()``
+#: lists the lmcdist submodules imported so far.
 _PRELUDE = """
-import json
 import sys
+
+started = set(sys.modules)
+
+import json
 
 import lmcdist
 
@@ -132,6 +136,22 @@ def test_automaton_readers_load_automata_and_no_estimator(tmp_path):
     assert steps.pop("approx") == sorted(
         [*expected, "lmcdist.approx", "lmcdist.exact", "lmcdist.floatk"])
     assert steps == dict.fromkeys(("load_nfa", "nfa_to_lmc", "load_pa", "save_pa"), expected)
+
+
+#: Star-imports the package and imports the CLI, then prints the top-level
+#: names of every module loaded since start-up.
+_EVERY_IMPORT = """
+from lmcdist import *
+import lmcdist.cli
+
+print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - started})))
+"""
+
+
+def test_package_imports_only_the_standard_library(tmp_path):
+    top = _fresh_python(_EVERY_IMPORT, tmp_path)
+    assert "lmcdist" in top
+    assert [name for name in top if name != "lmcdist" and name not in sys.stdlib_module_names] == []
 
 
 def test_each_public_name_is_its_modules_object():
