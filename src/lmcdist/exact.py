@@ -97,7 +97,8 @@ class ThresholdCertificate:
     exact functions of the inputs (lhs equals the distance and rhs the
     threshold, both scaled by twice ``denominator_product ** (support_length
     + 2)``, with 1 added to rhs for a strict comparison), so the certificate
-    can be re-verified independently.
+    can be re-verified independently.  ``denominator_product`` is D of
+    ``threshold_decide_acyclic``, an lcm; the field keeps its older name.
     """
 
     decision: bool
@@ -315,10 +316,12 @@ def threshold_decide_acyclic(
 ) -> ThresholdCertificate:
     """Decide distance > tau (strict) or >= tau by an exact integer inequality.
 
-    Let D be the product of every denominator appearing in the two starting
-    distributions, the transition matrices, the end-of-word vector and tau,
-    and let n be the length of the longest support word.  The certificate
-    compares lhs = 2 D**(n+2) distance with rhs = 2 D**(n+2) tau (plus 1 when
+    Let D be the lcm of tau's denominator, the chain's common denominator L
+    and the two starts' L_pi (``integer_form``), and let n be the length of
+    the longest support word.  A word w of length at most n has probability
+    x / (L_pi * L**(|w|+1)) for an integer x under each start, so
+    2 D**(n+2) distance is an integer.  The certificate compares
+    lhs = 2 D**(n+2) distance with rhs = 2 D**(n+2) tau (plus 1 when
     strict), two integers, so the decision needs no division at all.  Both
     sides are returned so the decision can be audited.
 
@@ -336,25 +339,20 @@ def threshold_decide_acyclic(
     if not (0 <= tau <= 1):
         raise DomainError(f"threshold must lie in [0, 1], got {tau}")
 
-    # D from the integer forms: an entry x over L is a Fraction with reduced
-    # denominator L / gcd(x, L), which is 1 for x = 0.
-    den, rows, eow = lmc.integer_form
-    entries = [*eow, *(x for label_rows in rows for row in label_rows for _, x in row)]
-    denom_product = tau.denominator * math.prod(den // math.gcd(x, den) for x in entries)
-    for pi in (pi1, pi2):
-        den_pi, pairs = pi.integer_form
-        denom_product *= math.prod(den_pi // math.gcd(x, den_pi) for _, x in pairs)
+    denominator = math.lcm(
+        tau.denominator, lmc.integer_form[0], pi1.integer_form[0], pi2.integer_form[0]
+    )
     lengths = support_lengths(lmc)
     n = max((lengths[i] for i in {*pi1.support(), *pi2.support()} if lengths[i] is not None), default=0)
 
-    power = denom_product ** (n + 2)
+    power = denominator ** (n + 2)
     lhs = _integer(_power_sum(lmc, pi1, pi2, 1, budget, n) * power)
     rhs = _integer(2 * tau * power) + (1 if strict else 0)
     return ThresholdCertificate(
         decision=lhs >= rhs,
         lhs_integer=lhs,
         rhs_integer=rhs,
-        denominator_product=denom_product,
+        denominator_product=denominator,
         support_length=n,
     )
 

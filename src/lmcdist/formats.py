@@ -9,23 +9,24 @@ summing to one, states that can never stop) are also ``ParseError`` under
 the default strict loading, or can be collected separately via ``validate``
 after a shape-only load.  A file that is not UTF-8, nests too deeply for
 the JSON parser or holds a number past the interpreter's int/str digit
-limit is malformed input too.
+limit is malformed input too.  The ``*_from_dict`` readers also take an
+object as the tuple of its (key, value) pairs, the form a file parses to.
 
 What each check runs on, in a strict chain load:
 
-* the bytes, read once (``InputFile``): UTF-8 and JSON syntax;
-* each transition record: one test of its type, key set and name types,
-  with the field-by-field checks and their location text only on failure;
-* each distinct probability string or int of a file: ``parse_prob`` once,
-  then one conversion to an integer over the lcm of the file's
-  denominators (``_prob_reader``); a bad value raises at its first
-  occurrence;
-* the chain: names and duplicates in ``model.group_records``, the integer
-  rows in one shape pass each in ``Lmc.from_integer_form``, and row sums
-  and stopping on integers in ``validate``; the start: its integer weights
-  in ``InitialDistribution.from_integer_form``.  A loaded chain or start
-  is stored in that integer form; no Fraction is built for its entries
-  until a reader asks for the ``Fraction`` views.
+* the bytes, read once (``InputFile``) and parsed with no Python code per
+  JSON object: each is the tuple of its pairs, made a dict only where a
+  loader reads it, which catches a repeated key (``_load_json``);
+* each distinct probability string: ``parse_prob`` once, before the
+  records, then one conversion to an integer over the lcm L of the file's
+  denominators (``_scale``); a bad value raises where it first occurs;
+* each transition record: one step puts its integer in its row and adds it
+  to its source's total and predecessors; the field-by-field checks run only
+  on a record not in the saver's form, and name and duplicate faults come
+  after every other, in the order ``model.group_records`` reports them;
+* the chain: row totals against L and ``model.unstoppable`` on what the
+  record pass collected, ``validate`` only for a violation's text; the
+  start: its integer weights in ``InitialDistribution.from_integer_form``.
 
 File shapes:
 
@@ -49,10 +50,10 @@ from dataclasses import dataclass
 from decimal import ROUND_05UP, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import DomainError, ParseError
-from .model import InitialDistribution, Lmc, Word, check_start_names, group_records, validate
+from .model import InitialDistribution, Lmc, Word, check_start_names, name_fault, unstoppable, validate
 
 # The automaton readers import these where they build one, so reading or
 # writing a chain or a start never loads the automata module.
@@ -60,7 +61,7 @@ if TYPE_CHECKING:
     from .automata import Nfa, Pa
 
 #: The documented probability strings: ASCII digits, at most one "/", nothing else.
-_PROB_RE = re.compile(r"[0-9]+(/[0-9]+)?")
+_PROB_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 #: Name of the empty word in command-line input and text reports.
 EMPTY_WORD_MARK = "ε"
@@ -80,24 +81,27 @@ def parse_prob(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         prob = Fraction(value)
     elif isinstance(value, str):
-        if not _PROB_RE.fullmatch(value):
+        match = _PROB_RE.fullmatch(value)
+        if not match:
             raise ParseError(
                 f"{where}: {value!r} is not a probability; write it as "
                 f'"num/den" or an integer string'
             )
+        num, den = match.groups()
         try:
-            prob = Fraction(value)
-        except ZeroDivisionError:
-            raise ParseError(f"{where}: {value!r} has denominator zero") from None
+            num, den = int(num), int(den or 1)
         except ValueError:  # past the interpreter's int/str digit limit
             raise _too_many_digits(where) from None
+        if not den:
+            raise ParseError(f"{where}: {value!r} has denominator zero")
+        prob = Fraction(num, den)
     elif isinstance(value, float):
         raise ParseError(
             f"{where}: {value!r} is a binary float; write the exact rational "
             f'as "num/den"'
         )
     else:
-        raise ParseError(f"{where}: expected a probability, got {value!r}")
+        raise ParseError(f"{where}: expected a probability, got {_plain(value)!r}")
     if not 0 <= prob <= 1:
         raise ParseError(f"{where}: probability {prob} is outside [0, 1]")
     return prob
@@ -109,36 +113,37 @@ def _too_many_digits(where: str) -> ParseError:
     )
 
 
-def _prob_reader():
-    """``(read, integers)``: ``parse_prob`` for one file, each distinct
-    string or int value parsed once.
+def _scale(items: list, obj: Any) -> tuple[int, dict[str, int]]:
+    """``(L, {s: probability * L})`` over the distinct strings s that
+    ``parse_prob`` accepts among the "prob" values of the records ``items``
+    and the values of the object ``obj``, L the lcm of their denominators:
+    each parsed once, and a bad one left out, to raise where a loader first
+    meets it (``_integer``)."""
+    try:  # a record of four pairs in the saver's order holds "prob" last
+        values = {
+            item[3][1] if type(item) is tuple and len(item) == 4 and item[3][0] == "prob"
+            else _loose(item).get("prob")
+            for item in items
+        }
+    except (TypeError, IndexError):  # an unhashable value, or a tuple that is not pairs
+        values = [_loose(item).get("prob") for item in items]
+    probs = {}
+    for value in {v for v in [*values, *_loose(obj).values()] if isinstance(v, str)}:
+        try:
+            probs[value] = parse_prob(value, "")
+        except ParseError:
+            pass
+    den = math.lcm(*{p.denominator for p in probs.values()})
+    return den, {value: p.numerator * (den // p.denominator) for value, p in probs.items()}
 
-    ``read(value, where, *args)`` checks a value and returns its key, the
-    value itself; only accepted values are kept, so a bad value raises at
-    each occurrence, the first one first.  The location is
-    ``where.format(*args)``, built only when a value is parsed.
-    ``integers()`` returns ``(L, {key: probability * L})`` over every value
-    read so far, L the lcm of their denominators: each distinct probability
-    becomes an integer once.
-    """
-    parsed: dict = {}
 
-    def read(value: Any, where: str, *args: Any) -> Any:
-        # Exact types only: True == 1 and 1.0 == 1 must not hit the int's
-        # entry.  Any other value that parses is keyed by its probability.
-        if type(value) is not str and type(value) is not int:
-            prob = parse_prob(value, where.format(*args))
-            parsed[prob] = prob
-            return prob
-        if value not in parsed:
-            parsed[value] = parse_prob(value, where.format(*args))
-        return value
-
-    def integers() -> tuple[int, dict]:
-        den = math.lcm(*{p.denominator for p in parsed.values()})
-        return den, {key: p.numerator * (den // p.denominator) for key, p in parsed.items()}
-
-    return read, integers
+def _integer(value: Any, den: int, ints: dict[str, int], where: str, *args: Any) -> int:
+    """The probability ``value`` times ``den``, from ``ints`` (``_scale``), or
+    else an int's (0 or 1); ``parse_prob`` raises for any other value, naming
+    ``where.format(*args)``."""
+    if isinstance(value, str) and value in ints:
+        return ints[value]
+    return parse_prob(value, where.format(*args)).numerator * den
 
 
 def decimal15(value: Fraction | int) -> str:
@@ -189,7 +194,43 @@ def format_word(word: Word) -> str:
 # -- shape helpers ---------------------------------------------------------------
 
 
+def _pairs(value: Any) -> bool:
+    """Whether ``value`` is a parsed JSON object: a tuple of (key, value) pairs."""
+    return type(value) is tuple and (not value or bool(_loose(value)))
+
+
+def _object(pairs: Sequence[tuple[str, Any]], where: str) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key is a fault."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"{where}: repeated key {key!r}")
+            seen.add(key)
+    return data
+
+
+def _loose(value: Any) -> dict:
+    """``value`` as a dict if it is a dict or a tuple of pairs, else empty."""
+    try:
+        return dict(value) if isinstance(value, (dict, tuple)) else {}
+    except (TypeError, ValueError):
+        return {}
+
+
+def _plain(value: Any) -> Any:
+    """A parsed JSON value with each object a dict again, as messages print it."""
+    if _pairs(value):
+        return {key: _plain(v) for key, v in value}
+    return [_plain(v) for v in value] if type(value) is list else value
+
+
 def _expect_dict(value: Any, where: str) -> dict:
+    if type(value) is tuple:  # a parsed JSON object: its (key, value) pairs
+        data = _loose(value)
+        if data or not value:
+            return data if len(data) == len(value) else _object(value, where)
     if not isinstance(value, dict):
         raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
     return value
@@ -205,72 +246,36 @@ def _expect_keys(data: dict, required: Sequence[str], where: str) -> None:
     missing = [k for k in required if k not in data]
     if missing:
         raise ParseError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
-    unknown = [k for k in data if k not in required]
-    if unknown:
+    if len(data) > len(required):  # all of them are there, so some other key is too
+        unknown = [k for k in data if k not in required]
         raise ParseError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def _expect_str(value: Any, where: str) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"{where}: expected a string, got {type(value).__name__}")
+        kind = "dict" if _pairs(value) else type(value).__name__
+        raise ParseError(f"{where}: expected a string, got {kind}")
     return value
 
 
-#: Keys of a chain or PA transition record.
+#: Keys of a chain or PA transition record, in the order the saver writes them.
 _WEIGHTED = ("from", "label", "to", "prob")
 
 
-def _integer_rows(rows: list[list[dict[int, Any]]], ints: dict) -> list[list[tuple]]:
-    """Rows grouped as ``{target: key}`` dicts (``model.group_records``) as
-    ``(target, integer)`` pairs, targets ascending, each key's integer from
-    ``ints``."""
-    out = []
-    for label_rows in rows:
-        converted = [()] * len(label_rows)
-        for i, row in enumerate(label_rows):
-            if len(row) == 1:
-                ((j, v),) = row.items()
-                converted[i] = ((j, ints[v]),)
-            elif row:
-                converted[i] = tuple(sorted([(j, ints[v]) for j, v in row.items()]))
-        out.append(converted)
-    return out
-
-
-def _spot(where: str, i: int) -> str:
-    """Names record ``i`` of the transitions in a message."""
-    return f"{where}: transitions[{i}]"
-
-
-def _transitions(data: dict, keys: Sequence[str], where: str):
-    """Each record of ``data["transitions"]`` as ``(i, item, from, label,
-    to)``, checked for shape only.
-
-    A generator, so a caller's own checks on one record run before the next
-    record is read, and faults are reported in file order.  A record with
-    exactly ``keys`` and string names passes one test; any other is checked
-    field by field, and its location is formatted only then.
-    """
-    items = data["transitions"]
-    if not isinstance(items, list):
+def _transition_list(data: dict, where: str) -> list:
+    if not isinstance(data["transitions"], list):
         raise ParseError(f"{where}: transitions: expected an array")
-    wanted = set(keys)
-    for i, item in enumerate(items):
-        if type(item) is dict and item.keys() == wanted:
-            src, label, tgt = item["from"], item["label"], item["to"]
-            if type(src) is str and type(label) is str and type(tgt) is str:
-                yield i, item, src, label, tgt
-                continue
-        spot = _spot(where, i)
-        item = _expect_dict(item, spot)
-        _expect_keys(item, keys, spot)
-        yield (
-            i,
-            item,
-            _expect_str(item["from"], f"{spot}: from"),
-            _expect_str(item["label"], f"{spot}: label"),
-            _expect_str(item["to"], f"{spot}: to"),
-        )
+    return data["transitions"]
+
+
+def _record(item: Any, keys: Sequence[str], spot: str) -> tuple[dict, str, str, str]:
+    """A transition record checked field by field: ``(record, from, label, to)``."""
+    item = _expect_dict(item, spot)
+    _expect_keys(item, keys, spot)
+    src, label, tgt = item["from"], item["label"], item["to"]
+    if type(src) is str and type(label) is str and type(tgt) is str:
+        return item, src, label, tgt
+    return (item, *(_expect_str(item[key], f"{spot}: {key}") for key in ("from", "label", "to")))
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,11 @@ class InputFile:
         return self.path
 
 
-def _load_json(source: str | Path | InputFile) -> Any:
+def _load_json(source: str | Path | InputFile, build: Callable, *args: Any) -> Any:
+    """``build(tree, *args, where=path)`` on one file's JSON, each object in
+    it the tuple of its pairs (``_expect_dict`` reads them).  A file that
+    fails is parsed again, each object checked as it closes, so that a
+    repeated key is reported before any other fault, JSON faults next."""
     if not isinstance(source, InputFile):
         source = InputFile.read(source)
     path = source.path
@@ -304,27 +313,20 @@ def _load_json(source: str | Path | InputFile) -> Any:
     # Universal newlines, as a file opened in text mode reads them, so that
     # the positions in a JSON error message count the same characters.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-
-    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-        data = dict(pairs)
-        if len(data) < len(pairs):
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise ParseError(f"{path}: repeated key {key!r}")
-                seen.add(key)
-        return data
-
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
-    except ParseError:
+        return build(json.loads(text, object_pairs_hook=tuple), *args, where=path)
+    except (ValueError, RecursionError):  # a ParseError, or a JSON fault
+        try:
+            json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, path))
+        except ParseError as repeated:
+            raise repeated from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON: {exc}") from None
+        except ValueError:  # an integer past the interpreter's int/str digit limit
+            raise _too_many_digits(path) from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply to parse") from None
         raise
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    except ValueError:  # an integer past the interpreter's int/str digit limit
-        raise _too_many_digits(path) from None
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _write_json(data: Any, path: str | Path) -> None:
@@ -346,37 +348,77 @@ def lmc_from_dict(data: Any, strict: bool = True, where: str = "<chain>") -> Lmc
     _expect_keys(data, ("states", "alphabet", "transitions", "eow"), where)
     states = _expect_names(data["states"], f"{where}: states")
     alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
-    read, integers = _prob_reader()
-    records = [
-        (src, label, tgt, read(item["prob"], "{}: transitions[{}]: prob", where, i))
-        for i, item, src, label, tgt in _transitions(data, _WEIGHTED, where)
-    ]
-    eow_data = _expect_dict(data["eow"], f"{where}: eow")
-    eow = {
-        _expect_str(state, f"{where}: eow key"): read(prob, "{}: eow[{!r}]", where, state)
-        for state, prob in eow_data.items()
-    }
-    try:
-        states, alphabet, rows, stops = group_records(states, alphabet, records, eow)
-        den, ints = integers()
-        lmc = Lmc.from_integer_form(
-            states,
-            alphabet,
-            den,
-            _integer_rows(rows, ints),
-            [ints[stops[i]] if i in stops else 0 for i in range(len(states))],
-        )
-    except DomainError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-    if strict:
-        violations = validate(lmc)
-        if violations:
-            raise ParseError(f"{where}: " + "; ".join(violations))
+    items = _transition_list(data, where)
+    den, ints = _scale(items, data["eow"])
+    n = len(states)
+    sidx = {s: i for i, s in enumerate(states)}
+    lidx = {a: k for k, a in enumerate(alphabet)}
+    rows = [[()] * n for _ in alphabet]
+    totals = [0] * n
+    preds: list[list[int]] = [[] for _ in states]
+    zero = 0 in ints.values()  # a zero entry stays in its row for the duplicate check
+    fault = None  # the first name or duplicate fault: raised after every other fault
+    for at, item in enumerate(items):
+        try:
+            if type(item) is tuple:  # a parsed record: four pairs in the saver's order
+                (f, src), (l, label), (t, tgt), (p, prob) = item
+                if f != "from" or l != "label" or t != "to" or p != "prob":
+                    raise KeyError
+            elif isinstance(item, dict) and len(item) == 4:
+                src, label, tgt, prob = item["from"], item["label"], item["to"], item["prob"]
+            else:
+                raise KeyError
+            k, i, j, x = lidx[label], sidx[src], sidx[tgt], ints[prob]
+        except (KeyError, TypeError, ValueError):
+            spot = f"{where}: transitions[{at}]"
+            item, src, label, tgt = _record(item, _WEIGHTED, spot)
+            x = _integer(item["prob"], den, ints, "{}: prob", spot)
+            zero = zero or not x
+            fault = fault or name_fault(src, label, tgt, sidx, lidx)
+            if fault:
+                continue
+            k, i, j = lidx[label], sidx[src], sidx[tgt]
+        row = rows[k][i]
+        if row and row[-1][0] >= j:  # out of target order: a duplicate, or a row to sort
+            if any(e[0] == j for e in row):
+                fault = fault or f"duplicate transition {src!r} --{label!r}--> {tgt!r}"
+                continue
+            rows[k][i] = tuple(sorted(row + ((j, x),)))
+        else:
+            rows[k][i] = row + ((j, x),)
+        totals[i] += x
+        if x:
+            preds[j].append(i)
+    eow = [0] * n
+    for state, prob in _expect_dict(data["eow"], f"{where}: eow").items():
+        x = _integer(prob, den, ints, "{}: eow[{!r}]", where, _expect_str(state, f"{where}: eow key"))
+        if state in sidx:
+            eow[sidx[state]] = x
+        else:
+            fault = fault or f"end-of-word entry names unknown state {state!r}"
+    if len(sidx) < n:
+        fault = "state names must be unique"
+    elif len(lidx) < len(alphabet):
+        fault = "labels must be unique"
+    if fault or not n:
+        raise ParseError(f"{where}: {fault or 'a chain needs at least one state'}")
+    if zero:
+        rows = [[tuple(e for e in row if e[1]) for row in label_rows] for label_rows in rows]
+    # Every invariant ``Lmc.from_integer_form`` checks holds by construction,
+    # so the chain is stored as built: the entries are ints (from ``_scale``,
+    # or an int probability times L); the targets are state indices, so in
+    # range, and strictly ascending (a row that arrives out of order is
+    # sorted, and a repeated target is a duplicate fault); no zero entry is
+    # left; and the form is in lowest terms, because L is the lcm of the
+    # reduced denominators of the probabilities the chain holds.
+    lmc = Lmc._built(states, alphabet, (den, tuple(map(tuple, rows)), tuple(eow)))
+    if strict and (any(t + e != den for t, e in zip(totals, eow)) or unstoppable(preds, eow)):
+        raise ParseError(f"{where}: " + "; ".join(validate(lmc)))
     return lmc
 
 
 def load_lmc(path: str | Path | InputFile, strict: bool = True) -> Lmc:
-    return lmc_from_dict(_load_json(path), strict=strict, where=str(path))
+    return _load_json(path, lmc_from_dict, strict)
 
 
 def _ratio_strs(den: int):
@@ -428,24 +470,23 @@ def distribution_from_dict(
     data: Any, lmc: Lmc, where: str = "<distribution>"
 ) -> InitialDistribution:
     data = _expect_dict(data, where)
-    read, integers = _prob_reader()
+    den, ints = _scale([], data)
     weights = {
-        _expect_str(state, f"{where}: key"): read(prob, "{}[{!r}]", where, state)
+        _expect_str(state, f"{where}: key"): _integer(prob, den, ints, "{}[{!r}]", where, state)
         for state, prob in data.items()
     }
     try:
         check_start_names(lmc, weights)
-        den, ints = integers()
         index = lmc.state_index
         return InitialDistribution.from_integer_form(
-            lmc.n_states, den, sorted((index[s], ints[v]) for s, v in weights.items())
+            lmc.n_states, den, sorted((index[s], x) for s, x in weights.items())
         )
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
 def load_distribution(path: str | Path | InputFile, lmc: Lmc) -> InitialDistribution:
-    return distribution_from_dict(_load_json(path), lmc, where=str(path))
+    return _load_json(path, distribution_from_dict, lmc)
 
 
 def distribution_to_dict(pi: InitialDistribution, lmc: Lmc) -> dict:
@@ -467,10 +508,12 @@ def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "initial", "accepting", "transitions"), where)
     triples: dict[tuple[str, str, str], None] = {}  # in file order
-    for i, _, src, label, tgt in _transitions(data, ("from", "label", "to"), where):
-        if (src, label, tgt) in triples:
-            raise ParseError(f"{_spot(where, i)}: duplicate transition")
-        triples[src, label, tgt] = None
+    for at, item in enumerate(_transition_list(data, where)):
+        spot = f"{where}: transitions[{at}]"
+        triple = _record(item, ("from", "label", "to"), spot)[1:]
+        if triple in triples:
+            raise ParseError(f"{spot}: duplicate transition")
+        triples[triple] = None
     try:
         return Nfa(
             states=_expect_names(data["states"], f"{where}: states"),
@@ -484,7 +527,7 @@ def nfa_from_dict(data: Any, where: str = "<nfa>") -> Nfa:
 
 
 def load_nfa(path: str | Path | InputFile) -> Nfa:
-    return nfa_from_dict(_load_json(path), where=str(path))
+    return _load_json(path, nfa_from_dict)
 
 
 # -- probabilistic automata ---------------------------------------------------------
@@ -494,49 +537,43 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
     from .automata import Pa
 
     data = _expect_dict(data, where)
-    _expect_keys(
-        data, ("states", "alphabet", "transitions", "initial_dist", "accepting"), where
-    )
+    _expect_keys(data, ("states", "alphabet", "transitions", "initial_dist", "accepting"), where)
     states = _expect_names(data["states"], f"{where}: states")
     alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
     sidx = {s: i for i, s in enumerate(states)}
     lidx = {a: i for i, a in enumerate(alphabet)}
     if len(sidx) != len(states) or len(lidx) != len(alphabet):
         raise ParseError(f"{where}: state names and labels must be unique")
-    rows: list[list[dict[int, Any]]] = [[{} for _ in states] for _ in alphabet]
-    read, integers = _prob_reader()
-    for i, item, src, label, tgt in _transitions(data, _WEIGHTED, where):
+    items = _transition_list(data, where)
+    den, ints = _scale(items, data["initial_dist"])
+    rows: list[list[dict[int, int]]] = [[{} for _ in states] for _ in alphabet]
+    for at, item in enumerate(items):
+        spot = f"{where}: transitions[{at}]"
+        item, src, label, tgt = _record(item, _WEIGHTED, spot)
         if src not in sidx or tgt not in sidx:
-            raise ParseError(f"{_spot(where, i)}: names an unknown state")
+            raise ParseError(f"{spot}: names an unknown state")
         if label not in lidx:
-            raise ParseError(f"{_spot(where, i)}: label {label!r} is not in the alphabet")
+            raise ParseError(f"{spot}: label {label!r} is not in the alphabet")
         row = rows[lidx[label]][sidx[src]]
         if sidx[tgt] in row:
-            raise ParseError(f"{_spot(where, i)}: duplicate transition")
-        row[sidx[tgt]] = read(item["prob"], "{}: transitions[{}]: prob", where, i)
+            raise ParseError(f"{spot}: duplicate transition")
+        row[sidx[tgt]] = _integer(item["prob"], den, ints, "{}: prob", spot)
     init_data = _expect_dict(data["initial_dist"], f"{where}: initial_dist")
     weights = {}
     for state, prob in init_data.items():
         if state not in sidx:
             raise ParseError(f"{where}: initial_dist names unknown state {state!r}")
-        weights[sidx[state]] = read(prob, "{}: initial_dist[{!r}]", where, state)
+        weights[sidx[state]] = _integer(prob, den, ints, "{}: initial_dist[{!r}]", where, state)
     accepting = frozenset(_expect_names(data["accepting"], f"{where}: accepting"))
-    den, ints = integers()
     try:
-        return Pa.from_integer_form(
-            states,
-            alphabet,
-            den,
-            _integer_rows(rows, ints),
-            sorted((i, ints[v]) for i, v in weights.items()),
-            accepting,
-        )
+        rows = [[sorted(row.items()) for row in label_rows] for label_rows in rows]
+        return Pa.from_integer_form(states, alphabet, den, rows, sorted(weights.items()), accepting)
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
 def load_pa(path: str | Path | InputFile) -> Pa:
-    return pa_from_dict(_load_json(path), where=str(path))
+    return _load_json(path, pa_from_dict)
 
 
 def pa_to_dict(pa: Pa) -> dict:

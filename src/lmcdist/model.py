@@ -271,8 +271,14 @@ class Lmc(_Frozen):
                 tuple(tuple((j, x // g) for j, x in row) for row in label_rows) for label_rows in rows
             )
             eow = tuple(e // g for e in eow)
+        return cls._built(states, alphabet, (den, rows, eow))
+
+    @classmethod
+    def _built(cls, states: tuple, alphabet: tuple, integer_form: tuple) -> "Lmc":
+        """A chain stored as given, unchecked: for a caller that built its
+        parts to every invariant ``from_integer_form`` checks."""
         self = cls.__new__(cls)
-        self.__dict__.update(states=states, alphabet=alphabet, integer_form=(den, rows, eow))
+        self.__dict__.update(states=states, alphabet=alphabet, integer_form=integer_form)
         return self
 
     @classmethod
@@ -389,12 +395,8 @@ def group_records(
         raise DomainError("labels must be unique")
     rows: list[list[dict[int, Any]]] = [[{} for _ in states] for _ in alphabet]
     for src, label, tgt, value in transitions:
-        if src not in sidx:
-            raise DomainError(f"transition source {src!r} is not a declared state")
-        if tgt not in sidx:
-            raise DomainError(f"transition target {tgt!r} is not a declared state")
-        if label not in lidx:
-            raise DomainError(f"transition label {label!r} is not in the alphabet")
+        if src not in sidx or tgt not in sidx or label not in lidx:
+            raise DomainError(name_fault(src, label, tgt, sidx, lidx))
         row = rows[lidx[label]][sidx[src]]
         if sidx[tgt] in row:
             raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
@@ -403,6 +405,15 @@ def group_records(
         if state not in sidx:
             raise DomainError(f"end-of-word entry names unknown state {state!r}")
     return states, alphabet, rows, {sidx[s]: e for s, e in eow.items()}
+
+
+def name_fault(src: str, label: str, tgt: str, sidx: Mapping, lidx: Mapping) -> str | None:
+    """What is wrong with the names of a (source, label, target) record, if
+    anything, given the state and label indices."""
+    for name, role in ((src, "source"), (tgt, "target")):
+        if name not in sidx:
+            return f"transition {role} {name!r} is not a declared state"
+    return None if label in lidx else f"transition label {label!r} is not in the alphabet"
 
 
 class InitialDistribution(_Frozen):
@@ -864,27 +875,30 @@ def validate(lmc: Lmc) -> list[str]:
                 f"outgoing probability at state {lmc.states[i]} sums to "
                 f"{Fraction(total, den)}, expected 1"
             )
-    # Backward reachability from the states that can stop.
-    can_stop = {i for i, e in enumerate(eow) if e > 0}
-    preds: list[set[int]] = [set() for _ in lmc.states]
+    preds: list[list[int]] = [[] for _ in lmc.states]
     for i, targets in enumerate(lmc.successors):
         for j in targets:
-            preds[j].add(i)
-    reached = set(can_stop)
-    frontier = deque(can_stop)
-    while frontier:
-        j = frontier.popleft()
-        for i in preds[j]:
-            if i not in reached:
-                reached.add(i)
-                frontier.append(i)
-    for i in range(lmc.n_states):
-        if i not in reached:
-            problems.append(
-                f"state {lmc.states[i]} has no positive-probability path to a state "
-                f"that can end the word"
-            )
+            preds[j].append(i)
+    for i in unstoppable(preds, eow):
+        problems.append(
+            f"state {lmc.states[i]} has no positive-probability path to a state "
+            f"that can end the word"
+        )
     return problems
+
+
+def unstoppable(preds: Sequence[Iterable[int]], eow: Sequence[int]) -> list[int]:
+    """The states with no positive-probability path to a state that can stop,
+    ascending: ``preds[j]`` holds the sources of every positive entry into j,
+    and ``eow`` the stop entries (positive where a state can stop)."""
+    reached = [i for i, e in enumerate(eow) if e > 0]
+    seen = set(reached)
+    for j in reached:  # backward reachability; the list grows as it is read
+        for i in preds[j]:
+            if i not in seen:
+                seen.add(i)
+                reached.append(i)
+    return [i for i in range(len(eow)) if i not in seen]
 
 
 def word_probability(lmc: Lmc, pi: InitialDistribution, word: Word) -> Fraction:

@@ -156,18 +156,18 @@ def test_lk_rejects_bad_exponent():
 
 
 def test_threshold_certificate_integers_on_fixture():
-    # Denominators: 1/2, 1/2, 1 (transitions), 1 (eow), diracs 1, tau 1/2
-    # give D = 8; longest support word has length 1; lhs = 2 * 8^3 * (1/2).
+    # The chain's L = 2, the diracs' L_pi = 1 and tau's 2 have lcm D = 2;
+    # longest support word has length 1; lhs = 2 * 2^3 * (1/2).
     lmc, pi1, pi2 = half_distance_instance()
     cert = threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 2), strict=False)
-    assert cert.denominator_product == 8
+    assert cert.denominator_product == 2
     assert cert.support_length == 1
-    assert cert.lhs_integer == 512
-    assert cert.rhs_integer == 512
+    assert cert.lhs_integer == 8
+    assert cert.rhs_integer == 8
     assert cert.decision is True
 
     strict = threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 2), strict=True)
-    assert strict.rhs_integer == 513
+    assert strict.rhs_integer == 9
     assert strict.decision is False
 
 

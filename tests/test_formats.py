@@ -1,7 +1,8 @@
 """Loader messages: the exact ``ParseError`` text for malformed ``transitions``
 in chain, NFA and PA files, the order in which two faults are reported, the
 rejection of a key repeated in any JSON object, and exit 3 for files that
-are not UTF-8, nest too deeply or hold over-long numbers."""
+are not UTF-8, nest too deeply or hold over-long numbers; and hand-written
+files: rows out of target order, objects where names belong."""
 
 import copy
 import hashlib
@@ -17,7 +18,16 @@ import pytest
 import lmcdist
 from lmcdist.cli import main
 from lmcdist.errors import ParseError
-from lmcdist.formats import InputFile, decimal15, load_lmc, load_nfa, load_pa, parse_prob
+from lmcdist.formats import (
+    InputFile,
+    decimal15,
+    load_distribution,
+    load_lmc,
+    load_nfa,
+    load_pa,
+    parse_prob,
+    save_lmc,
+)
 
 CHAIN = {
     "states": ["s", "t"],
@@ -234,6 +244,138 @@ def test_repeated_key_in_a_distribution_file_exits_3(tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert "dup.json: repeated key 's0'" in err
+
+
+#: A chain record in the saver's key order, with its probability.
+_RECORD = '{"from": "s", "label": "a", "to": "t", "prob": %s}'
+
+#: (loader, JSON text with one key repeated, that key): one case per place an
+#: object stands in a file; a parsed object is its pairs until a loader reads it.
+REPEATED_EVERYWHERE = {
+    "top-level": ("chain", '{"states": ["s", "t"], "states": ["s", "t"], "alphabet": ["a"], '
+                  '"transitions": [], "eow": {"s": 1, "t": 1}}', "states"),
+    "chain-record": ("chain", '{"states": ["s", "t"], "alphabet": ["a"], "transitions": ['
+                     + _RECORD % '"1/2"' + ", "
+                     + '{"from": "s", "label": "a", "label": "a", "to": "t", "prob": "1/2"}], '
+                     '"eow": {"t": 1}}', "label"),
+    "eow": ("chain", '{"states": ["s", "t"], "alphabet": ["a"], "transitions": [], '
+            '"eow": {"s": 1, "t": 1, "t": 1}}', "t"),
+    "start": ("start", '{"s": "1/2", "t": "1/2", "s": "1/2"}', "s"),
+    "pa-initial-dist": ("pa", '{"states": ["s"], "alphabet": ["a"], '
+                        '"transitions": [{"from": "s", "label": "a", "to": "s", "prob": 1}], '
+                        '"initial_dist": {"s": "1/2", "s": "1/2"}, "accepting": []}', "s"),
+    "nfa-record": ("nfa", '{"states": ["s"], "alphabet": ["a"], "initial": "s", "accepting": [], '
+                   '"transitions": [{"from": "s", "to": "s", "label": "a", "to": "s"}]}', "to"),
+}
+
+
+def _load_any(kind: str, path: str):
+    if kind == "start":
+        return load_distribution(path, load_lmc(InputFile("c.json", json.dumps(CHAIN).encode())))
+    return {"chain": load_lmc, "nfa": load_nfa, "pa": load_pa}[kind](path)
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_EVERYWHERE))
+def test_a_repeated_key_is_caught_in_every_object_position(tmp_path, monkeypatch, case):
+    kind, text, key = REPEATED_EVERYWHERE[case]
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        _load_any(kind, "f.json")
+    assert str(exc.value) == f"f.json: repeated key {key!r}"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # An earlier record's shape fault, a later record's repeated key.
+        ('{"states": ["s", "t"], "alphabet": ["a"], "transitions": [7, '
+         '{"from": "s", "label": "a", "to": "t", "prob": "1", "prob": "1"}], "eow": {"t": 1}}', "prob"),
+        # A repeated key in an object that closes before a syntax fault.
+        ('{"eow": {"s": 1, "s": 1}, "states": [}', "s"),
+        # Two repeats: the inner object closes first.
+        ('{"eow": {"s": 1, "s": 1}, "eow": {}}', "s"),
+    ],
+    ids=["before-a-shape-fault", "before-a-syntax-fault", "inner-object-first"],
+)
+def test_a_repeated_key_is_reported_before_any_other_fault(tmp_path, monkeypatch, text, key):
+    # As when every object was checked as the parser closed it.
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_lmc("f.json")
+    assert str(exc.value) == f"f.json: repeated key {key!r}"
+
+
+def test_rows_out_of_target_order_load_as_saved(tmp_path, monkeypatch):
+    # A hand-written chain lists a row's targets in any order; the saver
+    # writes them ascending.  Both load to the same chain.
+    data = {
+        "states": ["s", "t", "u"],
+        "alphabet": ["a", "b"],
+        "transitions": [
+            {"from": "s", "label": "a", "to": "u", "prob": "1/4"},
+            {"from": "s", "label": "b", "to": "s", "prob": "1/8"},
+            {"from": "s", "label": "a", "to": "t", "prob": "1/4"},
+            {"prob": "1/8", "to": "s", "label": "a", "from": "s"},
+            {"from": "t", "label": "a", "to": "u", "prob": 1},
+        ],
+        "eow": {"s": "1/4", "u": 1},
+    }
+    hand = load_lmc(_write(tmp_path, monkeypatch, data))
+    saved = tmp_path / "saved.json"
+    save_lmc(hand, saved)
+    assert load_lmc(saved) == hand
+    assert hand.integer_form[1][0][0] == ((0, 1), (1, 2), (2, 2))
+    assert json.loads(saved.read_text())["transitions"][0]["to"] == "s"
+    # A duplicate in such a row is still found, also of a target not last.
+    data["transitions"].append({"from": "s", "label": "a", "to": "t", "prob": "1/4"})
+    with pytest.raises(ParseError) as exc:
+        load_lmc(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == "f.json: duplicate transition 's' --'a'--> 't'"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("from", "f.json: transitions[0]: from: expected a string, got dict"),
+        ("prob", "f.json: transitions[0]: prob: expected a probability, got {'x': [{'y': 1}]}"),
+    ],
+)
+def test_an_object_in_a_field_prints_as_a_dict(tmp_path, monkeypatch, field, message):
+    # A file's objects are parsed as tuples of pairs; messages still name
+    # and print them as the dicts they are.
+    data = copy.deepcopy(CHAIN)
+    data["transitions"][0][field] = {"x": [{"y": 1}]}
+    with pytest.raises(ParseError) as exc:
+        load_lmc(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == message
+
+
+#: Loads ``f.json`` as a chain and prints the ParseError text.
+_LOAD_CHAIN = _LOAD_NFA.replace("load_nfa", "load_lmc")
+
+
+def test_the_first_bad_probability_is_reported_under_every_hash_seed(tmp_path, monkeypatch):
+    # Each distinct probability string is parsed once, from a set, before
+    # the records are read; the fault must still be the earlier record's.
+    data = copy.deepcopy(CHAIN)
+    data["transitions"] = [
+        {"from": "s", "label": "a", "to": "t", "prob": "1/2"},
+        {"from": "t", "label": "a", "to": "t", "prob": "5/0"},
+        {"from": "t", "label": "a", "to": "s", "prob": "3/2"},
+    ]
+    data["eow"] = {"s": "1/0", "t": "7/4"}
+    _write(tmp_path, monkeypatch, data)
+    src = str(Path(lmcdist.__file__).resolve().parent.parent)
+    seen = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _LOAD_CHAIN], env=env, capture_output=True, text=True, check=True
+        )
+        seen.add(done.stdout)
+    assert seen == {"f.json: transitions[1]: prob: '5/0' has denominator zero\n"}
 
 
 def test_decimal15_rounds_once_at_the_fifteenth_digit():

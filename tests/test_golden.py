@@ -38,8 +38,8 @@ PAIR_GOLDEN = {
     ("exact",): "15c87d21c8795c448859a0cea9f6c027422a51e6214fe310299578b52ec232f3",
     ("exact", "--words"): "233edecdee221bb8f99972474b071962f0cee40e8800178f56eefa15aaa7a70a",
     ("lk", "-k", "2"): "c7c4e93cd102612079a1495bef87af77c72bf7dbcc71c6131685c9fc4c7078cd",
-    ("threshold", "--tau", "{distance}", "--strict"): "2a6187e978459639383ccba856ef2f34dc15df087c25091970afaa3079330464",
-    ("threshold", "--tau", "{distance}", "--non-strict"): "7fab9c962afa75c69530c58b35e359dc5a01086f1d3967d51abca2f7f688de79",
+    ("threshold", "--tau", "{distance}", "--strict"): "758402df3186e6bc621af125ad00bd8ea477f0bebc21196bdb26ecc3a6662cf6",
+    ("threshold", "--tau", "{distance}", "--non-strict"): "8ecddd6e1fc1a5158c42e73621e66d7a7dfc085748bd350dc2790e488b4c61b5",
 }
 
 PA_GOLDEN = {

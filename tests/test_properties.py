@@ -5,6 +5,7 @@ the one-pass chain loader against independent routes."""
 
 import copy
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -40,7 +41,15 @@ from lmcdist import (
 from lmcdist.approx import BitStream, _Sampler
 from lmcdist.automata import _solve_linear
 from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
-from lmcdist.formats import distribution_from_dict, distribution_to_dict, lmc_from_dict, lmc_to_dict
+from lmcdist.formats import (
+    InputFile,
+    distribution_from_dict,
+    distribution_to_dict,
+    lmc_from_dict,
+    lmc_to_dict,
+    load_distribution,
+    load_lmc,
+)
 
 from helpers import (
     all_two_state_nfas,
@@ -800,6 +809,56 @@ def test_chain_loader_matches_reference(seed, kind, fault, strict):
 
     got = _outcome(load(lmc_from_dict, distribution_from_dict))
     assert got == _outcome(load(reference_lmc_from_dict, reference_distribution_from_dict))
+    if fault is None:
+        assert got[0] == "ok" and got[1][0] == lmc
+
+
+def _file_bytes(rng, data, layout: str) -> bytes:
+    """``data`` as the bytes of a JSON file in one of the layouts a hand or a
+    tool may write: the saver's, compact, each object's keys shuffled, or
+    with CRLF line ends."""
+    if layout == "shuffled":
+        data = _shuffled(rng, data)
+    text = json.dumps(data, separators=(",", ":")) if layout == "compact" else json.dumps(data, indent=2)
+    return (text.replace("\n", "\r\n") if layout == "crlf" else text).encode("utf-8")
+
+
+def _shuffled(rng, value):
+    if isinstance(value, dict):
+        return dict(rng.sample([(k, _shuffled(rng, v)) for k, v in value.items()], len(value)))
+    return [_shuffled(rng, v) for v in value] if isinstance(value, list) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds,
+    st.sampled_from(["acyclic", "cyclic", "pa"]),
+    st.sampled_from([None, *FILE_FAULTS, *RECORD_FAULTS, "unknown-start"]),
+    st.booleans(),
+    st.sampled_from(["indent", "compact", "shuffled", "crlf"]),
+)
+def test_file_loader_matches_reference(seed, kind, fault, strict, layout):
+    # The same broken chains and starts as above, written as files: the
+    # loader reads each object as its pairs, and must still give what the
+    # old loader gives on the file's dicts, chain and start or error text.
+    rng = random.Random(seed)
+    lmc = _valid_chain(kind, rng)
+    chain = lmc_to_dict(lmc)
+    start = distribution_to_dict(random_distribution(rng, lmc), lmc)
+    _break_files(rng, chain, start, fault)
+    chain_file = InputFile("c.json", _file_bytes(rng, chain, layout))
+    start_file = InputFile("d.json", _file_bytes(rng, start, layout))
+
+    def from_files():
+        loaded = load_lmc(chain_file, strict=strict)
+        return loaded, load_distribution(start_file, loaded)
+
+    def reference():
+        loaded = reference_lmc_from_dict(json.loads(chain_file.data), strict=strict, where="c.json")
+        return loaded, reference_distribution_from_dict(json.loads(start_file.data), loaded, where="d.json")
+
+    got = _outcome(from_files)
+    assert got == _outcome(reference)
     if fault is None:
         assert got[0] == "ok" and got[1][0] == lmc
 
