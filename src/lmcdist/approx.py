@@ -30,10 +30,10 @@ than one word, a window table indexed by the next ``_WINDOW_BITS`` bits
 of the stream, whose entry names every choice those bits decide, so one index
 often draws a whole word; it holds at most 2**8 entry references, plus at most
 2**8 - 1 in the narrower tables it is joined from, and equal entries are one
-object.  The state windows depend only on the chain, so both sides of a call
-share them; nothing is kept between calls.  All of a side's words are drawn in
-one loop (``_Sampler.tally``) that keeps the bit stream's buffer in locals and
-returns how often each word was drawn; it consumes exactly the bits of a
+object.  One sampler serves one chain, so both sides of a call share its
+state windows; nothing is kept between calls.  All of a side's words are drawn
+in one loop (``_Sampler.tally``) that keeps the bit stream's buffer in locals
+and returns how often each word was drawn; it consumes exactly the bits of a
 one-choice-at-a-time refinement, so a seed replays the same words and
 estimates.  The tables are built from the chain's integer form
 (``Lmc.integer_form``), but each is reduced to the least denominator of its
@@ -48,7 +48,6 @@ term), so every derived count errs on the safe side.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import random
@@ -76,6 +75,7 @@ from .model import (
     max_support_length,
     state_tails,
     stop_mass,
+    unstoppable,
     walk_prefixes,
     word_probability,  # noqa: F401 -- kept importable here for callers and tracers
 )
@@ -90,22 +90,22 @@ _LN_TERMS = 32
 # -- certified logarithm upper bound ------------------------------------------
 
 
-def _atanh_upper(t: Fraction, terms: int) -> Fraction:
+def _atanh_upper(t: Fraction) -> Fraction:
     """Upper bound on atanh(t) for 0 <= t < 1.
 
-    Partial sum of t + t^3/3 + t^5/5 + ... plus the exact geometric bound
-    t^(2J+1) / ((2J+1)(1-t^2)) on the omitted tail.
+    Partial sum of t + t^3/3 + t^5/5 + ... to J = ``_LN_TERMS`` terms plus
+    the exact geometric bound t^(2J+1) / ((2J+1)(1-t^2)) on the omitted tail.
     """
     acc = ZERO
     t2 = t * t
     power = t
-    for j in range(terms):
+    for j in range(_LN_TERMS):
         acc += power / (2 * j + 1)
         power *= t2
-    return acc + power / ((2 * terms + 1) * (1 - t2))
+    return acc + power / ((2 * _LN_TERMS + 1) * (1 - t2))
 
 
-def ln_upper(x: Fraction | int, terms: int = _LN_TERMS) -> Fraction:
+def ln_upper(x: Fraction | int) -> Fraction:
     """A rational upper bound on the natural logarithm of x, for x >= 1.
 
     Splits off the power of two (bounding ln 2 from above by its own series)
@@ -120,9 +120,9 @@ def ln_upper(x: Fraction | int, terms: int = _LN_TERMS) -> Fraction:
         return ZERO
     e = floor_log2(x)
     reduced = x / (ONE * 2**e)  # in [1, 2)
-    ln2_up = 2 * _atanh_upper(Fraction(1, 3), terms)
+    ln2_up = 2 * _atanh_upper(Fraction(1, 3))
     t = (reduced - 1) / (reduced + 1)  # in [0, 1/3)
-    return e * ln2_up + 2 * _atanh_upper(t, terms)
+    return e * ln2_up + 2 * _atanh_upper(t)
 
 
 # -- exact sampling ------------------------------------------------------------
@@ -169,9 +169,9 @@ _WINDOW_BITS = 8
 
 
 class _Sampler:
-    """Ancestral sampler for one (chain, start) pair with exact thresholds.
+    """Ancestral sampler for one chain with exact thresholds.
 
-    Each choice (the start table, then one table per state) picks outcome i
+    Each choice (the start's table, then one table per state) picks outcome i
     with probability (cum[i+1] - cum[i]) / total by dyadic refinement: read
     ``width = ceil(log2(total))`` bits as ``a``; the interval
     [a*total, (a+1)*total) over ``total << width`` lies in one bucket or
@@ -194,14 +194,12 @@ class _Sampler:
     narrower tables of its successors that it joins (``_window``); a
     node holds at most 2**8 entry references in its window and at most
     2**8 - 1 in its narrower tables, and equal entries are one object.  The
-    state tables and windows depend only on the chain, so ``from_start``
-    shares them between starts; nothing outlives the sampler.
+    sampler keeps only what depends on the chain, so every start shares it;
+    a start's table and window live in the ``tally`` that draws from it.
     """
 
-    def __init__(self, lmc: Lmc, pi: InitialDistribution):
-        check_distribution(lmc, pi)
+    def __init__(self, lmc: Lmc):
         self._lmc = lmc
-        self._start_from(pi)
         # Outcomes: None = stop or (label, target) per state.
         den, rows, eow = lmc.integer_form
         self._tables = []
@@ -225,22 +223,6 @@ class _Sampler:
         self._decoded: dict[tuple[int, int], list] = {}
         self._entries: dict[tuple, tuple] = {}
 
-    def _start_from(self, pi: InitialDistribution) -> None:
-        # Outcomes: (None, state).
-        den_pi, start = pi.integer_form
-        self._start = self._table(
-            [(None, i) for i, _ in start], [x for _, x in start], den_pi, "the initial distribution"
-        )
-        self._start_window = None
-
-    def from_start(self, pi: InitialDistribution) -> _Sampler:
-        """A sampler of the same chain from ``pi``, sharing this one's state
-        tables, windows and entries."""
-        check_distribution(self._lmc, pi)
-        other = copy.copy(self)
-        other._start_from(pi)
-        return other
-
     @staticmethod
     def _table(outs: list, weights: list[int], den: int, where: str) -> tuple:
         """``(outcomes, uppers, total, width)`` for weights over ``den``:
@@ -258,6 +240,13 @@ class _Sampler:
                 f"{Fraction(uppers[-1], total)}, expected 1"
             )
         return outs, uppers, total, (total - 1).bit_length()
+
+    @classmethod
+    def _start_table(cls, pi: InitialDistribution) -> tuple:
+        """The start's table; its outcomes are ``(None, state)``."""
+        den_pi, start = pi.integer_form
+        outs = [(None, i) for i, _ in start]
+        return cls._table(outs, [x for _, x in start], den_pi, "the initial distribution")
 
     def _window(self, state: int, r: int = _WINDOW_BITS) -> list:
         """The ``r``-bit table of ``state`` (memoized): ``_decode`` of its
@@ -330,19 +319,21 @@ class _Sampler:
                 entries.append(joined)
         return entries
 
-    def tally(self, stream: BitStream, max_len: int, count: int) -> dict[tuple[str, ...], int]:
-        """Draw ``count`` words; return how often each was drawn.
+    def tally(
+        self, pi: InitialDistribution, stream: BitStream, max_len: int, count: int
+    ) -> dict[tuple[str, ...], int]:
+        """Draw ``count`` words from ``pi``; return how often each was drawn.
 
         Raises ``LengthExceededError`` (with the prefix) when a word passes
         ``max_len`` letters; the stream has then used exactly the bits read
         up to that letter.
         """
+        check_distribution(self._lmc, pi)
         check_length(max_len, "word length cap")
+        first = self._start_table(pi)
         # A window costs far more to build than one draw saves, so a single
         # draw builds none and takes the one-choice path throughout.
         build = count > 1
-        if build and self._start_window is None:
-            self._start_window = self._decode(self._start, _WINDOW_BITS, True)
         # The stream's buffer lives in locals for all the draws and is written
         # back on the way out; ``drawn`` counts every bit that entered it, so
         # the bits used are ``drawn - avail``.
@@ -352,8 +343,7 @@ class _Sampler:
         tables = self._tables
         windows = self._windows
         unbuilt = self._unbuilt
-        start = unbuilt if self._start_window is None else self._start_window
-        first = self._start
+        start = self._decode(first, _WINDOW_BITS, True) if build else unbuilt
         bits = _WINDOW_BITS
         mask = (1 << bits) - 1
         counts: dict[tuple[str, ...], int] = {}
@@ -421,11 +411,6 @@ class _Sampler:
             stream.bits_consumed += drawn - avail
         return counts
 
-    def draw(self, stream: BitStream, max_len: int) -> tuple[str, ...]:
-        """One word: ``tally`` with a count of one."""
-        (word,) = self.tally(stream, max_len, 1)
-        return word
-
 
 def sample_word(
     lmc: Lmc, pi: InitialDistribution, rng: BitStream, max_len: int
@@ -434,13 +419,15 @@ def sample_word(
 
     Walks the chain choosing each step by dyadic-interval refinement against
     the exact rational transition weights, so the returned word has exactly
-    its model probability.  Raises ``DomainError`` for a ``max_len`` that is
-    not a nonnegative int, before any bit is drawn, and
+    its model probability: a ``_Sampler.tally`` of one word, on a sampler
+    built for that word alone.  Raises ``DomainError`` for a ``max_len``
+    that is not a nonnegative int, before any bit is drawn, and
     ``LengthExceededError`` if the trajectory runs past ``max_len`` letters
     (cannot happen when ``max_len`` is at least the support length of an
     acyclic chain).
     """
-    return _Sampler(lmc, pi).draw(rng, max_len)
+    (word,) = _Sampler(lmc).tally(pi, rng, max_len, 1)
+    return word
 
 
 def sample_count(epsilon: Fraction | int, delta: Fraction | int) -> int:
@@ -491,8 +478,8 @@ def tv_sample_acyclic(
     """Estimate the distance to within epsilon with confidence 1 - delta.
 
     Draws ``sample_count(epsilon, delta)`` words from each start with the
-    exact sampler, one ``_Sampler.tally`` call per side (the second side
-    reuses the first's state windows through ``from_start``), classifies
+    exact sampler, one ``_Sampler.tally`` call per side on one sampler of
+    the chain (the second side reuses the first's state windows), classifies
     each distinct drawn word once by the sign of p1 - p2, computed exactly
     in integers, and combines the two empirical fractions.  One seeded bit
     stream drives both sides, so a fixed seed replays exactly; the seed is
@@ -504,9 +491,9 @@ def tv_sample_acyclic(
     m = sample_count(epsilon, delta)
     horizon = max_support_length(lmc)
     stream = BitStream(seed)
-    sampler = _Sampler(lmc, pi1)
-    tally1 = sampler.tally(stream, horizon, m)
-    tally2 = sampler.from_start(pi2).tally(stream, horizon, m)
+    sampler = _Sampler(lmc)
+    tally1 = sampler.tally(pi1, stream, horizon, m)
+    tally2 = sampler.tally(pi2, stream, horizon, m)
     # After a word w, the stop mass of diff has the sign of p1(w) - p2(w);
     # ties count as not below.
     _, rows, eow = lmc.integer_form
@@ -554,7 +541,9 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
     return the smallest such n found within ``step_cap`` steps.  If the cap
     is hit, fall back to the certified closed form k * |Q| with k >=
     -ln(tail_budget) / p_min^|Q| (p_min the smallest positive probability in
-    the chain), which is always sufficient but usually far larger.
+    the chain), which is sufficient when every state can reach a stop but
+    usually far larger; a state that cannot raises ``DomainError`` there,
+    since no length bounds its tail.
     """
     lam = as_fraction(tail_budget, "tail budget")
     if lam <= 0:
@@ -571,10 +560,15 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
         over *= den
     # Certified fallback.
     n_states = lmc.n_states
+    preds: list[list[int]] = [[] for _ in range(n_states)]
+    for i, targets in enumerate(lmc.successors):
+        for j in targets:
+            preds[j].append(i)
+    stuck = unstoppable(preds, eow)
+    if stuck:
+        raise DomainError(f"state {lmc.states[stuck[0]]!r} cannot reach a stop; no length bounds its tail")
     positives = [e for e in eow if e > 0]
     positives.extend(x for label_rows in rows for row in label_rows for _, x in row if x > 0)
-    if not positives:
-        raise DomainError("chain has no positive probabilities; cannot bound its tail")
     p_min = Fraction(min(positives), den)
     if p_min == 1:
         return max(n_states - 1, 0)

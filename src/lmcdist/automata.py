@@ -47,7 +47,6 @@ from .model import (
     check_length,
     common_denominator,
     eliminate,
-    least_word,
     scale,
     sparse_matrices,
     stop_mass,
@@ -340,13 +339,14 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     lengths 0..max_len in alphabet order; None if none exists in that range,
     and ``DomainError`` for a negative max_len.
 
-    A breadth-first walk of the prefix tree on integer vectors that merges
-    prefixes with equal vectors (``model.walk_layers``).  The first witness
-    in the first layer that has one is the answer: layers are ordered by
-    the least word reaching each node.  A prefix at depth d is dropped when
-    twice its mass on the states that can still reach an accepting state
-    within the max_len - d letters left is at most its scale, because no
-    extension can then be accepted with more than that mass.
+    A breadth-first walk of the prefix tree on ``(vector, word)`` nodes
+    that merges prefixes with equal integer vectors (``model.walk_layers``),
+    keeping the least word of each; layers are ordered by those words, so
+    the first witness in the first layer that has one is the answer.  A
+    prefix at depth d is dropped when twice its mass on the states that can
+    still reach an accepting state within the max_len - d letters left is at
+    most its scale, because no extension can then be accepted with more than
+    that mass.
     """
     check_length(max_len, "word length")
     den, rows, eow = pa.chain.integer_form
@@ -355,24 +355,24 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     live = _live_flags(rows, flags)
     scales = [den_pi]  # the denominator of a prefix vector, per depth
 
-    def step(vec, depth):
+    def step(node, depth):
         if depth == max_len:
             return None
+        vec, word = node
         left = live[min(max_len - depth - 1, len(live) - 1)]
         if depth + 1 == len(scales):
             scales.append(scales[-1] * den)
         children = []
-        for r in rows:
+        for letter, r in zip(pa.alphabet, rows):
             child = advance(vec, r)
-            children.append(child if 2 * stop_mass(child, left) > scales[depth + 1] else None)
+            kept = 2 * stop_mass(child, left) > scales[depth + 1]
+            children.append((child, word + (letter,)) if kept else None)
         return children
 
-    edges = []
-    for layer in walk_layers(dict(start), step, vector_key):
-        edges.append(layer.edges)
-        for at, vec in enumerate(layer.nodes):
+    for layer in walk_layers((dict(start), ()), step, lambda node: vector_key(node[0])):
+        for vec, word in layer.nodes:
             if 2 * stop_mass(vec, flags) > scales[layer.depth]:
-                return tuple(pa.alphabet[li] for li in least_word(edges, layer.depth, at))
+                return word
     return None
 
 

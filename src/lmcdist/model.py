@@ -25,9 +25,9 @@ Contents:
   search: one entry per distinct prefix vector per depth, weighted by how
   many words reach it.
 * ``walk_prefixes`` -- the depth-first walk, one node per word, kept for the
-  exhaustive-subset oracle (an independent route) and the top half of the
-  bounded estimator's tree, whose cyclic chains merge few vectors, so one
-  path takes less memory than a whole layer; the estimator reads the bottom
+  exhaustive-subset oracle (an independent route), ``spell_words`` and the
+  top half of the bounded estimator's tree, whose cyclic chains merge few
+  vectors, so one path takes less memory than a whole layer; the estimator reads the bottom
   half from a table of suffix stop vectors (``approx._SuffixTable``).
 * Both walk integer vectors over a common denominator (``Lmc.integer_form``);
   ``depth_total`` reads per-depth sums out as one Fraction.
@@ -623,11 +623,12 @@ def eliminate(vec: dict[int, int], echelon: list[tuple[int, dict[int, int]]]) ->
 # depth by depth and keeps one entry per distinct node with the number of
 # words that reach it; callers weight every sum by that multiplicity.  On the
 # reduction instances of the paper thousands of words collapse to a few
-# hundred entries.  ``walk_prefixes`` visits every word and holds only the
-# current path: it stays for the subset oracle, an independent route, and for
-# the top half of the bounded estimator's tree, whose cyclic chains merge few
-# vectors while a layer of their prefix tree grows with the alphabet at every
-# depth.
+# hundred entries; a node that carries its word carries the least one.
+# ``walk_prefixes`` visits every word and holds only the current path: it
+# stays for the subset oracle, an independent route, for ``spell_words``, and
+# for the top half of the bounded estimator's tree, whose cyclic chains merge
+# few vectors while a layer of their prefix tree grows with the alphabet at
+# every depth.
 
 
 def walk_prefixes(
@@ -703,7 +704,7 @@ class Layer:
     ``counts[i]`` is the number of words that reach ``nodes[i]`` and
     ``edges[i]`` its ``(parent index, label index)`` pairs into the previous
     layer, in walk order.  Nodes are ordered by the least word (in alphabet
-    order) that reaches them, so each node's first edge spells that word.
+    order) that reaches them.
     """
 
     depth: int
@@ -722,8 +723,9 @@ def walk_layers(
 
     ``step`` is as in ``walk_prefixes``; children with equal ``key`` become
     one node, whose count is the sum of the counts of the parents they come
-    from.  Yields one ``Layer`` per depth, the root alone first, and stops
-    after the first empty layer.  Every distinct node counts against
+    from.  The node object kept for a key is the first child met, which is
+    the one on the least word reaching it.  Yields one ``Layer`` per depth,
+    the root alone first, and stops after the first empty layer.  Every distinct node counts against
     ``budget`` (None: no cap); the first node past it raises
     ``BudgetExceededError`` with the count and the depth it reached.
     """
@@ -760,58 +762,32 @@ def walk_layers(
         layer = Layer(depth, nodes, counts, edges)
 
 
-def least_word(edges: Sequence[Edges], depth: int, at: int) -> list[int]:
-    """The least word reaching node ``at`` of layer ``depth``, as label
-    indices; ``edges[d]`` is the ``edges`` list of layer d."""
-    word = []
-    for d in range(depth, 0, -1):
-        at, li = edges[d][at][0]
-        word.append(li)
-    word.reverse()
-    return word
-
-
 def spell_words(
     edges: Sequence[Edges], targets: Iterable[tuple[int, int]], labels: Sequence[str]
 ) -> list[tuple[str, ...]]:
     """Every word that reaches one of the ``targets`` (``(depth, index)``
     pairs), in the order of a depth-first walk: each word before its
-    extensions, siblings in label order.  ``edges`` is as in ``least_word``.
-
-    A depth-first walk over the targets' ancestors only, so it visits each
-    prefix of a returned word once and builds each word once.
+    extensions, siblings in label order.  ``edges[d]`` is layer d's
+    ``edges`` list.  ``walk_prefixes`` walks the targets' ancestors only,
+    so it visits each prefix of a returned word once.
     """
     wanted = set(targets)
     top = max((d for d, _ in wanted), default=-1)
     needed: list[set[int]] = [set() for _ in range(top + 1)]
     for d, at in wanted:
         needed[d].add(at)
-    # Forward edges among the ancestors: (depth, index) -> [(label, child)].
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # Forward edges among the ancestors: (depth, index) -> child per label.
+    children: dict[tuple[int, int], list] = {}
     for d in range(top, 0, -1):
         for at in needed[d]:
             for parent, li in edges[d][at]:
                 needed[d - 1].add(parent)
-                children.setdefault((d - 1, parent), []).append((li, at))
-    for out in children.values():
-        out.sort()
-    words = [()] if (0, 0) in wanted else []
-    path: list[str] = []
-    stack = [iter(children.get((0, 0), ()))]
-    while stack:
-        for li, at in stack[-1]:
-            break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        path.append(labels[li])
-        node = (len(path), at)
-        if node in wanted:
-            words.append(tuple(path))
-        stack.append(iter(children.get(node, ())))
-    return words
+                children.setdefault((d - 1, parent), [None] * len(labels))[li] = (d, at)
+    return [
+        tuple(labels[li] for li in path)
+        for path, node in walk_prefixes((0, 0), lambda node, _: children.get(node))
+        if node in wanted
+    ]
 
 
 def depth_total(sums: Mapping[int, int], base: int, ratio: int) -> Fraction:

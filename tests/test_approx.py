@@ -25,7 +25,7 @@ from lmcdist import (
     word_probability,
 )
 from lmcdist import approx, floatk
-from lmcdist.approx import BitStream, _Sampler, _SuffixTable
+from lmcdist.approx import _WINDOW_BITS, BitStream, _Sampler, _SuffixTable
 from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
 from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
 
@@ -183,20 +183,22 @@ def test_window_entries_are_interned_and_built_on_a_first_visit():
         {"u": third, "v": third, "t": 1},
     )
     pi = InitialDistribution.from_map(lmc, {"u": Fraction(1, 2), "v": Fraction(1, 2)})
-    sampler = _Sampler(lmc, pi)
-    sampler.draw(BitStream(2), 2)
-    assert sampler._start_window is None and not sampler._decoded
-    other = sampler.from_start(InitialDistribution.dirac(lmc, "v"))
-    sampler.tally(BitStream(3), 2, 200)
-    other.tally(BitStream(4), 2, 200)
+    other = InitialDistribution.dirac(lmc, "v")
+    sampler = _Sampler(lmc)
+    sampler.tally(pi, BitStream(2), 2, 1)
+    assert not sampler._decoded
+    sampler.tally(pi, BitStream(3), 2, 200)
+    sampler.tally(other, BitStream(4), 2, 200)
     u, v, _, w = range(4)
-    assert sampler._windows is other._windows and sampler._decoded is other._decoded
     assert sampler._windows[w] is sampler._unbuilt
     assert w not in {state for state, _ in sampler._decoded}
     assert sampler._window(u) is not sampler._window(v)
     assert all(x is y for x, y in zip(sampler._window(u), sampler._window(v), strict=True))
+    # The start windows are not kept; decoding them again finds only
+    # entries the tallies interned.
+    starts = [sampler._decode(_Sampler._start_table(p), _WINDOW_BITS, True) for p in (pi, other)]
     seen = {}
-    for table in [sampler._start_window, other._start_window, *sampler._decoded.values()]:
+    for table in [*starts, *sampler._decoded.values()]:
         for entry in table:
             if entry is not None:
                 assert seen.setdefault(entry, entry) is entry
@@ -272,6 +274,22 @@ def test_length_bound_trivial_cases():
     assert length_bound(lmc, Fraction(1, 2), step_cap=0) == 1
     with pytest.raises(DomainError):
         length_bound(lmc, Fraction(0))
+
+
+def test_length_bound_refuses_a_state_that_cannot_stop():
+    # u loops on itself forever, so its tail is 1 at every length and the
+    # closed form (k * |Q| = 1 here) bounds nothing.
+    lmc = Lmc.from_transitions(["u", "v"], ["a"], [("u", "a", "u", 1)], {"v": 1})
+    u, v = (InitialDistribution.dirac(lmc, s) for s in ("u", "v"))
+    assert tail_mass(lmc, u, 1) == 1
+    for cap in (0, 3, 1024):
+        with pytest.raises(DomainError, match="state 'u' cannot reach a stop"):
+            length_bound(lmc, Fraction(1, 4), step_cap=cap)
+    with pytest.raises(DomainError, match="state 'u' cannot reach a stop"):
+        tv_bounded(lmc, u, v, Fraction(1, 4))
+    # From v alone u is out of reach, so it is dropped before the bound.
+    est = tv_bounded(lmc, v, v, Fraction(1, 4))
+    assert (est.estimate, est.length_cutoff) == (0, 0)
 
 
 ###############################################################################

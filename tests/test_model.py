@@ -25,7 +25,6 @@ from lmcdist.formats import load_lmc, save_lmc
 from lmcdist.model import (
     depth_total,
     eliminate,
-    least_word,
     spell_words,
     state_tails,
     walk_layers,
@@ -413,7 +412,8 @@ def test_layers_merge_equal_keys_in_least_word_order():
     assert [layer.depth for layer in layers] == [0, 1, 2, 3]
     # Node i of layer d holds the words with i ones: C(d, i) of them, least
     # word 0...01...1, reached from the node with one 1 fewer by letter 1
-    # before the node with as many by letter 0.
+    # before the node with as many by letter 0.  The node kept is the first
+    # child met, which is that least word.
     assert [layer.nodes for layer in layers] == [
         [()],
         [(0,), (1,)],
@@ -423,7 +423,6 @@ def test_layers_merge_equal_keys_in_least_word_order():
     assert [layer.counts for layer in layers] == [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1]]
     assert layers[2].edges == [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]
     edges = [layer.edges for layer in layers]
-    assert least_word(edges, 3, 2) == [0, 1, 1]
     assert spell_words(edges, [(2, 1)], "ab") == [("a", "b"), ("b", "a")]
     # Targets at several depths come out in depth-first order.
     assert spell_words(edges, [(3, 3), (1, 0), (2, 1), (0, 0)], "ab") == [

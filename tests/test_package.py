@@ -1,8 +1,8 @@
 """Package-wide checks: the public names and which modules a fresh import
-loads, no assert statements in library code, no library entry point builds
-a chain's dense matrices (and only the functions that make dense matrices
-read them), and every name the benchmark's tracer wraps and every report
-field it counts still resolves."""
+loads, the README's library tour, no assert statements in library code, no
+library entry point builds a chain's dense matrices (and only the functions
+that make dense matrices read them), and every name the benchmark's tracer
+wraps and every report field it counts still resolves."""
 
 import ast
 import importlib
@@ -192,6 +192,23 @@ def test_library_code_has_no_assert_statements():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_readme_library_tour_shows_what_its_comments_state():
+    # Every bare expression of the README's tour stands for the value its
+    # comment names; run the block and collect those values in order.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    tree = ast.parse(tour)
+    shown = []
+    for node in tree.body:
+        if isinstance(node, ast.Expr):
+            node.value = ast.Call(ast.Name("_show", ast.Load()), [node.value], [])
+    exec(compile(ast.fix_missing_locations(tree), "README.md", "exec"), {"_show": shown.append})
+    half = Fraction(1, 2)
+    # word probability, distance, witness, threshold, equivalence, the
+    # seed-7 estimate within 1/20, and the bounded estimate.
+    assert shown == [half, half, (("b",),), False, False, True, half]
 
 
 def test_library_never_builds_the_dense_view(tmp_path):

@@ -219,12 +219,12 @@ def test_sampler_step_matches_reference_chooser(weights, seed):
         [("u", label, "t", p) for label, p in zip(labels, probs[1:])],
         {"u": probs[0], "t": 1},
     )
-    sampler = _Sampler(lmc, InitialDistribution.dirac(lmc, "u"))
+    sampler, start = _Sampler(lmc), InitialDistribution.dirac(lmc, "u")
     stream, ref = BitStream(seed), BitStream(seed)
     cum, den = reference_cumulative(probs)
     got, expected = [], []
     for _ in range(20):
-        word = sampler.draw(stream, 1)
+        (word,) = sampler.tally(start, stream, 1, 1)
         got.append(labels.index(word[0]) + 1 if word else 0)
         expected.append(reference_choose(ref, cum, den))
     assert got == expected
@@ -249,15 +249,15 @@ def test_tally_matches_reference_draws(seed, kind, count):
         probe = BitStream(seed)
         cap = max(max(len(reference_draw(lmc, pi, probe, 10**6)) for _ in range(count)) - 1, 0)
     stream, ref = BitStream(seed), BitStream(seed)
-    sampler = _Sampler(lmc, pi)
+    sampler = _Sampler(lmc)
     try:
         expected = Counter(reference_draw(lmc, pi, ref, cap) for _ in range(count))
     except LengthExceededError as exc:
         with pytest.raises(LengthExceededError) as got:
-            sampler.tally(stream, cap, count)
+            sampler.tally(pi, stream, cap, count)
         assert got.value.prefix == exc.prefix
     else:
-        assert sampler.tally(stream, cap, count) == expected
+        assert sampler.tally(pi, stream, cap, count) == expected
     assert stream.bits_consumed == ref.bits_consumed
     assert stream.bits(64) == ref.bits(64)
 
@@ -321,16 +321,16 @@ def test_window_tables_draw_what_the_reference_draws(case, seed, offset, cap, co
     lmc, pi1, pi2 = case
     stream, ref = BitStream(seed), BitStream(seed)
     assert stream.bits(offset) == ref.bits(offset)
-    sampler = _Sampler(lmc, pi1)
-    for current, pi in ((sampler, pi1), (sampler.from_start(pi2), pi2)):
+    sampler = _Sampler(lmc)
+    for pi in (pi1, pi2):
         try:
             expected = Counter(reference_draw(lmc, pi, ref, cap) for _ in range(count))
         except LengthExceededError as exc:
             with pytest.raises(LengthExceededError) as got:
-                current.tally(stream, cap, count)
+                sampler.tally(pi, stream, cap, count)
             assert got.value.prefix == exc.prefix
         else:
-            assert current.tally(stream, cap, count) == expected
+            assert sampler.tally(pi, stream, cap, count) == expected
         assert stream.bits_consumed == ref.bits_consumed
     assert stream.bits(64) == ref.bits(64)
 
@@ -709,7 +709,8 @@ def test_validate_matches_fraction_reference(seed, kind):
 @settings(max_examples=150, deadline=None)
 @given(seeds, st.sampled_from(CHAIN_KINDS))
 def test_sampler_tables_match_fraction_reference(seed, kind):
-    # Every choice's outcomes, uppers and total, or the first refusal, equal
+    # Every choice's outcomes, uppers and total, or the first refusal (a
+    # start never refuses, so it is the chain's), equal
     # those built from Fractions with the per-table lcm of reduced
     # denominators; its first read is ceil(log2(total)) bits, none at total 1.
     rng = random.Random(seed)
@@ -731,11 +732,10 @@ def test_sampler_tables_match_fraction_reference(seed, kind):
             expected.append(reference_sampler_table(*choice))
     except DomainError as exc:
         with pytest.raises(DomainError) as got:
-            _Sampler(lmc, pi)
+            _Sampler(lmc)
         assert str(got.value) == str(exc)
         return
-    sampler = _Sampler(lmc, pi)
-    tables = [sampler._start, *sampler._tables]
+    tables = [_Sampler._start_table(pi), *_Sampler(lmc)._tables]
     assert [table[:3] for table in tables] == [table[:3] for table in expected]
     assert all(width == (total - 1).bit_length() for _, _, total, width in tables)
 
