@@ -42,12 +42,14 @@ total would change the bits a seed draws.  Each distinct word drawn on either
 side is classified once, by the sign of its integer (p1 - p2) stop mass; the
 words are walked in sorted order, so each distinct prefix is advanced once.
 The logarithms needed for sample sizes and fallback length bounds are
-certified rational upper bounds (truncated series plus an explicit remainder
-term), so every derived count errs on the safe side.
+certified rational upper bounds (``decimal``'s correctly rounded logarithm
+plus one unit in the last of its 40 digits), so every derived count errs on
+the safe side.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
@@ -61,7 +63,6 @@ from .errors import BudgetExceededError, DomainError, LengthExceededError
 from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start, require_acyclic
 from .floatk import floor_log2, precision_for
 from .model import (
-    ONE,
     ZERO,
     InitialDistribution,
     Lmc,
@@ -83,35 +84,16 @@ from .model import (
 #: Fixed default seed: identical invocations give identical results.
 DEFAULT_SEED = 0
 
-#: Series length for certified logarithm bounds (error well under 2**-60).
-_LN_TERMS = 32
-
-
 # -- certified logarithm upper bound ------------------------------------------
-
-
-def _atanh_upper(t: Fraction) -> Fraction:
-    """Upper bound on atanh(t) for 0 <= t < 1.
-
-    Partial sum of t + t^3/3 + t^5/5 + ... to J = ``_LN_TERMS`` terms plus
-    the exact geometric bound t^(2J+1) / ((2J+1)(1-t^2)) on the omitted tail.
-    """
-    acc = ZERO
-    t2 = t * t
-    power = t
-    for j in range(_LN_TERMS):
-        acc += power / (2 * j + 1)
-        power *= t2
-    return acc + power / ((2 * _LN_TERMS + 1) * (1 - t2))
 
 
 def ln_upper(x: Fraction | int) -> Fraction:
     """A rational upper bound on the natural logarithm of x, for x >= 1.
 
-    Splits off the power of two (bounding ln 2 from above by its own series)
-    and expands the remainder around 1, where the series converges fast;
-    truncation is always compensated by an explicit remainder bound, so the
-    result is a true upper bound.
+    Splits x = 2**e * r with r in [1, 2), rounds r up to 40 digits, and takes
+    ``decimal``'s logarithms of 2 and of that r in a 40-digit context.  Each
+    is correctly rounded, so one unit in its last place added to it bounds
+    the true value from above, and e * ln 2 + ln r bounds ln x.
     """
     x = as_fraction(x, "logarithm argument")
     if x < 1:
@@ -119,10 +101,15 @@ def ln_upper(x: Fraction | int) -> Fraction:
     if x == 1:
         return ZERO
     e = floor_log2(x)
-    reduced = x / (ONE * 2**e)  # in [1, 2)
-    ln2_up = 2 * _atanh_upper(Fraction(1, 3))
-    t = (reduced - 1) / (reduced + 1)  # in [0, 1/3)
-    return e * ln2_up + 2 * _atanh_upper(t)
+    ctx = decimal.Context(prec=40)
+
+    def ln_up(digits: int) -> Fraction:
+        """Above ln(digits * 10**-39); every step is exact or rounds in ctx."""
+        y = ctx.ln(ctx.scaleb(digits, -39))
+        return Fraction(ctx.add(y, ctx.scaleb(1, y.adjusted() - 39)))
+
+    r_up = -(-x.numerator * 10**39 // (x.denominator << e))  # in [10**39, 2 * 10**39]
+    return e * ln_up(2 * 10**39) + ln_up(r_up)
 
 
 # -- exact sampling ------------------------------------------------------------

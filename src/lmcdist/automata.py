@@ -546,6 +546,8 @@ def pa_to_lmc(pa: Pa) -> ReductionOutput:
     """
     _check_reserved(pa.alphabet)
     k = len(pa.alphabet)
+    if k == 0:
+        raise DomainError("the majority reduction needs an automaton with at least one letter")
     s = len(pa.states)
     taken = set(pa.states)
 

@@ -10,9 +10,14 @@ fixed constant and ``--seed random`` records the entropy it drew.
 Rational results print as "num/den = decimal" with 15 significant digits;
 ``--json`` switches to a machine-readable object with the same fields.
 
+``main`` creates every report, hands it to the command's handler to fill
+in, and prints it once the handler returns its exit code; a handler that
+raises leaves stdout empty and prints one ``error:`` line to stderr.
+
 Exit codes: 0 success, 1 domain error (valid syntax, impossible request),
 2 budget or cap exceeded, 3 malformed input.  A nonzero exit never leaves a
-partial result on stdout.
+partial result on stdout; ``validate`` on an invalid chain prints its whole
+report and exits 1.
 """
 
 from __future__ import annotations
@@ -179,8 +184,7 @@ def _load_pair(ns: argparse.Namespace, report: Report) -> tuple[
 # -- command handlers ---------------------------------------------------------------
 
 
-def _cmd_validate(ns: argparse.Namespace) -> int:
-    report = Report("validate")
+def _cmd_validate(ns: argparse.Namespace, report: Report) -> int:
     lmc = _load_chain(report, ns.chain, strict=False)
     violations = validate(lmc)
     report.field(
@@ -191,35 +195,29 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     report.field("violations", violations, show=False)
     for violation in violations:
         report.line(f"  - {violation}")
-    report.emit(ns.json)
     return 1 if violations else 0
 
 
-def _cmd_prob(ns: argparse.Namespace) -> int:
-    report = Report("prob")
+def _cmd_prob(ns: argparse.Namespace, report: Report) -> int:
     lmc = _load_chain(report, ns.chain)
     pi = _load_dist(report, "distribution", ns.pi, lmc)
     word = parse_word(ns.word, lmc.alphabet)
     report.param("word", format_word(word))
     prob = word_probability(lmc, pi, word)
     report.rational("probability", prob)
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_tail(ns: argparse.Namespace) -> int:
-    report = Report("tail")
+def _cmd_tail(ns: argparse.Namespace, report: Report) -> int:
     lmc = _load_chain(report, ns.chain)
     pi = _load_dist(report, "distribution", ns.pi, lmc)
     report.param("length", ns.length)
     mass = tail_mass(lmc, pi, ns.length)
     report.rational("tail_mass", mass, f"mass of words longer than {ns.length}")
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_exact(ns: argparse.Namespace) -> int:
-    report = Report("exact")
+def _cmd_exact(ns: argparse.Namespace, report: Report) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     report.param("budget", ns.budget)
     result = tv_distance_acyclic(lmc, pi1, pi2, budget=ns.budget, list_words=ns.words)
@@ -242,23 +240,19 @@ def _cmd_exact(ns: argparse.Namespace) -> int:
                 [list(w) for w in words],
                 "witness words: " + ", ".join(format_word(w) for w in words),
             )
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_lk(ns: argparse.Namespace) -> int:
-    report = Report("lk")
+def _cmd_lk(ns: argparse.Namespace, report: Report) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     report.param("k", ns.k)
     report.param("budget", ns.budget)
     value = lk_distance_acyclic(lmc, pi1, pi2, ns.k, budget=ns.budget)
     report.rational("power_sum", value, f"sum over words of |p1 - p2|^{ns.k}")
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_threshold(ns: argparse.Namespace) -> int:
-    report = Report("threshold")
+def _cmd_threshold(ns: argparse.Namespace, report: Report) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     report.param("tau", ns.tau)
     report.param("strict", ns.strict)
@@ -276,23 +270,19 @@ def _cmd_threshold(ns: argparse.Namespace) -> int:
     report.field("rhs_integer", cert.rhs_integer)
     report.field("denominator_product", cert.denominator_product)
     report.field("support_length", cert.support_length)
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_equiv(ns: argparse.Namespace) -> int:
-    report = Report("equiv")
+def _cmd_equiv(ns: argparse.Namespace, report: Report) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     equivalent = are_equivalent(lmc, pi1, pi2)
     report.field(
         "equivalent", equivalent, "equivalent" if equivalent else "not equivalent"
     )
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_sample(ns: argparse.Namespace) -> int:
-    report = Report("sample")
+def _cmd_sample(ns: argparse.Namespace, report: Report) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     seed = secrets.randbits(63) if ns.seed is None else ns.seed
     report.param("epsilon", ns.eps)
@@ -307,12 +297,10 @@ def _cmd_sample(ns: argparse.Namespace) -> int:
     report.line(
         f"within {ns.eps} of the distance with probability >= {1 - ns.delta}"
     )
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_bounded(ns: argparse.Namespace) -> int:
-    report = Report("bounded")
+def _cmd_bounded(ns: argparse.Namespace, report: Report) -> int:
     lmc, pi1, pi2 = _load_pair(ns, report)
     report.param("epsilon", ns.eps)
     report.param("budget", ns.budget)
@@ -324,7 +312,6 @@ def _cmd_bounded(ns: argparse.Namespace) -> int:
     report.rational("mass_first_below", est.mass1_lt)
     report.rational("mass_second_at_least", est.mass2_ge)
     report.field("words_enumerated", est.words_enumerated)
-    report.emit(ns.json)
     return 0
 
 
@@ -341,8 +328,7 @@ def _write_instance(report: Report, out: str, red) -> None:
     report.field("files", written, "wrote " + ", ".join(written))
 
 
-def _cmd_from_nfa(ns: argparse.Namespace) -> int:
-    report = Report("from-nfa")
+def _cmd_from_nfa(ns: argparse.Namespace, report: Report) -> int:
     nfa = load_nfa(report.input_file("nfa", ns.nfa))
     report.param("word_length", ns.length)
     report.param("out", ns.out)
@@ -378,12 +364,10 @@ def _cmd_from_nfa(ns: argparse.Namespace) -> int:
             red.baseline_gap + (k**n - count) * unit,
             "certified distance",
         )
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_from_pa(ns: argparse.Namespace) -> int:
-    report = Report("from-pa")
+def _cmd_from_pa(ns: argparse.Namespace, report: Report) -> int:
     pa = load_pa(report.input_file("pa", ns.pa))
     report.param("out", ns.out)
     red = pa_to_lmc(pa)
@@ -395,24 +379,20 @@ def _cmd_from_pa(ns: argparse.Namespace) -> int:
         "the distance exceeds the bound iff some word is accepted "
         "with probability > 1/2"
     )
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_count_nfa(ns: argparse.Namespace) -> int:
-    report = Report("count-nfa")
+def _cmd_count_nfa(ns: argparse.Namespace, report: Report) -> int:
     nfa = load_nfa(report.input_file("nfa", ns.nfa))
     report.param("word_length", ns.length)
     report.param("subset_cap", ns.cap)
     count = count_accepted_words(nfa, ns.length, state_cap=ns.cap)
     report.field("accepted_count", count)
     report.field("total_words", len(nfa.alphabet) ** ns.length)
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_extract_count(ns: argparse.Namespace) -> int:
-    report = Report("extract-count")
+def _cmd_extract_count(ns: argparse.Namespace, report: Report) -> int:
     report.param("baseline_gap", ns.baseline_gap)
     report.param("distance", ns.distance)
     report.param("word_length", ns.length)
@@ -422,12 +402,10 @@ def _cmd_extract_count(ns: argparse.Namespace) -> int:
         ns.baseline_gap, ns.distance, ns.length, ns.alphabet_size, ns.state_count
     )
     report.field("accepted_count", count)
-    report.emit(ns.json)
     return 0
 
 
-def _cmd_pa_witness(ns: argparse.Namespace) -> int:
-    report = Report("pa-witness")
+def _cmd_pa_witness(ns: argparse.Namespace, report: Report) -> int:
     pa = load_pa(report.input_file("pa", ns.pa))
     report.param("max_len", ns.max_len)
     witness = find_majority_witness(pa, ns.max_len)
@@ -447,7 +425,6 @@ def _cmd_pa_witness(ns: argparse.Namespace) -> int:
         report.rational(
             "margin_over_bound", margin, "distance exceeds the bound by at least"
         )
-    report.emit(ns.json)
     return 0
 
 
@@ -469,7 +446,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def command(
-        name: str, handler: Callable[[argparse.Namespace], int], help_text: str
+        name: str, handler: Callable[[argparse.Namespace, Report], int], help_text: str
     ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -634,10 +611,13 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        return ns.handler(ns)
+        report = Report(ns.command)
+        code = ns.handler(ns, report)
     except (ParseError, BudgetExceededError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ParseError) else 2 if isinstance(exc, BudgetExceededError) else 1
+    report.emit(ns.json)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ What each check runs on, in a strict chain load:
 * each transition record: one step puts its integer in its row and adds it
   to its source's total and predecessors; the field-by-field checks run only
   on a record not in the saver's form, and name and duplicate faults come
-  after every other, in the order ``model.group_records`` reports them;
+  after every other, in the order ``Lmc.from_transitions`` reports them;
 * the chain: row totals against L and ``model.unstoppable`` on what the
   record pass collected, ``validate`` only for a violation's text; the
   start: its integer weights in ``InitialDistribution.from_integer_form``.

@@ -294,7 +294,26 @@ class Lmc(_Frozen):
         States absent from ``eow`` get end-of-word probability 0.  Duplicate
         (source, label, target) records are rejected rather than summed.
         """
-        states, alphabet, rows, stops = group_records(states, alphabet, transitions, eow)
+        states = tuple(states)
+        alphabet = tuple(alphabet)
+        sidx = {s: i for i, s in enumerate(states)}
+        lidx = {a: i for i, a in enumerate(alphabet)}
+        if len(sidx) != len(states):
+            raise DomainError("state names must be unique")
+        if len(lidx) != len(alphabet):
+            raise DomainError("labels must be unique")
+        # Every name and duplicate fault is raised before any value is coerced.
+        rows: list[list[dict[int, Any]]] = [[{} for _ in states] for _ in alphabet]
+        for src, label, tgt, value in transitions:
+            if src not in sidx or tgt not in sidx or label not in lidx:
+                raise DomainError(name_fault(src, label, tgt, sidx, lidx))
+            row = rows[lidx[label]][sidx[src]]
+            if sidx[tgt] in row:
+                raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
+            row[sidx[tgt]] = value
+        for state in eow:
+            if state not in sidx:
+                raise DomainError(f"end-of-word entry names unknown state {state!r}")
         sparse = [
             [
                 sorted(
@@ -305,7 +324,7 @@ class Lmc(_Frozen):
             ]
             for label_rows in rows
         ]
-        eow_vec = [as_fraction(stops.get(i, ZERO), "end-of-word probability") for i in range(len(states))]
+        eow_vec = [as_fraction(eow.get(s, ZERO), "end-of-word probability") for s in states]
         return cls(states, alphabet, sparse, eow_vec)
 
     # -- lookups ------------------------------------------------------------
@@ -372,39 +391,6 @@ class Lmc(_Frozen):
                     if x > 0:
                         out.add(j)
         return tuple(tuple(sorted(out)) for out in targets)
-
-
-def group_records(
-    states: Sequence[str],
-    alphabet: Sequence[str],
-    transitions: Iterable[tuple[str, str, str, Any]],
-    eow: Mapping[str, Any],
-) -> tuple[tuple[str, ...], tuple[str, ...], list[list[dict[int, Any]]], dict[int, Any]]:
-    """``(states, alphabet, rows, stops)`` from (source, label, target,
-    value) records and a state -> value map, names checked and values
-    untouched: ``rows[label][source]`` maps each target to its value and
-    ``stops`` each state index in ``eow`` to its value.  Duplicate (source,
-    label, target) records are rejected rather than summed."""
-    states = tuple(states)
-    alphabet = tuple(alphabet)
-    sidx = {s: i for i, s in enumerate(states)}
-    lidx = {a: i for i, a in enumerate(alphabet)}
-    if len(sidx) != len(states):
-        raise DomainError("state names must be unique")
-    if len(lidx) != len(alphabet):
-        raise DomainError("labels must be unique")
-    rows: list[list[dict[int, Any]]] = [[{} for _ in states] for _ in alphabet]
-    for src, label, tgt, value in transitions:
-        if src not in sidx or tgt not in sidx or label not in lidx:
-            raise DomainError(name_fault(src, label, tgt, sidx, lidx))
-        row = rows[lidx[label]][sidx[src]]
-        if sidx[tgt] in row:
-            raise DomainError(f"duplicate transition {src!r} --{label!r}--> {tgt!r}")
-        row[sidx[tgt]] = value
-    for state in eow:
-        if state not in sidx:
-            raise DomainError(f"end-of-word entry names unknown state {state!r}")
-    return states, alphabet, rows, {sidx[s]: e for s, e in eow.items()}
 
 
 def name_fault(src: str, label: str, tgt: str, sidx: Mapping, lidx: Mapping) -> str | None:

@@ -55,9 +55,51 @@ def test_ln_upper_edge_cases():
         ln_upper(Fraction(1, 2))
 
 
+def exp_partial_sum_reaches(y, x, cap=3000):
+    """Whether some Taylor partial sum of e**y, y >= 0, reaches x.
+
+    Each partial sum is a lower bound on e**y, so True proves y >= ln x.
+    The sums are kept exactly, over the nested denominators q**k * k!."""
+    p, q = y.numerator, y.denominator
+    total, term, den = 1, 1, 1  # S_k = total / den, y**k / k! = term / den
+    for k in range(1, cap + 1):
+        total *= q * k
+        term *= p
+        den *= q * k
+        total += term
+        if total * x.denominator >= x.numerator * den:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Fraction(2),
+        Fraction(4, 3),
+        Fraction(80),
+        Fraction(4 * 10**9),
+        1 + Fraction(1, 10**30),
+        1 + Fraction(1, 10**45),
+        Fraction(10**50),
+        Fraction(3**50, 2**70),
+    ],
+)
+def test_ln_upper_is_certified_exactly(x):
+    bound = ln_upper(x)
+    assert type(bound) is Fraction and bound > 0
+    assert exp_partial_sum_reaches(bound, x)
+
+
+def test_ln_upper_of_a_huge_argument():
+    bound = ln_upper(Fraction(10**5000))
+    assert bound == pytest.approx(5000 * math.log(10), rel=1e-12)
+
+
 def test_sample_count_frozen_values():
     assert sample_count(Fraction(1, 10), Fraction(1, 20)) == 877
     assert sample_count(Fraction(1, 20), Fraction(1, 20)) == 3506
+    assert sample_count(Fraction(1, 20), Fraction(1, 1000)) == 6636
 
 
 def test_sample_count_dominates_hoeffding():

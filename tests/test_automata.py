@@ -324,6 +324,14 @@ def test_pa_reduction_renames_on_collision():
         )
 
 
+def test_pa_reduction_rejects_an_empty_alphabet():
+    # The first start emits each letter at rate 1/(2k): no letter, no encoding.
+    pa = Pa(("q",), (), (), (Fraction(1),), frozenset({"q"}))
+    with pytest.raises(DomainError, match="at least one letter"):
+        pa_to_lmc(pa)
+    assert find_majority_witness(pa, 3) == ()
+
+
 def test_linear_solver_rejects_singular_systems():
     with pytest.raises(DomainError, match="singular"):
         _solve_linear(

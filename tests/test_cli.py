@@ -1,12 +1,15 @@
 """Command-line interface: reports, exit codes, reproducibility, pipelines."""
 
+import argparse
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import lmcdist
-from lmcdist.cli import main
+from lmcdist.cli import build_parser, main
 from lmcdist.formats import save_distribution, save_lmc
 
 from helpers import worked_example_union
@@ -215,6 +218,84 @@ def test_exit_code_3_on_malformed_inputs(tmp_path, half_files, capsys):
     assert (code, out) == (3, "")
     code, out, err = run(capsys)
     assert (code, out) == (3, "")
+
+
+def failing_run(command, missing, out):
+    """Arguments of a run of ``command`` that must fail: every input file is
+    ``missing`` (exit 3), except for extract-count, which reads none and
+    gets the impossible word length 0 (exit 1)."""
+    pair = [missing, missing, missing]
+    return {
+        "validate": [missing],
+        "prob": [missing, missing, "a"],
+        "tail": [missing, missing, "-n", "1"],
+        "exact": pair,
+        "lk": pair + ["-k", "1"],
+        "threshold": pair + ["--tau", "1/2"],
+        "equiv": pair,
+        "sample": pair + ["--eps", "1/2", "--delta", "1/2"],
+        "bounded": pair + ["--eps", "1/2"],
+        "from-nfa": [missing, "-n", "1", "--out", out],
+        "from-pa": [missing, "--out", out],
+        "count-nfa": [missing, "-n", "1"],
+        "extract-count": ["--y", "0", "--dtilde", "0", "-n", "0", "-k", "1", "-s", "1"],
+        "pa-witness": [missing, "--max-len", "1"],
+    }[command]
+
+
+def subcommands():
+    (action,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return set(action.choices)
+
+
+@pytest.mark.parametrize("command", sorted(subcommands()))
+def test_a_failing_run_prints_nothing_to_stdout(tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    args = failing_run(command, str(tmp_path / "missing.json"), str(out_dir))
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, command, *args, *extra)
+        assert code == (1 if command == "extract-count" else 3)
+        assert out == ""
+        assert err.startswith("error:")
+    assert not out_dir.exists()
+
+
+def test_validate_prints_its_whole_report_when_it_fails(tmp_path, capsys):
+    bad_chain = {
+        "states": ["s"],
+        "alphabet": ["a"],
+        "transitions": [{"from": "s", "label": "a", "to": "s", "prob": "3/4"}],
+        "eow": {"s": "1/8"},
+    }
+    bad = write(tmp_path / "bad.json", bad_chain)
+    code, out, err = run(capsys, "validate", bad)
+    assert (code, err) == (1, "")
+    header, source, verdict, violation = out.splitlines()
+    assert header == f"# lmcdist {lmcdist.__version__} -- validate"
+    assert source.startswith(f"# input chain: {bad} sha256=")
+    assert verdict == "invalid (1 violation(s)):"
+    assert violation == "  - outgoing probability at state s sums to 7/8, expected 1"
+    code, out, err = run(capsys, "validate", bad, "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["manifest"]["command"] == "validate"
+    assert payload["results"]["valid"] is False
+    assert len(payload["results"]["violations"]) == 1
+
+
+def test_readme_command_lines_parse_and_name_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = set()
+    for line in block.splitlines():
+        if not line.strip():
+            continue
+        program, *args = shlex.split(line, comments=True)
+        assert program == "lmcdist"
+        named.add(build_parser().parse_args(args).command)
+    assert named == subcommands()
 
 
 def test_exit_code_3_on_float_probability(tmp_path, half_files, capsys):
@@ -447,3 +528,24 @@ def test_pa_witness_rejects_a_negative_max_len(tmp_path, capsys):
     code, out, err = run(capsys, "pa-witness", half, "--max-len", "-1")
     assert (code, out) == (1, "")
     assert "must be nonnegative, got -1" in err
+
+
+def test_from_pa_rejects_an_empty_alphabet(tmp_path, capsys):
+    pa = write(
+        tmp_path / "pa.json",
+        {
+            "states": ["q"],
+            "alphabet": [],
+            "transitions": [],
+            "initial_dist": {"q": "1"},
+            "accepting": ["q"],
+        },
+    )
+    out_dir = tmp_path / "inst"
+    code, out, err = run(capsys, "from-pa", pa, "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "at least one letter" in err
+    assert not out_dir.exists()
+    code, out, _ = run(capsys, "pa-witness", pa, "--max-len", "2")
+    assert code == 0
+    assert "witness word: ε" in out
