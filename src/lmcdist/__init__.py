@@ -38,7 +38,6 @@ _EXPORTS = {
         "Pa",
         "ReductionOutput",
         "acceptance_probability",
-        "accepting_run_count",
         "count_accepted_words",
         "count_from_distance",
         "find_majority_witness",

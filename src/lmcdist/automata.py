@@ -23,6 +23,12 @@ distance instances, pinning the hardness of distance computation:
   the package's merging breadth-first walk, skipping prefixes that can no
   longer reach acceptance above 1/2; one witness yields an explicit event
   separating the two distributions beyond the bound.
+
+A ``Pa`` is a chain, a start and an accepting set: an integer ``Lmc`` whose
+end-of-word vector is the acceptance flags, and an ``InitialDistribution``.
+Those two check the names, the rows' shape and exactness, and the weights;
+``Pa`` checks only that each letter's rows are stochastic and that the
+accepting states are declared.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .model import (
     common_denominator,
     eliminate,
     scale,
-    sparse_matrices,
     stop_mass,
     vector_key,
     walk_layers,
@@ -121,20 +126,6 @@ class Nfa:
         return self._delta.get((state, label), ())
 
 
-def accepting_run_count(nfa: Nfa, word: Word) -> int:
-    """Number of accepting runs of the automaton on the word."""
-    counts = {nfa.initial: 1}
-    for label in word:
-        if label not in nfa.alphabet:
-            raise DomainError(f"letter {label!r} is not in the automaton's alphabet")
-        nxt: dict[str, int] = {}
-        for q, c in counts.items():
-            for t in nfa.successors(q, label):
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    return sum(c for q, c in counts.items() if q in nfa.accepting)
-
-
 def count_accepted_words(nfa: Nfa, length: int, state_cap: int = 2**20) -> int:
     """|L(A) ∩ Σ^length| by determinization on the fly.
 
@@ -196,8 +187,11 @@ class Pa(_Frozen):
     0/1 acceptance flags, and ``start``, its initial distribution; every
     routine below reads those.  The dense ``matrices`` and the Fraction
     tuple ``initial`` are the positional constructor's interface and, on an
-    automaton, views; ``from_integer_form`` builds one from sparse integer
-    rows, as the file loader does.
+    automaton, views.  Beyond what the chain and the start check, the
+    constructor checks the matrices' count and shapes, that every row is
+    stochastic (``_stochastic``) and that every accepting state is
+    declared (``_built``, which the file loader calls with the chain and
+    the start it builds from integers).
     """
 
     states: tuple[str, ...]
@@ -215,64 +209,26 @@ class Pa(_Frozen):
         initial: Sequence[Fraction | int],
         accepting: Iterable[str],
     ):
-        states, alphabet, accepting = self._names(states, alphabet, accepting)
+        states, alphabet, accepting = tuple(states), tuple(alphabet), frozenset(accepting)
         n = len(states)
         mats = tuple(matrices)
         if len(mats) != len(alphabet):
             raise DomainError(
                 f"expected one matrix per label ({len(alphabet)}), got {len(mats)}"
             )
-        coerced = []
+        rows = []
         for label, mat in zip(alphabet, mats):
+            # Every entry is checked for exactness before a zero one is dropped.
             mat = tuple(tuple(as_fraction(p, "transition probability") for p in row) for row in mat)
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise DomainError(f"matrix for label {label!r} is not {n}x{n}")
-            coerced.append(mat)
+            rows.append([[(j, p) for j, p in enumerate(row) if p] for row in mat])
         flags = tuple(ONE if q in accepting else ZERO for q in states)
-        chain = self._stochastic(Lmc(states, alphabet, sparse_matrices(coerced), flags))
+        chain = self._stochastic(Lmc(states, alphabet, rows, flags))
         init = tuple(initial)
         if len(init) != n:
             raise DomainError(f"initial distribution has {len(init)} entries, expected {n}")
-        self._finish(accepting, chain, InitialDistribution(init))
-
-    @classmethod
-    def from_integer_form(
-        cls,
-        states: Sequence[str],
-        alphabet: Sequence[str],
-        den: int,
-        rows: Iterable,
-        initial: Iterable[tuple[int, int]],
-        accepting: Iterable[str],
-    ) -> "Pa":
-        """An automaton from sparse integer rows (per label and state, the
-        ``(target, probability * den)`` pairs, as in ``Lmc.from_integer_form``)
-        and the ``(state, weight * den)`` pairs of its initial distribution,
-        checked as the dense constructor checks its matrices."""
-        states, alphabet, accepting = cls._names(states, alphabet, accepting)
-        rows = tuple(rows)
-        if len(rows) != len(alphabet):
-            raise DomainError(
-                f"expected one matrix per label ({len(alphabet)}), got {len(rows)}"
-            )
-        flags = tuple(den if q in accepting else 0 for q in states)
-        chain = cls._stochastic(Lmc.from_integer_form(states, alphabet, den, rows, flags))
-        self = cls.__new__(cls)
-        self._finish(accepting, chain, InitialDistribution.from_integer_form(len(states), den, initial))
-        return self
-
-    @staticmethod
-    def _names(states, alphabet, accepting) -> tuple:
-        states = tuple(states)
-        alphabet = tuple(alphabet)
-        accepting = frozenset(accepting)
-        if len(set(states)) != len(states):
-            raise DomainError("state names must be unique")
-        if len(set(alphabet)) != len(alphabet):
-            raise DomainError("labels must be unique")
-        if not states:
-            raise DomainError("automaton needs at least one state")
-        return states, alphabet, accepting
+        self.__dict__.update(self._built(chain, InitialDistribution(init), accepting).__dict__)
 
     @staticmethod
     def _stochastic(chain: Lmc) -> Lmc:
@@ -294,13 +250,19 @@ class Pa(_Frozen):
                     )
         return chain
 
-    def _finish(self, accepting: frozenset[str], chain: Lmc, start: InitialDistribution) -> None:
+    @classmethod
+    def _built(cls, chain: Lmc, start: InitialDistribution, accepting: frozenset[str]) -> "Pa":
+        """The automaton of a chain whose rows ``_stochastic`` has checked
+        and whose end-of-word vector flags ``accepting``, and a start over
+        its states; only the accepting names are checked here."""
         for q in accepting:
             if q not in chain.state_index:
                 raise DomainError(f"accepting state {q!r} is not declared")
+        self = cls.__new__(cls)
         self.__dict__.update(
             states=chain.states, alphabet=chain.alphabet, accepting=accepting, chain=chain, start=start
         )
+        return self
 
     @property
     def matrices(self) -> tuple[Matrix, ...]:

@@ -102,12 +102,11 @@ class Report:
     ) -> None:
         self._fields[key] = value
         if show:
-            self._lines.append(text if text is not None else f"{key}: {value}")
+            self._lines.append(text if text is not None else (key, value))
 
     def rational(self, key: str, value: Fraction, label: str | None = None) -> None:
-        dec = decimal15(value)
-        self._fields[key] = {"rational": str(value), "decimal": dec}
-        self._lines.append(f"{label or key}: {value} = {dec}")
+        self._fields[key] = value
+        self._lines.append((label or key, value))
 
     def line(self, text: str) -> None:
         self._lines.append(text)
@@ -121,18 +120,31 @@ class Report:
         }
 
     def emit(self, as_json: bool) -> None:
-        if as_json:
-            payload = {"manifest": self.manifest(), "results": self._fields}
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return
-        print(f"# lmcdist {__version__} -- {self.command}")
-        for item in self.inputs:
-            print(f"# input {item['role']}: {item['path']} sha256={item['sha256']}")
-        for name, value in self.parameters.items():
-            print(f"# param {name} = {value}")
-        for line in self._lines:
-            print(line)
-
+        """Print the report.  Results print in full: the interpreter's
+        int/str digit limit guards the parsing of input, so it is lifted only
+        while the results are formatted here."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if as_json:
+                results = {
+                    key: {"rational": str(v), "decimal": decimal15(v)} if type(v) is Fraction else v
+                    for key, v in self._fields.items()
+                }
+                print(json.dumps({"manifest": self.manifest(), "results": results}, indent=2, sort_keys=True))
+                return
+            print(f"# lmcdist {__version__} -- {self.command}")
+            for item in self.inputs:
+                print(f"# input {item['role']}: {item['path']} sha256={item['sha256']}")
+            for name, value in self.parameters.items():
+                print(f"# param {name} = {value}")
+            for line in self._lines:
+                if type(line) is tuple:
+                    key, value = line
+                    line = f"{key}: {value}" + (f" = {decimal15(value)}" if type(value) is Fraction else "")
+                print(line)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 # -- argument plumbing ------------------------------------------------------------
 
@@ -419,12 +431,9 @@ def _cmd_pa_witness(ns: argparse.Namespace, report: Report) -> int:
         prob = acceptance_probability(pa, witness)
         report.field("witness", list(witness), f"witness word: {format_word(witness)}")
         report.rational("acceptance_probability", prob)
-        margin = Fraction(1, (2 * len(pa.alphabet)) ** len(witness)) * (
-            prob / 2 - Fraction(1, 4)
-        )
-        report.rational(
-            "margin_over_bound", margin, "distance exceeds the bound by at least"
-        )
+        if pa.alphabet:  # with no letters, from-pa builds no reduction and so no bound
+            margin = Fraction(1, (2 * len(pa.alphabet)) ** len(witness)) * (prob / 2 - Fraction(1, 4))
+            report.rational("margin_over_bound", margin, "distance exceeds the bound by at least")
     return 0
 
 

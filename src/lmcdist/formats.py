@@ -567,7 +567,10 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
     accepting = frozenset(_expect_names(data["accepting"], f"{where}: accepting"))
     try:
         rows = [[sorted(row.items()) for row in label_rows] for label_rows in rows]
-        return Pa.from_integer_form(states, alphabet, den, rows, sorted(weights.items()), accepting)
+        flags = [den if q in accepting else 0 for q in states]
+        chain = Pa._stochastic(Lmc.from_integer_form(states, alphabet, den, rows, flags))
+        start = InitialDistribution.from_integer_form(len(states), den, sorted(weights.items()))
+        return Pa._built(chain, start, accepting)
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None
 

@@ -505,14 +505,6 @@ def check_start_names(lmc: Lmc, names: Iterable[str]) -> None:
 # -- shared sparse-vector plumbing (used by the analysis modules too) --------
 
 
-def sparse_matrices(matrices: Sequence[Matrix]) -> tuple[SparseRows, ...]:
-    """Per matrix, per row: the nonzero (column, entry) pairs."""
-    return tuple(
-        tuple(tuple((j, p) for j, p in enumerate(row) if p) for row in mat)
-        for mat in matrices
-    )
-
-
 def common_denominator(values: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators (1 when there are none)."""
     return math.lcm(*{v.denominator for v in values})

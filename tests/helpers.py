@@ -25,7 +25,6 @@ from lmcdist.model import (
     as_fraction,
     check_distribution,
     depth_total,
-    sparse_matrices,
     stop_mass,
     walk_prefixes,
 )
@@ -190,6 +189,21 @@ def all_two_state_nfas() -> list[Nfa]:
                 )
             )
     return machines
+
+
+def accepting_run_count(nfa: Nfa, word) -> int:
+    """Number of accepting runs of the automaton on the word: the reference
+    the accepted-word counts are checked against."""
+    counts = {nfa.initial: 1}
+    for label in word:
+        if label not in nfa.alphabet:
+            raise DomainError(f"letter {label!r} is not in the automaton's alphabet")
+        nxt: dict[str, int] = {}
+        for q, c in counts.items():
+            for t in nfa.successors(q, label):
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(c for q, c in counts.items() if q in nfa.accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +523,7 @@ def _combined_rows(lmc: Lmc):
         [sum(cells) for cells in zip(*(mat[i] for mat in lmc.matrices))]
         for i in range(lmc.n_states)
     ]
-    return sparse_matrices([summed])[0]
+    return tuple(tuple((j, p) for j, p in enumerate(row) if p) for row in summed)
 
 
 def reference_tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:

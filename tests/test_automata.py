@@ -12,7 +12,6 @@ from lmcdist import (
     Nfa,
     Pa,
     acceptance_probability,
-    accepting_run_count,
     count_accepted_words,
     count_from_distance,
     find_majority_witness,
@@ -28,6 +27,7 @@ from lmcdist import automata
 from lmcdist.automata import _solve_linear
 
 from helpers import (
+    accepting_run_count,
     all_two_state_nfas,
     always_accepting_pa,
     at_most_half_pa,
@@ -133,6 +133,16 @@ def test_pa_validation():
         )
     with pytest.raises(DomainError, match="accepting"):
         Pa(("u",), ("x",), (((Fraction(1),),),), (Fraction(1),), frozenset({"w"}))
+    # Names are checked by the chain the automaton is stored as.
+    with pytest.raises(DomainError, match="state names must be unique"):
+        Pa(("u", "u"), ("x",), (((Fraction(1), 0), (0, Fraction(1))),), (Fraction(1), 0), frozenset())
+    with pytest.raises(DomainError, match="labels must be unique"):
+        Pa(("u",), ("x", "x"), (((Fraction(1),),),) * 2, (Fraction(1),), frozenset())
+    with pytest.raises(DomainError, match="at least one state"):
+        Pa((), ("x",), ((),), (), frozenset())
+    # A float zero is refused before zero entries are dropped.
+    with pytest.raises(DomainError, match="exact rational"):
+        Pa(("u", "v"), ("x",), (((Fraction(1), 0.0), (0, Fraction(1))),), (Fraction(1), 0), frozenset())
 
 
 def test_acceptance_probability_by_hand():

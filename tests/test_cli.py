@@ -4,13 +4,18 @@ import argparse
 import json
 import re
 import shlex
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lmcdist
 from lmcdist.cli import build_parser, main
-from lmcdist.formats import save_distribution, save_lmc
+from lmcdist.approx import tv_bounded
+from lmcdist.exact import lk_distance_acyclic, threshold_decide_acyclic, tv_distance_acyclic
+from lmcdist.formats import load_distribution, load_lmc, save_distribution, save_lmc
+from lmcdist.model import tail_mass, word_probability
 
 from helpers import worked_example_union
 
@@ -549,3 +554,89 @@ def test_from_pa_rejects_an_empty_alphabet(tmp_path, capsys):
     code, out, _ = run(capsys, "pa-witness", pa, "--max-len", "2")
     assert code == 0
     assert "witness word: ε" in out
+
+
+def test_pa_witness_on_an_empty_alphabet_prints_no_margin(tmp_path, capsys):
+    # The margin is over the bound of a reduction that from-pa refuses to
+    # build without letters.
+    pa = write(
+        tmp_path / "pa.json",
+        {
+            "states": ["q"],
+            "alphabet": [],
+            "transitions": [],
+            "initial_dist": {"q": "1"},
+            "accepting": ["q"],
+        },
+    )
+    code, out, _ = run(capsys, "pa-witness", pa, "--max-len", "2")
+    assert code == 0
+    assert out.endswith("witness word: ε\nacceptance_probability: 1 = 1.00000000000000\n")
+    code, out, _ = run(capsys, "pa-witness", pa, "--max-len", "2", "--json")
+    assert code == 0
+    assert sorted(json.loads(out)["results"]) == ["acceptance_probability", "witness"]
+
+
+#: command -> (its options after the chain and starts, the result's key, its
+#: text label, and the library's value for the chain and starts)
+LARGE_RESULTS = {
+    "exact": ([], "distance", "distance", lambda c, p1, p2: tv_distance_acyclic(c, p1, p2).distance),
+    "threshold": (
+        ["--tau", "1/2"],
+        "lhs_integer",
+        "lhs_integer",
+        lambda c, p1, p2: threshold_decide_acyclic(c, p1, p2, Fraction(1, 2)).lhs_integer,
+    ),
+    "lk": (["-k", "2"], "power_sum", "sum over words of |p1 - p2|^2", lambda c, p1, p2: lk_distance_acyclic(c, p1, p2, 2)),
+    "prob": (["a"], "probability", "probability", lambda c, p1, p2: word_probability(c, p1, ("a",))),
+    "tail": (["-n", "1"], "tail_mass", "mass of words longer than 1", lambda c, p1, p2: tail_mass(c, p1, 1)),
+    "bounded": (
+        ["--eps", "1/4"],
+        "mass_first_below",
+        "mass_first_below",
+        lambda c, p1, p2: tv_bounded(c, p1, p2, Fraction(1, 4)).mass1_lt,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_RESULTS))
+def test_results_past_the_digit_limit_print_in_full(tmp_path, capsys, command):
+    # The chain s0 -a-> s1 -a-> s2 steps with (D-1)/D and stops s0 and s1
+    # with 1/D: every input number is under the interpreter's int/str digit
+    # limit, and every result, over D^2, is over it.  Such a report once
+    # ended in a traceback; the limit must still hold for input afterwards.
+    limit = sys.get_int_max_str_digits()
+    d = 10 ** ((limit or 4300) // 2 + 50)
+    step, stop = f"{d - 1}/{d}", f"1/{d}"
+    chain = write(
+        tmp_path / "chain.json",
+        {
+            "states": ["s0", "s1", "s2"],
+            "alphabet": ["a"],
+            "transitions": [
+                {"from": "s0", "label": "a", "to": "s1", "prob": step},
+                {"from": "s1", "label": "a", "to": "s2", "prob": step},
+            ],
+            "eow": {"s0": stop, "s1": stop, "s2": "1"},
+        },
+    )
+    starts = [write(tmp_path / "pi1.json", {"s0": "1"}), write(tmp_path / "pi2.json", {"s1": "1"})]
+    options, key, label, library = LARGE_RESULTS[command]
+    argv = [command, chain, *starts[: 1 if command in ("prob", "tail") else 2], *options]
+    lmc = load_lmc(chain)
+    value = library(lmc, *(load_distribution(p, lmc) for p in starts))
+    reports = []
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        reports.append(out)
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+        assert limit == 0 or len(text) > limit
+        results = json.loads(reports[1])["results"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert f"\n{label}: {text}" in reports[0]
+    assert results[key] == (value if type(value) is int else {"rational": text, "decimal": lmcdist.formats.decimal15(value)})

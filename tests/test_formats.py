@@ -8,6 +8,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,7 +28,10 @@ from lmcdist.formats import (
     load_pa,
     parse_prob,
     save_lmc,
+    save_pa,
 )
+
+from helpers import always_accepting_pa, at_most_half_pa, late_branch_pa, random_pa
 
 CHAIN = {
     "states": ["s", "t"],
@@ -86,6 +90,10 @@ def _duplicate(data):
     data["transitions"].append(dict(data["transitions"][0]))
 
 
+def _no_states(data):
+    data.update(states=[], transitions=[], initial_dist={}, accepting=[])
+
+
 FAULTS = {
     "not-array": _not_array,
     "item-not-object": _list_item,
@@ -96,6 +104,9 @@ FAULTS = {
     "unknown-state": _set_first(to="z"),
     "unknown-label": _set_first(label="b"),
     "duplicate": _duplicate,
+    "duplicate-state": lambda data: data["states"].append("s"),
+    "duplicate-label": lambda data: data["alphabet"].append("a"),
+    "no-states": _no_states,
 }
 
 #: (fault, kind) -> the ParseError text when ``f.json`` holds that file
@@ -128,6 +139,9 @@ MESSAGES = {
     ("duplicate", "chain"): "f.json: duplicate transition 's' --'a'--> 't'",
     ("duplicate", "nfa"): "f.json: transitions[1]: duplicate transition",
     ("duplicate", "pa"): "f.json: transitions[2]: duplicate transition",
+    ("duplicate-state", "pa"): "f.json: state names and labels must be unique",
+    ("duplicate-label", "pa"): "f.json: state names and labels must be unique",
+    ("no-states", "pa"): "f.json: a chain needs at least one state",
 }
 
 
@@ -165,6 +179,24 @@ def test_pa_reports_the_first_of_two_faults(tmp_path, monkeypatch, transitions, 
     with pytest.raises(ParseError) as exc:
         load_pa(_write(tmp_path, monkeypatch, data))
     assert str(exc.value) == message
+
+
+def test_pa_reports_a_row_sum_before_the_start(tmp_path, monkeypatch):
+    data = copy.deepcopy(PA)
+    data["transitions"][0]["prob"] = "1/2"
+    data["initial_dist"] = {"s": "1/2"}
+    with pytest.raises(ParseError) as exc:
+        load_pa(_write(tmp_path, monkeypatch, data))
+    assert str(exc.value) == "f.json: row of state 's' under label 'a' sums to 1/2, expected 1"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_saved_pa_loads_equal(tmp_path, seed):
+    rng = random.Random(seed)
+    for pa in (always_accepting_pa(), at_most_half_pa(), late_branch_pa(), random_pa(rng), random_pa(rng, 5, 1)):
+        save_pa(pa, tmp_path / "pa.json")
+        loaded = load_pa(tmp_path / "pa.json")
+        assert loaded == pa and hash(loaded) == hash(pa)
 
 
 #: Loads ``f.json`` as an NFA and prints the ParseError text.
