@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
-from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start, require_acyclic
+from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start
 from .floatk import floor_log2, precision_for
 from .model import (
     ZERO,
@@ -472,11 +472,10 @@ def tv_sample_acyclic(
     stream drives both sides, so a fixed seed replays exactly; the seed is
     a nonnegative int.
     """
-    require_acyclic(lmc)
+    horizon = max_support_length(lmc)  # raises DomainError on a cycle
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
     m = sample_count(epsilon, delta)
-    horizon = max_support_length(lmc)
     stream = BitStream(seed)
     sampler = _Sampler(lmc)
     tally1 = sampler.tally(pi1, stream, horizon, m)

@@ -53,6 +53,7 @@ from .model import (
     check_length,
     common_denominator,
     eliminate,
+    no_digit_limit,
     scale,
     stop_mass,
     vector_key,
@@ -190,8 +191,8 @@ class Pa(_Frozen):
     automaton, views.  Beyond what the chain and the start check, the
     constructor checks the matrices' count and shapes, that every row is
     stochastic (``_stochastic``) and that every accepting state is
-    declared (``_built``, which the file loader calls with the chain and
-    the start it builds from integers).
+    declared (``_built``).  The file loader reads the chain and the start
+    with the chain and start readers and runs the same two checks.
     """
 
     states: tuple[str, ...]
@@ -244,10 +245,11 @@ class Pa(_Frozen):
                     )
                 total = sum(x for _, x in row)
                 if total != den:
-                    raise DomainError(
-                        f"row of state {state!r} under label {label!r} sums to "
-                        f"{Fraction(total, den)}, expected 1"
-                    )
+                    with no_digit_limit():
+                        raise DomainError(
+                            f"row of state {state!r} under label {label!r} sums to "
+                            f"{Fraction(total, den)}, expected 1"
+                        )
         return chain
 
     @classmethod

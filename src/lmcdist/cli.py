@@ -67,7 +67,7 @@ from .formats import (
     save_distribution,
     save_lmc,
 )
-from .model import InitialDistribution, Lmc, tail_mass, validate, word_probability
+from .model import InitialDistribution, Lmc, no_digit_limit, tail_mass, validate, word_probability
 
 DEFAULT_SUBSET_CAP = 2**20
 
@@ -123,9 +123,7 @@ class Report:
         """Print the report.  Results print in full: the interpreter's
         int/str digit limit guards the parsing of input, so it is lifted only
         while the results are formatted here."""
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        with no_digit_limit():
             if as_json:
                 results = {
                     key: {"rational": str(v), "decimal": decimal15(v)} if type(v) is Fraction else v
@@ -143,8 +141,6 @@ class Report:
                     key, value = line
                     line = f"{key}: {value}" + (f" = {decimal15(value)}" if type(value) is Fraction else "")
                 print(line)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 # -- argument plumbing ------------------------------------------------------------
 

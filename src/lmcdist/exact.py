@@ -332,7 +332,7 @@ def threshold_decide_acyclic(
     the budget caps the distinct vectors).  Its sum is 2 * distance
     exactly, which is then rescaled to lhs.
     """
-    require_acyclic(lmc)
+    lengths = support_lengths(lmc)  # raises DomainError on a cycle
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
     tau = as_fraction(tau, "threshold")
@@ -342,7 +342,6 @@ def threshold_decide_acyclic(
     denominator = math.lcm(
         tau.denominator, lmc.integer_form[0], pi1.integer_form[0], pi2.integer_form[0]
     )
-    lengths = support_lengths(lmc)
     n = max((lengths[i] for i in {*pi1.support(), *pi2.support()} if lengths[i] is not None), default=0)
 
     power = denominator ** (n + 2)

@@ -28,6 +28,11 @@ What each check runs on, in a strict chain load:
   record pass collected, ``validate`` only for a violation's text; the
   start: its integer weights in ``InitialDistribution.from_integer_form``.
 
+A PA file is read by the same two readers: its states, alphabet and
+transitions by the chain reader, as a chain with no end-of-word entries
+that is not checked for stopping, and its "initial_dist" by the start
+reader, once ``Pa._stochastic`` has checked the rows on their integers.
+
 File shapes:
 
 * chain:         {"states": [..], "alphabet": [..],
@@ -538,38 +543,15 @@ def pa_from_dict(data: Any, where: str = "<pa>") -> Pa:
 
     data = _expect_dict(data, where)
     _expect_keys(data, ("states", "alphabet", "transitions", "initial_dist", "accepting"), where)
-    states = _expect_names(data["states"], f"{where}: states")
-    alphabet = _expect_names(data["alphabet"], f"{where}: alphabet")
-    sidx = {s: i for i, s in enumerate(states)}
-    lidx = {a: i for i, a in enumerate(alphabet)}
-    if len(sidx) != len(states) or len(lidx) != len(alphabet):
-        raise ParseError(f"{where}: state names and labels must be unique")
-    items = _transition_list(data, where)
-    den, ints = _scale(items, data["initial_dist"])
-    rows: list[list[dict[int, int]]] = [[{} for _ in states] for _ in alphabet]
-    for at, item in enumerate(items):
-        spot = f"{where}: transitions[{at}]"
-        item, src, label, tgt = _record(item, _WEIGHTED, spot)
-        if src not in sidx or tgt not in sidx:
-            raise ParseError(f"{spot}: names an unknown state")
-        if label not in lidx:
-            raise ParseError(f"{spot}: label {label!r} is not in the alphabet")
-        row = rows[lidx[label]][sidx[src]]
-        if sidx[tgt] in row:
-            raise ParseError(f"{spot}: duplicate transition")
-        row[sidx[tgt]] = _integer(item["prob"], den, ints, "{}: prob", spot)
-    init_data = _expect_dict(data["initial_dist"], f"{where}: initial_dist")
-    weights = {}
-    for state, prob in init_data.items():
-        if state not in sidx:
-            raise ParseError(f"{where}: initial_dist names unknown state {state!r}")
-        weights[sidx[state]] = _integer(prob, den, ints, "{}: initial_dist[{!r}]", where, state)
+    fields = {key: data[key] for key in ("states", "alphabet", "transitions")}
+    chain = lmc_from_dict({**fields, "eow": {}}, strict=False, where=where)
     accepting = frozenset(_expect_names(data["accepting"], f"{where}: accepting"))
+    # L is the lcm of the records' denominators: L or 0 keeps lowest terms.
+    den, rows, _ = chain.integer_form
+    flags = tuple(den if q in accepting else 0 for q in chain.states)
     try:
-        rows = [[sorted(row.items()) for row in label_rows] for label_rows in rows]
-        flags = [den if q in accepting else 0 for q in states]
-        chain = Pa._stochastic(Lmc.from_integer_form(states, alphabet, den, rows, flags))
-        start = InitialDistribution.from_integer_form(len(states), den, sorted(weights.items()))
+        chain = Pa._stochastic(Lmc._built(chain.states, chain.alphabet, (den, rows, flags)))
+        start = distribution_from_dict(data["initial_dist"], chain, f"{where}: initial_dist")
         return Pa._built(chain, start, accepting)
     except DomainError as exc:
         raise ParseError(f"{where}: {exc}") from None

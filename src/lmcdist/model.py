@@ -52,7 +52,9 @@ model types are frozen and safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,6 +77,19 @@ SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 #: Sparse rows scaled by a common denominator to integers.
 IntRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+@contextmanager
+def no_digit_limit() -> Iterator[None]:
+    """Lift the interpreter's int/str digit limit inside the block, and
+    restore it after.  The limit guards the parsing of input; an exact
+    number in a message or a report is formatted in full."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def as_fraction(value: Fraction | int, what: str = "value") -> Fraction:
@@ -456,14 +471,12 @@ class InitialDistribution(_Frozen):
         total = 0
         for i, x in pairs:
             if not 0 <= x <= den:
-                raise DomainError(
-                    f"initial weight at position {i} is {Fraction(x, den)}, outside [0, 1]"
-                )
+                with no_digit_limit():
+                    raise DomainError(f"initial weight at position {i} is {Fraction(x, den)}, outside [0, 1]")
             total += x
         if total != den:
-            raise DomainError(
-                f"initial weights sum to {Fraction(total, den)}, expected exactly 1"
-            )
+            with no_digit_limit():
+                raise DomainError(f"initial weights sum to {Fraction(total, den)}, expected exactly 1")
         self.__dict__.update(n_states=n_states, integer_form=(den, pairs))
 
     @classmethod
@@ -812,23 +825,26 @@ def validate(lmc: Lmc) -> list[str]:
         for i, row in enumerate(label_rows):
             for j, x in row:
                 if not (0 <= x <= den):
-                    problems.append(
-                        f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
-                        f"has probability {Fraction(x, den)}, outside [0, 1]"
-                    )
+                    with no_digit_limit():
+                        problems.append(
+                            f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
+                            f"has probability {Fraction(x, den)}, outside [0, 1]"
+                        )
                 totals[i] += x
     for i, e in enumerate(eow):
         if not (0 <= e <= den):
-            problems.append(
-                f"end-of-word probability at state {lmc.states[i]} is {Fraction(e, den)}, "
-                f"outside [0, 1]"
-            )
+            with no_digit_limit():
+                problems.append(
+                    f"end-of-word probability at state {lmc.states[i]} is {Fraction(e, den)}, "
+                    f"outside [0, 1]"
+                )
     for i, total in enumerate(totals):
         if total != den:
-            problems.append(
-                f"outgoing probability at state {lmc.states[i]} sums to "
-                f"{Fraction(total, den)}, expected 1"
-            )
+            with no_digit_limit():
+                problems.append(
+                    f"outgoing probability at state {lmc.states[i]} sums to "
+                    f"{Fraction(total, den)}, expected 1"
+                )
     preds: list[list[int]] = [[] for _ in lmc.states]
     for i, targets in enumerate(lmc.successors):
         for j in targets:

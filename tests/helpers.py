@@ -133,6 +133,27 @@ def at_most_half_pa() -> Pa:
     )
 
 
+def half_sink_pa(rng: random.Random) -> Pa:
+    """Half the start mass sits in a rejecting sink, so no word is accepted
+    with probability above 1/2; every other row is a random split of twelve
+    twelfths over the four states."""
+
+    def row() -> tuple[Fraction, ...]:
+        cells = [0] * 4
+        for _ in range(12):
+            cells[rng.randrange(4)] += 1
+        return tuple(Fraction(c, 12) for c in cells)
+
+    sink = (Fraction(0),) * 3 + (Fraction(1),)
+    return Pa(
+        states=("u0", "u1", "u2", "t"),
+        alphabet=("x", "y"),
+        matrices=tuple((row(), row(), row(), sink) for _ in range(2)),
+        initial=(Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)),
+        accepting=frozenset({"u2"}),
+    )
+
+
 def twin_letter_instance() -> tuple[Lmc, InitialDistribution, InitialDistribution]:
     """A three-state line where ``a`` and ``b`` do the same thing: every
     word of one length reaches the same prefix vectors.  The first start

@@ -19,6 +19,7 @@ from lmcdist import (
     nfa_to_lmc,
     pa_to_lmc,
     total_accepting_runs,
+    tv_bounded,
     tv_distance_acyclic,
     validate,
     word_probability,
@@ -32,6 +33,7 @@ from helpers import (
     always_accepting_pa,
     at_most_half_pa,
     example_nfa,
+    half_sink_pa,
     late_branch_pa,
 )
 
@@ -315,6 +317,24 @@ def test_pa_reduction_bound_is_exact_acc_mass():
     out = pa_to_lmc(at_most_half_pa())
     # Solved by hand: total acc mass is 1/5, so the bound is 4/5.
     assert out.bound == Fraction(4, 5)
+
+
+def test_bounded_estimates_the_known_distance_of_a_pa_reduction():
+    # When no word is accepted with probability above 1/2, the reduction's
+    # cyclic chain has distance exactly ``bound``: tv_bounded must land
+    # within epsilon/2 of it.  A PA with a majority witness pushes the
+    # distance above the bound, so there the same check fails.
+    rng = random.Random(0)
+    for pa in [at_most_half_pa(), *(half_sink_pa(rng) for _ in range(8))]:
+        out = pa_to_lmc(pa)
+        for eps in (Fraction(1, 16), Fraction(1, 64)):
+            estimate = tv_bounded(out.lmc, out.pi1, out.pi2, eps).estimate
+            assert abs(estimate - out.bound) <= eps / 2
+    witness = late_branch_pa()
+    assert find_majority_witness(witness, 3) is not None
+    out = pa_to_lmc(witness)
+    eps = Fraction(1, 64)
+    assert tv_bounded(out.lmc, out.pi1, out.pi2, eps).estimate - out.bound > eps / 2
 
 
 def test_pa_reduction_renames_on_collision():

@@ -15,7 +15,7 @@ from lmcdist.cli import build_parser, main
 from lmcdist.approx import tv_bounded
 from lmcdist.exact import lk_distance_acyclic, threshold_decide_acyclic, tv_distance_acyclic
 from lmcdist.formats import load_distribution, load_lmc, save_distribution, save_lmc
-from lmcdist.model import tail_mass, word_probability
+from lmcdist.model import no_digit_limit, tail_mass, word_probability
 
 from helpers import worked_example_union
 
@@ -640,3 +640,76 @@ def test_results_past_the_digit_limit_print_in_full(tmp_path, capsys, command):
         sys.set_int_max_str_digits(limit)
     assert f"\n{label}: {text}" in reports[0]
     assert results[key] == (value if type(value) is int else {"rational": text, "decimal": lmcdist.formats.decimal15(value)})
+
+
+def _past_the_digit_limit():
+    """``(1/D, 1/(D+1), their sum)``: each input under the interpreter's
+    int/str digit limit, and the sum, over D(D+1), over it."""
+    limit = sys.get_int_max_str_digits()
+    d = 10 ** ((limit or 4300) // 2 + 50)
+    return f"1/{d}", f"1/{d + 1}", Fraction(1, d) + Fraction(1, d + 1)
+
+
+def test_a_violation_past_the_digit_limit_prints_in_full(tmp_path, capsys):
+    # s steps with 1/D and stops with 1/(D+1), so its row sums to a number
+    # past the limit; validate once ended in a traceback formatting it.
+    limit = sys.get_int_max_str_digits()
+    step, stop, total = _past_the_digit_limit()
+    chain = write(
+        tmp_path / "v.json",
+        {
+            "states": ["s", "t"],
+            "alphabet": ["a"],
+            "transitions": [{"from": "s", "label": "a", "to": "t", "prob": step}],
+            "eow": {"s": stop, "t": "1"},
+        },
+    )
+    code, out, err = run(capsys, "validate", chain)
+    assert (code, err) == (1, "")
+    assert sys.get_int_max_str_digits() == limit
+    with no_digit_limit():
+        assert out.endswith(f"invalid (1 violation(s)):\n  - outgoing probability at state s sums to {total}, expected 1\n")
+
+
+def _broken_files(tmp_path, case):
+    """The argv of a command whose input faults with a sum past the limit."""
+    first, second, _ = _past_the_digit_limit()
+    chain = {"states": ["s", "t"], "alphabet": ["a"], "transitions": [], "eow": {"s": "1", "t": "1"}}
+    if case == "strict-chain":
+        chain["transitions"] = [{"from": "s", "label": "a", "to": "t", "prob": first}]
+        chain["eow"] = {"s": second, "t": "1"}
+        start = {"s": "1"}
+    elif case == "start":
+        start = {"s": first, "t": second}
+    else:
+        pa = write(
+            tmp_path / "pa.json",
+            {
+                "states": ["s", "t"],
+                "alphabet": ["a"],
+                "transitions": [
+                    {"from": "s", "label": "a", "to": "s", "prob": first},
+                    {"from": "s", "label": "a", "to": "t", "prob": second},
+                    {"from": "t", "label": "a", "to": "t", "prob": "1"},
+                ],
+                "initial_dist": {"s": "1"},
+                "accepting": ["t"],
+            },
+        )
+        return [case, pa, *(["--max-len", "2"] if case == "pa-witness" else ["--out", str(tmp_path)])]
+    return ["prob", write(tmp_path / "c.json", chain), write(tmp_path / "d.json", start), "a"]
+
+
+@pytest.mark.parametrize("case", ["strict-chain", "start", "pa-witness", "from-pa"])
+def test_a_fault_past_the_digit_limit_is_one_error_line(tmp_path, capsys, case):
+    # A chain, a start or a PA whose sum is past the limit: exit 3 and one
+    # error line in full, where formatting the sum once ended in a traceback.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *_broken_files(tmp_path, case))
+    assert (code, out) == (3, "")
+    assert sys.get_int_max_str_digits() == limit
+    total = _past_the_digit_limit()[2]
+    with no_digit_limit():
+        total = str(total)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" to {total}, expected" in err

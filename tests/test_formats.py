@@ -132,15 +132,15 @@ MESSAGES = {
     ("float-prob", "pa"): FLOAT,
     ("unknown-state", "chain"): "f.json: transition target 'z' is not a declared state",
     ("unknown-state", "nfa"): "f.json: transition ('s', 'a', 'z') names an unknown state",
-    ("unknown-state", "pa"): "f.json: transitions[0]: names an unknown state",
+    ("unknown-state", "pa"): "f.json: transition target 'z' is not a declared state",
     ("unknown-label", "chain"): "f.json: transition label 'b' is not in the alphabet",
     ("unknown-label", "nfa"): "f.json: transition label 'b' is not in the alphabet",
-    ("unknown-label", "pa"): "f.json: transitions[0]: label 'b' is not in the alphabet",
+    ("unknown-label", "pa"): "f.json: transition label 'b' is not in the alphabet",
     ("duplicate", "chain"): "f.json: duplicate transition 's' --'a'--> 't'",
     ("duplicate", "nfa"): "f.json: transitions[1]: duplicate transition",
-    ("duplicate", "pa"): "f.json: transitions[2]: duplicate transition",
-    ("duplicate-state", "pa"): "f.json: state names and labels must be unique",
-    ("duplicate-label", "pa"): "f.json: state names and labels must be unique",
+    ("duplicate", "pa"): "f.json: duplicate transition 's' --'a'--> 't'",
+    ("duplicate-state", "pa"): "f.json: state names must be unique",
+    ("duplicate-label", "pa"): "f.json: labels must be unique",
     ("no-states", "pa"): "f.json: a chain needs at least one state",
 }
 
@@ -165,8 +165,9 @@ def test_transition_faults_are_named(tmp_path, monkeypatch, fault, kind):
 @pytest.mark.parametrize(
     "transitions, message",
     [
-        # Within one record, membership is checked before the probability.
-        ([{"from": "s", "label": "a", "to": "z", "prob": 0.5}], "f.json: transitions[0]: names an unknown state"),
+        # Within one record, the probability is checked before membership,
+        # as in a chain file: name faults come after every other.
+        ([{"from": "s", "label": "a", "to": "z", "prob": 0.5}], FLOAT),
         # Records are checked in order: the first record's probability before
         # the second record's shape.
         ([{"from": "s", "label": "a", "to": "t", "prob": 0.5}, 7], FLOAT),

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,12 @@ from lmcdist import (
     validate,
     word_probability,
 )
+from lmcdist.automata import Pa
 from lmcdist.formats import load_lmc, save_lmc
 from lmcdist.model import (
     depth_total,
     eliminate,
+    no_digit_limit,
     spell_words,
     state_tails,
     walk_layers,
@@ -137,6 +140,39 @@ def test_validate_flags_states_that_never_stop():
     )
     problems = validate(lmc)
     assert problems and any("v" in p for p in problems)
+
+
+def test_messages_past_the_digit_limit_are_in_full():
+    # Every number in these texts is over D(D+1), past the interpreter's
+    # int/str digit limit, while D's own digits are under it.  Such a text
+    # once raised ValueError where it was formatted.
+    limit = sys.get_int_max_str_digits()
+    d = 10 ** ((limit or 4300) // 2 + 50)
+    den = d * (d + 1)
+    over, off = Fraction(den + 1, den), Fraction(2 * d + 1, den)
+    lmc = Lmc.from_integer_form(["s", "t"], ["a"], den, [[((1, den + 1),), ()]], [den + 1, 2 * d + 1])
+    texts = [validate(lmc)]
+    for weights in ([(0, den + 1)], [(0, d), (1, d + 1)]):
+        with pytest.raises(DomainError) as exc:
+            InitialDistribution.from_integer_form(2, den, weights)
+        texts.append(str(exc.value))
+    with pytest.raises(DomainError) as exc:
+        Pa(["s", "t"], ["a"], [((Fraction(1, d), Fraction(1, d + 1)), (0, 1))], [1, 0], ["t"])
+    texts.append(str(exc.value))
+    assert sys.get_int_max_str_digits() == limit
+    with no_digit_limit():
+        assert texts == [
+            [
+                f"transition s --a--> t has probability {over}, outside [0, 1]",
+                f"end-of-word probability at state s is {over}, outside [0, 1]",
+                f"outgoing probability at state s sums to {2 * over}, expected 1",
+                f"outgoing probability at state t sums to {off}, expected 1",
+            ],
+            f"initial weight at position 0 is {over}, outside [0, 1]",
+            f"initial weights sum to {off}, expected exactly 1",
+            f"row of state 's' under label 'a' sums to {off}, expected 1",
+        ]
+        assert limit == 0 or len(str(off)) > limit
 
 
 def test_validate_accepts_worked_example_chains():

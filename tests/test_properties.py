@@ -1,7 +1,8 @@
 """Property tests: results of the prefix walker, the sampler, the integer
 elimination, the integer tail and acceptance kernels, the integer
 ``validate`` and sampler tables, the bounded estimator's exact classes and
-the one-pass chain loader against independent routes."""
+the one-pass chain loader against independent routes; and the PA loader
+against the chain loader."""
 
 import copy
 import itertools
@@ -49,6 +50,8 @@ from lmcdist.formats import (
     lmc_to_dict,
     load_distribution,
     load_lmc,
+    load_pa,
+    pa_to_dict,
 )
 
 from helpers import (
@@ -811,6 +814,28 @@ def test_chain_loader_matches_reference(seed, kind, fault, strict):
     assert got == _outcome(load(reference_lmc_from_dict, reference_distribution_from_dict))
     if fault is None:
         assert got[0] == "ok" and got[1][0] == lmc
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.sampled_from([*FILE_FAULTS, *RECORD_FAULTS]))
+def test_pa_loader_faults_as_the_chain_loader(seed, fault):
+    # A PA file's states, alphabet and transitions are read by the chain
+    # reader: given the same broken records, the two files raise the same
+    # text.  Records that load as a chain can still break a row's sum.
+    rng = random.Random(seed)
+    data = pa_to_dict(random_pa(rng, 5, rng.randint(1, 2)))
+    _break_files(rng, {"transitions": data["transitions"], "eow": {}}, {}, fault)
+    chain = {key: data[key] for key in ("states", "alphabet", "transitions")}
+    pa_file = InputFile("pa.json", json.dumps(data).encode())
+    chain_file = InputFile("chain.json", json.dumps({**chain, "eow": {}}).encode())
+    kind, got = _outcome(lambda: load_pa(pa_file))
+    chain_kind, expected = _outcome(lambda: load_lmc(chain_file, strict=False))
+    if chain_kind != "ok":
+        assert (kind, got.removeprefix("pa.json: ")) == (chain_kind, expected.removeprefix("chain.json: "))
+    elif kind == "ok":
+        assert got.chain.integer_form[:2] == expected.integer_form[:2]
+    else:
+        assert "sums to" in got
 
 
 def _file_bytes(rng, data, layout: str) -> bytes:
