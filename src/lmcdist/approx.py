@@ -74,6 +74,7 @@ from .model import (
     check_length,
     depth_total,
     max_support_length,
+    no_digit_limit,
     state_tails,
     stop_mass,
     unstoppable,
@@ -222,10 +223,11 @@ class _Sampler:
         total = den // unit
         uppers = list(itertools.accumulate(w // unit for w in weights))
         if uppers[-1] != total:
-            raise DomainError(
-                f"cannot sample: probabilities at {where} sum to "
-                f"{Fraction(uppers[-1], total)}, expected 1"
-            )
+            with no_digit_limit():
+                raise DomainError(
+                    f"cannot sample: probabilities at {where} sum to "
+                    f"{Fraction(uppers[-1], total)}, expected 1"
+                )
         return outs, uppers, total, (total - 1).bit_length()
 
     @classmethod

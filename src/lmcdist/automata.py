@@ -186,13 +186,15 @@ class Pa(_Frozen):
     it drives ends in an accepting state.  The automaton is stored as
     ``chain``, one sparse integer ``Lmc`` whose end-of-word vector is the
     0/1 acceptance flags, and ``start``, its initial distribution; every
-    routine below reads those.  The dense ``matrices`` and the Fraction
-    tuple ``initial`` are the positional constructor's interface and, on an
-    automaton, views.  Beyond what the chain and the start check, the
-    constructor checks the matrices' count and shapes, that every row is
-    stochastic (``_stochastic``) and that every accepting state is
-    declared (``_built``).  The file loader reads the chain and the start
-    with the chain and start readers and runs the same two checks.
+    routine below reads those.  The constructor takes dense Fraction
+    ``matrices`` and an ``initial`` tuple, scales the matrices to integers
+    over the lcm of their denominators and builds the chain with
+    ``Lmc.from_integer_form``; on an automaton ``matrices`` and ``initial``
+    are views, read by no library code.  Beyond what the chain and the
+    start check, the constructor checks the matrices' count and shapes,
+    that every row is stochastic (``_stochastic``) and that every accepting
+    state is declared (``_built``).  The file loader reads the chain and
+    the start with the chain and start readers and runs the same two checks.
     """
 
     states: tuple[str, ...]
@@ -217,15 +219,17 @@ class Pa(_Frozen):
             raise DomainError(
                 f"expected one matrix per label ({len(alphabet)}), got {len(mats)}"
             )
-        rows = []
+        dense = []
         for label, mat in zip(alphabet, mats):
             # Every entry is checked for exactness before a zero one is dropped.
             mat = tuple(tuple(as_fraction(p, "transition probability") for p in row) for row in mat)
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise DomainError(f"matrix for label {label!r} is not {n}x{n}")
-            rows.append([[(j, p) for j, p in enumerate(row) if p] for row in mat])
-        flags = tuple(ONE if q in accepting else ZERO for q in states)
-        chain = self._stochastic(Lmc(states, alphabet, rows, flags))
+            dense.append(mat)
+        den = common_denominator(p for mat in dense for row in mat for p in row)
+        rows = [[tuple(scale(row, den).items()) for row in mat] for mat in dense]
+        flags = tuple(den if q in accepting else 0 for q in states)
+        chain = self._stochastic(Lmc.from_integer_form(states, alphabet, den, rows, flags))
         init = tuple(initial)
         if len(init) != n:
             raise DomainError(f"initial distribution has {len(init)} entries, expected {n}")
@@ -464,16 +468,17 @@ def count_from_distance(
     unit = Fraction(1, alphabet_size**word_length * state_count**word_length)
     exact = alphabet_size**word_length - (distance - baseline_gap) / unit
     count = math.floor(exact + Fraction(1, 2))
-    if abs(count - exact) > Fraction(1, 3):
-        raise DomainError(
-            f"distance estimate is {abs(count - exact)} count units away from an "
-            f"integer; it is not accurate enough to certify a word count"
-        )
-    if not 0 <= count <= alphabet_size**word_length:
-        raise DomainError(
-            f"recovered count {count} is outside [0, {alphabet_size**word_length}]; "
-            f"the inputs do not come from a consistent instance"
-        )
+    with no_digit_limit():
+        if abs(count - exact) > Fraction(1, 3):
+            raise DomainError(
+                f"distance estimate is {abs(count - exact)} count units away from an "
+                f"integer; it is not accurate enough to certify a word count"
+            )
+        if not 0 <= count <= alphabet_size**word_length:
+            raise DomainError(
+                f"recovered count {count} is outside [0, {alphabet_size**word_length}]; "
+                f"the inputs do not come from a consistent instance"
+            )
     return count
 
 

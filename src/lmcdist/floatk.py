@@ -200,7 +200,8 @@ def precision_for(max_word_length: int, state_count: int, relative_error: Fracti
 
 class RoundedModel:
     """A chain with all probabilities rounded to k bits, evaluated in k-bit
-    arithmetic with one rounding per scalar operation.
+    arithmetic with one rounding per scalar operation.  Each probability is
+    rounded from the chain's (or the start's) integer form, x over L.
 
     Accumulation order is fixed (ascending state index), so results are
     deterministic and identical to evaluating each word from scratch.
@@ -212,18 +213,23 @@ class RoundedModel:
         self.lmc = lmc
         self.precision = precision
         self.zero = FloatK(0, 0, precision)
-        self.eow = tuple(fp_round(e, precision) for e in lmc.eow)
+        den, rows, eow = lmc.integer_form
+        self.eow = tuple(fp_round(Fraction(e, den), precision) for e in eow)
         # Per label, per target state: (source, rounded probability), ascending source.
         columns = [[[] for _ in lmc.states] for _ in lmc.alphabet]
-        for cols, rows in zip(columns, lmc.sparse_rows):
-            for i, row in enumerate(rows):
-                for j, p in row:
-                    cols[j].append((i, fp_round(p, precision)))
+        for cols, label_rows in zip(columns, rows):
+            for i, row in enumerate(label_rows):
+                for j, x in row:
+                    cols[j].append((i, fp_round(Fraction(x, den), precision)))
         self.columns = tuple(tuple(map(tuple, cols)) for cols in columns)
 
     def initial(self, pi: InitialDistribution) -> tuple[FloatK, ...]:
         check_distribution(self.lmc, pi)
-        return tuple(fp_round(w, self.precision) for w in pi.weights)
+        den, pairs = pi.integer_form
+        vec = [self.zero] * pi.n_states
+        for i, x in pairs:
+            vec[i] = fp_round(Fraction(x, den), self.precision)
+        return tuple(vec)
 
     def advance(self, vec: Sequence[FloatK], label_idx: int) -> tuple[FloatK, ...]:
         """One vector-matrix step; every multiply and add rounds once."""

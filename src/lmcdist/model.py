@@ -12,7 +12,8 @@ Contents:
   stored in its integer form only (``integer_form``: integers over a common
   denominator, sparse); ``Lmc.sparse_rows``, ``Lmc.eow``, the dense
   ``Lmc.matrices`` and ``InitialDistribution.weights`` are Fraction views
-  for readers outside the library, built on first use.
+  for readers outside the library, built on first use and read by no
+  library code.
 * ``validate`` -- semantic invariant violations, returned as data.
 * ``word_probability`` -- exact probability of a single word.
 * ``is_acyclic`` / ``max_support_length`` -- shape of the word support.
@@ -40,13 +41,14 @@ walkers, ``word_probability``, ``state_tails``, ``eliminate``) runs on
 integers over a common denominator: the same rationals times a known power
 of it, so it is exact too; so are ``validate``, the range and sum checks
 of ``InitialDistribution`` and the exact sampler's tables
-(``approx._Sampler._table``).  ``Lmc`` and ``Lmc.from_integer_form`` check
-each row in one pass: all its targets (int, in range, strictly ascending),
-then its entries' exactness (Fractions or ints, or ints over the given
-denominator), and keep a row of plain nonzero pairs as it is.  The
-Fraction views are read only by ``floatk.RoundedModel``, which rounds each
-probability to k bits on its own, and by callers outside the library.  All
-model types are frozen and safe to share between threads.
+(``approx._Sampler._table``).  A chain is checked in one form, its
+integers: ``Lmc.from_integer_form`` checks each row in one pass, all its
+targets (int, in range, strictly ascending), then its entries (ints), and
+keeps a row of plain nonzero pairs as it is; ``Lmc.from_transitions``
+coerces its Fraction records once and builds the integer form itself.
+``floatk.RoundedModel`` rounds each probability to k bits from the
+integer form too.  All model types are frozen and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -110,12 +112,11 @@ def _as_int(value: Any, what: str) -> int:
     raise DomainError(f"{what} must be an int, got {type(value).__name__}")
 
 
-def _check_rows(rows, size: int, label: str, kind: type) -> tuple:
-    """One label's rows, checked and copied in one pass per row: every
-    target of a row (an int, in range, strictly ascending) before any of its
-    entries, which must be of type ``kind`` (Fractions may also be given as
-    ints); zero pairs are dropped.  A row that is already a tuple of such
-    pairs, none zero, is kept as it is."""
+def _check_rows(rows, size: int, label: str) -> tuple:
+    """One label's integer rows, checked and copied in one pass per row:
+    every target of a row (an int, in range, strictly ascending) before any
+    of its entries, which must be ints; zero pairs are dropped.  A row that
+    is already a tuple of such pairs, none zero, is kept as it is."""
     rows = tuple(rows)
     if len(rows) != size:
         raise DomainError(f"label {label!r} has {len(rows)} rows, expected {size}")
@@ -130,10 +131,10 @@ def _check_rows(rows, size: int, label: str, kind: type) -> tuple:
         kept = True
         for e in row:
             if isinstance(e, tuple) and len(e) == 2:
-                j, p = e
+                j, x = e
                 if type(j) is int and last < j < size:
                     last = j
-                    if type(p) is not kind or not p or type(e) is not tuple:
+                    if type(x) is not int or not x or type(e) is not tuple:
                         kept = False
                     continue
             raise DomainError(
@@ -141,11 +142,8 @@ def _check_rows(rows, size: int, label: str, kind: type) -> tuple:
                 f"with int targets in [0, {size}), strictly ascending"
             )
         if not kept:
-            coerce, what = (
-                (as_fraction, "transition probability") if kind is Fraction else (_as_int, "transition entry")
-            )
-            what = f"{what} for label {label!r}"
-            row = tuple((j, p) for j, p in ((j, p if type(p) is kind else coerce(p, what)) for j, p in row) if p)
+            what = f"transition entry for label {label!r}"
+            row = tuple((j, x) for j, x in ((j, _as_int(x, what)) for j, x in row) if x)
         out.append(row)
     return tuple(out)
 
@@ -180,10 +178,10 @@ class _Frozen:
         return f"{type(self).__name__}({parts})"
 
 
-def _chain_parts(states, alphabet, rows, eow, kind: type) -> tuple:
-    """``(states, alphabet, rows, eow)`` as tuples, checked in order: the
-    names, one row set per label (``_check_rows``), and one end-of-word
-    entry of type ``kind`` per state (Fractions may also be given as ints)."""
+def _chain_parts(states, alphabet, rows, eow) -> tuple:
+    """``(states, alphabet, rows, eow)`` of an integer form as tuples,
+    checked in order: the names, one row set per label (``_check_rows``),
+    and one int end-of-word entry per state."""
     states = tuple(states)
     alphabet = tuple(alphabet)
     if not states:
@@ -196,11 +194,8 @@ def _chain_parts(states, alphabet, rows, eow, kind: type) -> tuple:
     rows = tuple(rows)
     if len(rows) != len(alphabet):
         raise DomainError(f"got {len(rows)} row sets for {len(alphabet)} labels")
-    rows = tuple(_check_rows(r, n, a, kind) for r, a in zip(rows, alphabet))
-    coerce, what = (
-        (as_fraction, "end-of-word probability") if kind is Fraction else (_as_int, "end-of-word entry")
-    )
-    eow = tuple(e if type(e) is kind else coerce(e, what) for e in eow)
+    rows = tuple(_check_rows(r, n, a) for r, a in zip(rows, alphabet))
+    eow = tuple(_as_int(e, "end-of-word entry") for e in eow)
     if len(eow) != n:
         raise DomainError(f"end-of-word vector has length {len(eow)}, expected {n}")
     return states, alphabet, rows, eow
@@ -222,45 +217,20 @@ class Lmc(_Frozen):
     lowest terms, so equal chains have equal integer forms.
     ``sparse_rows`` and ``eow`` are the same as Fractions and ``matrices``
     dense, all three views built on first use for readers outside the
-    library.
+    library; no library code reads them.
 
-    ``Lmc(states, alphabet, sparse_rows, eow)`` takes Fraction (or int)
-    entries, ``from_integer_form`` the integers and L.  Construction checks
-    shape and exactness only -- semantically broken models are
-    representable on purpose so that :func:`validate` can report their
-    violations as data.
+    A chain is built from Fraction (or int) records with
+    ``from_transitions``, from the integers and L with
+    ``from_integer_form``, or by a loader (``formats``); each ends in the
+    same integer form.  Construction checks shape and exactness only --
+    semantically broken models are representable on purpose so that
+    :func:`validate` can report their violations as data.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     integer_form: tuple[int, tuple[IntRows, ...], tuple[int, ...]]
     _fields = ("states", "alphabet", "integer_form")
-
-    def __init__(
-        self,
-        states: Sequence[str],
-        alphabet: Sequence[str],
-        sparse_rows: Iterable,
-        eow: Iterable[Fraction | int],
-    ):
-        states, alphabet, rows, eow = _chain_parts(states, alphabet, sparse_rows, eow, Fraction)
-        # The lcm of the reduced denominators leaves the integers in lowest terms.
-        den = math.lcm(
-            *{p.denominator for label_rows in rows for row in label_rows for _, p in row},
-            *{e.denominator for e in eow},
-        )
-        self.__dict__.update(
-            states=states,
-            alphabet=alphabet,
-            integer_form=(
-                den,
-                tuple(
-                    tuple(tuple((j, _times(p, den)) for j, p in row) for row in label_rows)
-                    for label_rows in rows
-                ),
-                tuple(_times(e, den) for e in eow),
-            ),
-        )
 
     # -- builders -----------------------------------------------------------
 
@@ -274,10 +244,11 @@ class Lmc(_Frozen):
         eow: Iterable[int],
     ) -> "Lmc":
         """A chain from its integer form: every transition and end-of-word
-        entry an int, the probability times ``den``.  The rows are checked
-        as the constructor checks Fraction rows, and the result is reduced
-        to lowest terms, so it equals the chain built from the Fractions."""
-        states, alphabet, rows, eow = _chain_parts(states, alphabet, rows, eow, int)
+        entry an int, the probability times ``den``.  Construction checks
+        shape and exactness only (``_chain_parts``), and the result is
+        reduced to lowest terms, so it equals the chain built from the
+        same probabilities over any other denominator."""
+        states, alphabet, rows, eow = _chain_parts(states, alphabet, rows, eow)
         _check_denominator(den)
         g = math.gcd(den, *eow, *(x for label_rows in rows for row in label_rows for _, x in row))
         if g > 1:
@@ -329,18 +300,24 @@ class Lmc(_Frozen):
         for state in eow:
             if state not in sidx:
                 raise DomainError(f"end-of-word entry names unknown state {state!r}")
-        sparse = [
-            [
-                sorted(
-                    (j, p if type(p) is Fraction else as_fraction(p, "transition probability"))
-                    for j, p in row.items()
-                )
-                for row in label_rows
-            ]
+        rows = [
+            [{j: as_fraction(p, "transition probability") for j, p in row.items()} for row in label_rows]
             for label_rows in rows
         ]
-        eow_vec = [as_fraction(eow.get(s, ZERO), "end-of-word probability") for s in states]
-        return cls(states, alphabet, sparse, eow_vec)
+        stops = [as_fraction(eow.get(s, ZERO), "end-of-word probability") for s in states]
+        if not states:
+            raise DomainError("a chain needs at least one state")
+        # Every invariant ``from_integer_form`` checks holds by construction,
+        # and the lcm of the reduced denominators leaves the form in lowest terms.
+        den = math.lcm(
+            *{p.denominator for label_rows in rows for row in label_rows for p in row.values()},
+            *{e.denominator for e in stops},
+        )
+        int_rows = tuple(
+            tuple(tuple(sorted((j, _times(p, den)) for j, p in row.items() if p)) for row in label_rows)
+            for label_rows in rows
+        )
+        return cls._built(states, alphabet, (den, int_rows, tuple(_times(e, den) for e in stops)))
 
     # -- lookups ------------------------------------------------------------
 

@@ -814,11 +814,11 @@ def reference_tv_bounded(
 # ---------------------------------------------------------------------------
 
 
-def reference_freeze_rows(rows, size: int, label: str):
+def reference_freeze_rows(rows, size: int, label: str, coerce=as_fraction, what="transition probability"):
     rows = tuple(rows)
     if len(rows) != size:
         raise DomainError(f"label {label!r} has {len(rows)} rows, expected {size}")
-    what = f"transition probability for label {label!r}"
+    what = f"{what} for label {label!r}"
     out = []
     for row in map(tuple, rows):
         targets = [e[0] if isinstance(e, tuple) and len(e) == 2 else None for e in row]
@@ -827,26 +827,57 @@ def reference_freeze_rows(rows, size: int, label: str):
                 f"a row for label {label!r} must hold (target, probability) pairs "
                 f"with int targets in [0, {size}), strictly ascending"
             )
-        pairs = [(j, as_fraction(p, what)) for j, p in row]
+        pairs = [(j, coerce(p, what)) for j, p in row]
         out.append(tuple((j, p) for j, p in pairs if p))
     return tuple(out)
 
 
-def reference_lmc(states, alphabet, sparse_rows, eow) -> Lmc:
-    """``Lmc(...)`` with its rows and end-of-word entries checked the old
-    way first."""
-    states, alphabet, sparse_rows = tuple(states), tuple(alphabet), tuple(sparse_rows)
+def _reference_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an int, got {type(value).__name__}")
+    return value
+
+
+def _reference_names(states, alphabet, rows):
+    states, alphabet, rows = tuple(states), tuple(alphabet), tuple(rows)
     if not states:
         raise DomainError("a chain needs at least one state")
     if len(set(states)) != len(states):
         raise DomainError("state names must be unique")
     if len(set(alphabet)) != len(alphabet):
         raise DomainError("labels must be unique")
-    if len(sparse_rows) != len(alphabet):
-        raise DomainError(f"got {len(sparse_rows)} row sets for {len(alphabet)} labels")
+    if len(rows) != len(alphabet):
+        raise DomainError(f"got {len(rows)} row sets for {len(alphabet)} labels")
+    return states, alphabet, rows
+
+
+def reference_lmc(states, alphabet, sparse_rows, eow) -> Lmc:
+    """A chain from Fraction (or int) rows and end-of-word entries, checked
+    the old way first, then scaled to integers over the lcm of their
+    denominators."""
+    states, alphabet, sparse_rows = _reference_names(states, alphabet, sparse_rows)
     rows = tuple(reference_freeze_rows(r, len(states), a) for r, a in zip(sparse_rows, alphabet))
     eow = tuple(as_fraction(e, "end-of-word probability") for e in eow)
-    return Lmc(states, alphabet, rows, eow)
+    den = math.lcm(*(p.denominator for r in rows for row in r for _, p in row), *(e.denominator for e in eow))
+    int_rows = [[[(j, (p * den).numerator) for j, p in row] for row in r] for r in rows]
+    return Lmc.from_integer_form(states, alphabet, den, int_rows, [(e * den).numerator for e in eow])
+
+
+def reference_integer_lmc(states, alphabet, den, rows, eow) -> Lmc:
+    """``Lmc.from_integer_form`` with its rows checked the old way, target
+    list first, and reduced by the gcd of every entry."""
+    states, alphabet, rows = _reference_names(states, alphabet, rows)
+    rows = tuple(
+        reference_freeze_rows(r, len(states), a, _reference_int, "transition entry") for r, a in zip(rows, alphabet)
+    )
+    eow = tuple(_reference_int(e, "end-of-word entry") for e in eow)
+    if len(eow) != len(states):
+        raise DomainError(f"end-of-word vector has length {len(eow)}, expected {len(states)}")
+    if type(den) is not int or den < 1:
+        raise DomainError(f"common denominator must be a positive int, got {den!r}")
+    g = math.gcd(den, *eow, *(x for r in rows for row in r for _, x in row))
+    int_rows = tuple(tuple(tuple((j, x // g) for j, x in row) for row in r) for r in rows)
+    return Lmc._built(states, alphabet, (den // g, int_rows, tuple(e // g for e in eow)))
 
 
 def reference_initial_weights(weights) -> tuple[Fraction, ...]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from lmcdist import (
 from lmcdist import approx, floatk
 from lmcdist.approx import _WINDOW_BITS, BitStream, _Sampler, _SuffixTable
 from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
-from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
+from lmcdist.model import advance, common_denominator, no_digit_limit, scale, stop_mass, walk_prefixes
 
 from helpers import (
     half_distance_instance,
@@ -278,6 +279,22 @@ def test_tv_sample_requires_acyclic():
     union, u1, u2 = worked_example_union()
     with pytest.raises(DomainError, match="cycle"):
         tv_sample_acyclic(union, u1, u2, Fraction(1, 10), Fraction(1, 10))
+
+
+def test_a_sampler_fault_past_the_digit_limit_is_a_domain_error():
+    # s steps with 1/D and stops with 1/(D+1): its sum, over D(D+1), is past
+    # the int/str digit limit, and formatting it once raised ValueError.
+    limit = sys.get_int_max_str_digits()
+    d = 10 ** ((limit or 4300) // 2 + 50)
+    den = d * (d + 1)
+    lmc = Lmc.from_integer_form(["s", "t"], ["a"], den, [[((1, d + 1),), ()]], [d, den])
+    pi = InitialDistribution.dirac(lmc, "s")
+    with pytest.raises(DomainError) as exc:
+        tv_sample_acyclic(lmc, pi, pi, Fraction(1, 2), Fraction(1, 2))
+    assert sys.get_int_max_str_digits() == limit
+    with no_digit_limit():
+        total = str(Fraction(2 * d + 1, den))
+    assert str(exc.value) == f"cannot sample: probabilities at state 's' sum to {total}, expected 1"
 
 
 ###############################################################################

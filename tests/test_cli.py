@@ -674,6 +674,9 @@ def test_a_violation_past_the_digit_limit_prints_in_full(tmp_path, capsys):
 def _broken_files(tmp_path, case):
     """The argv of a command whose input faults with a sum past the limit."""
     first, second, _ = _past_the_digit_limit()
+    if case == "extract-count":  # --y is 1/2 + 1/D as one fraction
+        d = Fraction(first).denominator
+        return [case, "--y", f"{d + 2}/{2 * d}", "--dtilde", second, "-n", "1", "-k", "1", "-s", "1"]
     chain = {"states": ["s", "t"], "alphabet": ["a"], "transitions": [], "eow": {"s": "1", "t": "1"}}
     if case == "strict-chain":
         chain["transitions"] = [{"from": "s", "label": "a", "to": "t", "prob": first}]
@@ -700,16 +703,21 @@ def _broken_files(tmp_path, case):
     return ["prob", write(tmp_path / "c.json", chain), write(tmp_path / "d.json", start), "a"]
 
 
-@pytest.mark.parametrize("case", ["strict-chain", "start", "pa-witness", "from-pa"])
+@pytest.mark.parametrize("case", ["strict-chain", "start", "pa-witness", "from-pa", "extract-count"])
 def test_a_fault_past_the_digit_limit_is_one_error_line(tmp_path, capsys, case):
     # A chain, a start or a PA whose sum is past the limit: exit 3 and one
     # error line in full, where formatting the sum once ended in a traceback.
+    # extract-count's two inputs are each under the limit, but the estimate
+    # is 1/2 - 1/(D(D+1)) count units away from an integer: exit 1.
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, *_broken_files(tmp_path, case))
-    assert (code, out) == (3, "")
+    assert (code, out) == (1 if case == "extract-count" else 3, "")
     assert sys.get_int_max_str_digits() == limit
-    total = _past_the_digit_limit()[2]
+    first, second, total = _past_the_digit_limit()
     with no_digit_limit():
-        total = str(total)
+        if case == "extract-count":
+            expected = f"is {Fraction(1, 2) - Fraction(first) * Fraction(second)} count units away"
+        else:
+            expected = f" to {total}, expected"
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f" to {total}, expected" in err
+    assert expected in err

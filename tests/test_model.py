@@ -66,19 +66,26 @@ def test_from_transitions_builds_expected_matrices():
 @pytest.mark.parametrize(
     ("rows", "match"),
     [
-        (((((0, 1),),),) * 2, "2 row sets for 1 labels"),
+        (((((0, 2),),),) * 2, "2 row sets for 1 labels"),
         ((((),) * 3,), "3 rows, expected 2"),
-        (((((2, 1),), ()),), "targets in"),  # out of range
-        ((((("1", 1),), ()),), "int targets"),
-        (((((1, Fraction(1, 2)), (1, Fraction(1, 2))), ()),), "strictly ascending"),
-        (((((1, Fraction(1, 2)), (0, Fraction(1, 2))), ()),), "strictly ascending"),
-        (((((1, 0.5),), ()),), "exact rational"),
-        ((((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),), "pairs"),  # dense
+        (((((2, 2),), ()),), "targets in"),  # out of range
+        ((((("1", 2),), ()),), "int targets"),
+        (((((1, 1), (1, 1)), ()),), "strictly ascending"),
+        (((((1, 1), (0, 1)), ()),), "strictly ascending"),
+        (((((1, 0.5),), ()),), "must be an int"),
+        ((((0, 2), (0, 0)),), "pairs"),  # dense
+        (((((1, Fraction(1, 2)),), ()),), "must be an int"),
     ],
 )
 def test_constructor_rejects_malformed_rows(rows, match):
+    # A chain's rows are checked in one form, as integers over L (here 2).
     with pytest.raises(DomainError, match=match):
-        Lmc(("u", "v"), ("a",), rows, (Fraction(0), Fraction(1)))
+        Lmc.from_integer_form(("u", "v"), ("a",), 2, rows, (0, 2))
+
+
+def test_a_chain_has_no_positional_constructor():
+    with pytest.raises(TypeError):
+        Lmc(("u",), ("a",), (((),),), (Fraction(1),))
 
 
 def test_zero_records_are_dropped_but_still_count_as_duplicates(tmp_path):

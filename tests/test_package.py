@@ -19,6 +19,9 @@ import pytest
 
 import lmcdist
 from lmcdist import (
+    InitialDistribution,
+    Lmc,
+    Pa,
     are_equivalent,
     disjoint_union,
     length_bound,
@@ -33,6 +36,7 @@ from lmcdist import (
 )
 from lmcdist.automata import acceptance_probability, find_majority_witness, nfa_to_lmc, pa_to_lmc
 from lmcdist.cli import main
+from lmcdist.floatk import fp_word_probability
 from lmcdist.formats import (
     load_distribution,
     load_lmc,
@@ -253,6 +257,18 @@ def test_library_never_builds_the_dense_view(tmp_path):
     save_pa(pa, tmp_path / "pa.json")
     chains.append(pa.chain)
     starts.append(pa.start)
+    # A chain from Fraction records and an automaton from dense matrices.
+    chains.append(
+        Lmc.from_transitions(["u", "v"], ["a"], [("u", "a", "v", Fraction(1, 2))], {"u": Fraction(1, 2), "v": 1})
+    )
+    pa = Pa(("p", "q"), ("a",), [((Fraction(1, 2), Fraction(1, 2)), (0, 1))], (1, 0), {"q"})
+    acceptance_probability(pa, "aa")
+    chains.append(pa.chain)
+    starts.append(pa.start)
+    for lmc in chains:
+        pi = InitialDistribution.dirac(lmc, lmc.states[0])
+        fp_word_probability(lmc, pi, lmc.alphabet[:1], 8)
+        starts.append(pi)
     views = ("matrices", "sparse_rows", "eow")
     assert [lmc for lmc in chains if any(view in vars(lmc) for view in views)] == []
     assert [pi for pi in starts if "weights" in vars(pi)] == []

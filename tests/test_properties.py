@@ -1,8 +1,8 @@
 """Property tests: results of the prefix walker, the sampler, the integer
 elimination, the integer tail and acceptance kernels, the integer
-``validate`` and sampler tables, the bounded estimator's exact classes and
-the one-pass chain loader against independent routes; and the PA loader
-against the chain loader."""
+``validate`` and sampler tables, the bounded estimator's exact classes, the
+one-pass chain loader and the chain and automaton builders against
+independent routes; and the PA loader against the chain loader."""
 
 import copy
 import itertools
@@ -22,6 +22,7 @@ from lmcdist import (
     Lmc,
     DomainError,
     LengthExceededError,
+    Pa,
     acceptance_probability,
     are_equivalent,
     disjoint_union,
@@ -56,6 +57,10 @@ from lmcdist.formats import (
 
 from helpers import (
     all_two_state_nfas,
+    always_accepting_pa,
+    at_most_half_pa,
+    half_sink_pa,
+    late_branch_pa,
     random_acyclic_instance,
     random_acyclic_lmc,
     random_cyclic_lmc,
@@ -72,7 +77,8 @@ from helpers import (
     reference_bounded_classes,
     reference_distribution_from_dict,
     reference_initial_weights,
-    reference_lmc,
+    reference_integer_lmc,
+    _reference_from_transitions,
     reference_lmc_from_dict,
     reference_length_bound,
     reference_pair_nodes,
@@ -889,38 +895,39 @@ def test_file_loader_matches_reference(seed, kind, fault, strict, layout):
 
 
 ROW_FAULTS = ("descending", "repeated", "out-of-range", "negative", "bool", "float-target",
-              "not-a-pair", "list-pair", "float-prob", "float-then-bad-target", "zero-prob",
-              "int-prob", "generator")
+              "not-a-pair", "list-pair", "float-prob", "fraction-prob", "float-then-bad-target",
+              "zero-prob", "int-prob", "generator")
 
 
-def _break_rows(rng, lmc: Lmc, fault: str):
-    """``lmc.sparse_rows`` as lists, one row changed by ``fault``."""
-    rows = [[list(row) for row in label_rows] for label_rows in lmc.sparse_rows]
+def _break_rows(rng, rows, size: int, fault: str):
+    """Integer rows as lists, one row changed by ``fault``."""
+    rows = [[list(row) for row in label_rows] for label_rows in rows]
     row = rng.choice(rng.choice(rows))
     at = rng.randrange(len(row)) if row else 0
-    j, p = row[at] if row else (0, Fraction(1, 2))
-    size = lmc.n_states
+    j, x = row[at] if row else (0, 1)
     if fault == "descending" and len(row) > 1:
         row.reverse()
     elif fault == "repeated" and row:
         row.insert(at, row[at])
     elif fault == "out-of-range":
-        row.append((rng.choice([size, size + 3]), p))
+        row.append((rng.choice([size, size + 3]), x))
     elif fault == "negative":
-        row.insert(0, (-1, p))
+        row.insert(0, (-1, x))
     elif fault == "bool":
-        row[at:at + 1] = [(j == 1, p)]
+        row[at:at + 1] = [(j == 1, x)]
     elif fault == "float-target":
-        row[at:at + 1] = [(float(j), p)]
+        row[at:at + 1] = [(float(j), x)]
     elif fault == "not-a-pair":
-        row[at:at + 1] = [rng.choice([(j, p, 0), (j,), j])]
+        row[at:at + 1] = [rng.choice([(j, x, 0), (j,), j])]
     elif fault == "list-pair":
-        row[at:at + 1] = [[j, p]]
+        row[at:at + 1] = [[j, x]]
     elif fault == "float-prob":
-        row[at:at + 1] = [(j, float(p))]
+        row[at:at + 1] = [(j, float(x))]
+    elif fault == "fraction-prob":
+        row[at:at + 1] = [(j, rng.choice([Fraction(x), Fraction(x, 2)]))]
     elif fault == "float-then-bad-target":  # the target is reported, not the float
-        row[at:at + 1] = [(j, float(p))]
-        row.append((size, p))
+        row[at:at + 1] = [(j, float(x))]
+        row.append((size, x))
     elif fault == "zero-prob":
         row[at:at + 1] = [(j, rng.choice([0, Fraction(0)]))]
     elif fault == "int-prob":
@@ -931,22 +938,78 @@ def _break_rows(rng, lmc: Lmc, fault: str):
 @settings(max_examples=200, deadline=None)
 @given(seeds, st.sampled_from(["acyclic", "cyclic", "pa"]), st.sampled_from([None, *ROW_FAULTS]))
 def test_chain_rows_match_reference(seed, kind, fault):
-    # Lmc(...) checks every target of a row before its probabilities, as
-    # the old two-pass check did, and stores the same rows.
+    # Lmc.from_integer_form checks every target of a row before its
+    # entries, as the old two-pass check did, and stores the same rows, in
+    # lowest terms when every entry shares a factor with L.
     rng = random.Random(seed)
     lmc = _valid_chain(kind, rng)
-    rows = _break_rows(rng, lmc, fault) if fault else lmc.sparse_rows
+    g = rng.choice([1, 1, 2, 6])
+    den, rows, eow = lmc.integer_form
+    den, eow = den * g, [e * g for e in eow]
+    rows = [[[(j, x * g) for j, x in row] for row in label_rows] for label_rows in rows]
+    rows = _break_rows(rng, rows, lmc.n_states, fault) if fault else rows
 
     def fresh():  # each side gets its own one-shot rows
         if fault == "generator":
             return [[iter(row) for row in label_rows] for label_rows in rows]
         return rows
 
-    got = _outcome(lambda: Lmc(lmc.states, lmc.alphabet, fresh(), lmc.eow))
-    assert got == _outcome(lambda: reference_lmc(lmc.states, lmc.alphabet, fresh(), lmc.eow))
+    got = _outcome(lambda: Lmc.from_integer_form(lmc.states, lmc.alphabet, den, fresh(), eow))
+    assert got == _outcome(lambda: reference_integer_lmc(lmc.states, lmc.alphabet, den, fresh(), eow))
     if got[0] == "ok":
-        stored = got[1].sparse_rows
-        assert all(type(e) is tuple and type(e[1]) is Fraction for r in stored for row in r for e in row)
+        stored = got[1].integer_form[1]
+        assert all(type(e) is tuple and type(e[1]) is int and e[1] for r in stored for row in r for e in row)
+    if fault is None:
+        assert got == ("ok", lmc)
+
+
+TRANSITION_FAULTS = ("unknown-source", "unknown-target", "unknown-label", "duplicate", "float-prob",
+                     "string-prob", "zero-duplicate", "unknown-eow", "reversed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.sampled_from(["acyclic", "cyclic", "pa"]), st.sampled_from([None, *TRANSITION_FAULTS]))
+def test_from_transitions_matches_reference(seed, kind, fault):
+    # A chain from Fraction records is the old builder's chain, and every
+    # fault raises the same error with the same text.
+    rng = random.Random(seed)
+    lmc = _valid_chain(kind, rng)
+    records = lmc.transition_records()
+    if not records:  # only the empty word: a zero record gives the faults one to change
+        records = [(lmc.states[0], lmc.alphabet[0], lmc.states[0], Fraction(0))]
+    eow = {s: e for s, e in zip(lmc.states, lmc.eow) if e}
+    at = rng.randrange(len(records))
+    src, label, tgt, p = records[at]
+    if fault == "unknown-source":
+        records.insert(at, ("zz", label, tgt, p))
+    elif fault == "unknown-target":
+        records.insert(at, (src, label, "zz", p))
+    elif fault == "unknown-label":
+        records.insert(at, (src, "zz", tgt, p))
+    elif fault == "duplicate":
+        records.insert(rng.randrange(len(records) + 1), records[at])
+    elif fault == "float-prob":
+        records[at] = (src, label, tgt, float(p))
+    elif fault == "string-prob":
+        records[at] = (src, label, tgt, str(p))
+    elif fault == "zero-duplicate":
+        records.insert(at + rng.randint(0, 1), (src, label, tgt, rng.choice([0, Fraction(0)])))
+    elif fault == "unknown-eow":
+        eow["zz"] = rng.choice([0, Fraction(1, 2)])
+    elif fault == "reversed":
+        records.reverse()
+
+    got = _outcome(lambda: Lmc.from_transitions(lmc.states, lmc.alphabet, records, eow))
+    assert got == _outcome(lambda: _reference_from_transitions(lmc.states, lmc.alphabet, records, eow))
+    if fault in (None, "reversed"):
+        assert got == ("ok", lmc)
+
+
+def test_dense_matrices_rebuild_every_automaton():
+    rng = random.Random(5)
+    helpers_pas = [always_accepting_pa(), at_most_half_pa(), late_branch_pa(), half_sink_pa(rng)]
+    for pa in helpers_pas + [random_pa(rng) for _ in range(40)]:
+        assert Pa(pa.states, pa.alphabet, pa.matrices, pa.initial, pa.accepting) == pa
 
 
 def _near_start(rng):
