@@ -29,7 +29,6 @@ _EXPORTS = {
         "length_bound",
         "ln_upper",
         "sample_count",
-        "sample_word",
         "tv_bounded",
         "tv_sample_acyclic",
     ),

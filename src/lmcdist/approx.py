@@ -25,9 +25,9 @@ Sampling uses exact dyadic-interval refinement against rational cumulative
 weights, so sampled words follow the model distribution exactly -- the only
 approximation in the statistical estimator is the finite sample size.  The
 integer thresholds of every choice are computed once per call.  Each node
-(the start, or a state) gets, on its first visit in a call that draws more
-than one word, a window table indexed by the next ``_WINDOW_BITS`` bits
-of the stream, whose entry names every choice those bits decide, so one index
+(the start, or a state) gets, on its first visit in a call, a window table
+indexed by the next ``_WINDOW_BITS`` bits of the stream, whose entry names
+every choice those bits decide, so one index
 often draws a whole word; it holds at most 2**8 entry references, plus at most
 2**8 - 1 in the narrower tables it is joined from, and equal entries are one
 object.  One sampler serves one chain, so both sides of a call share its
@@ -178,8 +178,8 @@ class _Sampler:
     window) or the entry has more letters than the cap leaves, the draw
     takes one choice by the refinement loop above, reading the table
     directly.  The bits read are the same either way.  A state's window is
-    built on its first visit by a ``tally`` of more than one word, with the
-    narrower tables of its successors that it joins (``_window``); a
+    built on its first visit by a ``tally``, with the narrower tables of its
+    successors that it joins (``_window``); a
     node holds at most 2**8 entry references in its window and at most
     2**8 - 1 in its narrower tables, and equal entries are one object.  The
     sampler keeps only what depends on the chain, so every start shares it;
@@ -204,8 +204,7 @@ class _Sampler:
                         weights.append(x)
             self._tables.append(self._table(outs, weights, den, f"state {lmc.states[i]!r}"))
         # An unbuilt window reads None everywhere, which sends the draw loop
-        # to the one-choice path; a tally of more than one word builds it
-        # there.
+        # to the one-choice path; a tally builds it there.
         self._unbuilt = [None] * (1 << _WINDOW_BITS)
         self._windows = [self._unbuilt] * lmc.n_states
         self._decoded: dict[tuple[int, int], list] = {}
@@ -320,9 +319,6 @@ class _Sampler:
         check_distribution(self._lmc, pi)
         check_length(max_len, "word length cap")
         first = self._start_table(pi)
-        # A window costs far more to build than one draw saves, so a single
-        # draw builds none and takes the one-choice path throughout.
-        build = count > 1
         # The stream's buffer lives in locals for all the draws and is written
         # back on the way out; ``drawn`` counts every bit that entered it, so
         # the bits used are ``drawn - avail``.
@@ -332,7 +328,7 @@ class _Sampler:
         tables = self._tables
         windows = self._windows
         unbuilt = self._unbuilt
-        start = self._decode(first, _WINDOW_BITS, True) if build else unbuilt
+        start = self._decode(first, _WINDOW_BITS, True)
         bits = _WINDOW_BITS
         mask = (1 << bits) - 1
         counts: dict[tuple[str, ...], int] = {}
@@ -359,7 +355,7 @@ class _Sampler:
                             node = target
                             win = windows[target]
                             continue
-                    if win is unbuilt and build:
+                    if win is unbuilt:
                         win = windows[node] = self._window(node)
                         continue
                     # One choice at ``node``: the first read, then one more
@@ -399,24 +395,6 @@ class _Sampler:
             stream._available = avail
             stream.bits_consumed += drawn - avail
         return counts
-
-
-def sample_word(
-    lmc: Lmc, pi: InitialDistribution, rng: BitStream, max_len: int
-) -> tuple[str, ...]:
-    """Draw one word from the chain's distribution, exactly.
-
-    Walks the chain choosing each step by dyadic-interval refinement against
-    the exact rational transition weights, so the returned word has exactly
-    its model probability: a ``_Sampler.tally`` of one word, on a sampler
-    built for that word alone.  Raises ``DomainError`` for a ``max_len``
-    that is not a nonnegative int, before any bit is drawn, and
-    ``LengthExceededError`` if the trajectory runs past ``max_len`` letters
-    (cannot happen when ``max_len`` is at least the support length of an
-    acyclic chain).
-    """
-    (word,) = _Sampler(lmc).tally(pi, rng, max_len, 1)
-    return word
 
 
 def sample_count(epsilon: Fraction | int, delta: Fraction | int) -> int:
@@ -813,46 +791,44 @@ def tv_bounded(
     below: defaultdict[int, int] = defaultdict(int)
     at_least: defaultdict[int, int] = defaultdict(int)
     count = 0
-    try:
-        for path, vec in walk_prefixes(root, step):
-            depth = len(path)
-            count += 1
-            if budget is not None and count > budget:
-                raise _over_budget(budget, count, depth)
-            s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
-            if s1 < s2:
-                below[depth] += s1
+
+    def budget_fault(nodes: int, depth: int) -> BudgetExceededError:
+        message = f"{_over_budget(budget, nodes, depth)} (length cutoff {cutoff})"
+        return BudgetExceededError(message, nodes_visited=nodes, depth=depth)
+
+    for path, vec in walk_prefixes(root, step):
+        depth = len(path)
+        count += 1
+        if budget is not None and count > budget:
+            raise budget_fault(count, depth)
+        s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
+        if s1 < s2:
+            below[depth] += s1
+        else:
+            at_least[depth] += s2
+        if depth < top or not table.lives:
+            continue
+        # The subtree of v: the suffixes live on v's support, in the
+        # walk's preorder.  A suffix dead on the support has g_w zero
+        # there, so summing over every entry adds only zeros for it.
+        m1 = m2 = mask = 0
+        for i, x in vec.items():
+            if i < n:
+                m1 += x * columns[i]
             else:
-                at_least[depth] += s2
-            if depth < top or not table.lives:
-                continue
-            # The subtree of v: the suffixes live on v's support, in the
-            # walk's preorder.  A suffix dead on the support has g_w zero
-            # there, so summing over every entry adds only zeros for it.
-            m1 = m2 = mask = 0
-            for i, x in vec.items():
-                if i < n:
-                    m1 += x * columns[i]
-                else:
-                    m2 += x * columns[i - n]
-                mask |= 1 << (i % n)
-            reached = table.reached(mask)
-            if budget is not None and count + reached > budget:
-                raise _over_budget(budget, budget + 1, top + table.depth_of(mask, budget - count))
-            count += reached
-            if m1 and m2:
-                # A field of m2 + high - m1 - ones is 2**(width-1) + m2_k -
-                # m1_k - 1, in [0, 2**width): its top bit is set exactly
-                # where m1_k < m2_k.  Ties stay with "at least".
-                lt = (((m2 + high - m1 - ones) & high) >> shift) * field
-                acc1 += m1 & lt
-                acc2 += m2 & ~lt
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{exc} (length cutoff {cutoff})",
-            nodes_visited=exc.nodes_visited,
-            depth=exc.depth,
-        ) from None
+                m2 += x * columns[i - n]
+            mask |= 1 << (i % n)
+        reached = table.reached(mask)
+        if budget is not None and count + reached > budget:
+            raise budget_fault(budget + 1, top + table.depth_of(mask, budget - count))
+        count += reached
+        if m1 and m2:
+            # A field of m2 + high - m1 - ones is 2**(width-1) + m2_k -
+            # m1_k - 1, in [0, 2**width): its top bit is set exactly
+            # where m1_k < m2_k.  Ties stay with "at least".
+            lt = (((m2 + high - m1 - ones) & high) >> shift) * field
+            acc1 += m1 & lt
+            acc2 += m2 & ~lt
     # x % (2**width - 1) is the sum of x's fields, since 2**width is 1 modulo
     # it, and that sum is below 2**(width-2) (``_SuffixTable.pack``).
     below[cutoff] += acc1 % field

@@ -110,9 +110,7 @@ class ThresholdCertificate:
 
 def require_acyclic(lmc: Lmc) -> None:
     if not is_acyclic(lmc):
-        raise DomainError(
-            "chain has a positive-probability cycle; exact enumeration needs an acyclic chain"
-        )
+        raise DomainError("chain has a positive-probability cycle; word support is unbounded")
 
 
 def _vector_step(by_state, labels: int, max_len: int | None):

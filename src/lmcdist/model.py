@@ -10,10 +10,10 @@ Contents:
 
 * ``Lmc`` and ``InitialDistribution`` -- immutable model types, each
   stored in its integer form only (``integer_form``: integers over a common
-  denominator, sparse); ``Lmc.sparse_rows``, ``Lmc.eow``, the dense
-  ``Lmc.matrices`` and ``InitialDistribution.weights`` are Fraction views
-  for readers outside the library, built on first use and read by no
-  library code.
+  denominator, sparse); ``Lmc.eow``, the dense ``Lmc.matrices`` and
+  ``InitialDistribution.weights`` are Fraction views for readers outside
+  the library, built on first use and read by no library code, and
+  ``Lmc.transition_records()`` lists the sparse rows as Fractions.
 * ``validate`` -- semantic invariant violations, returned as data.
 * ``word_probability`` -- exact probability of a single word.
 * ``is_acyclic`` / ``max_support_length`` -- shape of the word support.
@@ -73,11 +73,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 #: A word is any sequence of labels.
 Word = Sequence[str]
 
-#: Sparse row form: for each source state, the (target, probability) pairs
-#: with a nonzero probability, targets strictly ascending.
-SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
-
-#: Sparse rows scaled by a common denominator to integers.
+#: Sparse integer rows: for each source state, the (target, probability
+#: times a common denominator) pairs of the nonzero entries, targets
+#: strictly ascending.
 IntRows = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -215,9 +213,10 @@ class Lmc(_Frozen):
     probability * L)`` pairs, targets strictly ascending; ``eow`` is the
     per-state probability of stopping (ending the word), times L.  It is in
     lowest terms, so equal chains have equal integer forms.
-    ``sparse_rows`` and ``eow`` are the same as Fractions and ``matrices``
-    dense, all three views built on first use for readers outside the
-    library; no library code reads them.
+    ``eow`` is the same as Fractions and ``matrices`` the rows as dense
+    Fraction matrices, both views built on first use for readers outside the
+    library; no library code reads them.  ``transition_records()`` lists the
+    sparse rows as Fractions.
 
     A chain is built from Fraction (or int) records with
     ``from_transitions``, from the integers and L with
@@ -231,6 +230,9 @@ class Lmc(_Frozen):
     alphabet: tuple[str, ...]
     integer_form: tuple[int, tuple[IntRows, ...], tuple[int, ...]]
     _fields = ("states", "alphabet", "integer_form")
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("build an Lmc with from_transitions, from_integer_form or a loader")
 
     # -- builders -----------------------------------------------------------
 
@@ -347,16 +349,6 @@ class Lmc(_Frozen):
     # -- views and derived forms, built on first use -------------------------
 
     @cached_property
-    def sparse_rows(self) -> tuple[SparseRows, ...]:
-        """Per label and source state, the nonzero ``(target, probability)``
-        pairs as Fractions: a view of ``integer_form``."""
-        den, rows, _ = self.integer_form
-        return tuple(
-            tuple(tuple((j, Fraction(x, den)) for j, x in row) for row in label_rows)
-            for label_rows in rows
-        )
-
-    @cached_property
     def eow(self) -> tuple[Fraction, ...]:
         """Per state, the end-of-word probability as a Fraction: a view of
         ``integer_form``."""
@@ -365,13 +357,17 @@ class Lmc(_Frozen):
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
-        """Per label, the dense |Q| x |Q| matrix: a view for readers outside
-        the library."""
-        n = range(self.n_states)
-        return tuple(
-            tuple(tuple(dict(row).get(j, ZERO) for j in n) for row in rows)
-            for rows in self.sparse_rows
-        )
+        """Per label, the dense |Q| x |Q| matrix of Fractions: a view of
+        ``integer_form`` for readers outside the library."""
+        den, rows, _ = self.integer_form
+        matrices = []
+        for label_rows in rows:
+            dense = [[ZERO] * self.n_states for _ in label_rows]
+            for out, row in zip(dense, label_rows):
+                for j, x in row:
+                    out[j] = Fraction(x, den)
+            matrices.append(tuple(map(tuple, dense)))
+        return tuple(matrices)
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -531,8 +527,8 @@ def scale(weights: Sequence[Fraction], den: int) -> dict[int, int]:
     return {i: _times(w, den) for i, w in enumerate(weights) if w}
 
 
-def advance(vec: dict, rows: SparseRows | IntRows) -> dict:
-    """One step of vector-times-matrix in sparse form (Fractions or ints)."""
+def advance(vec: dict[int, int], rows: IntRows) -> dict[int, int]:
+    """One step of vector-times-matrix in sparse integer form."""
     out: dict = {}
     for i, x in vec.items():
         for j, p in rows[i]:

@@ -438,10 +438,11 @@ def reference_draw(lmc: Lmc, pi: InitialDistribution, stream, max_len: int) -> t
     while True:
         outs: list[tuple[str, int] | None] = [None] if lmc.eow[state] else []
         probs = [lmc.eow[state]] if lmc.eow[state] else []
-        for li, label in enumerate(lmc.alphabet):
-            for j, p in lmc.sparse_rows[li][state]:
-                outs.append((label, j))
-                probs.append(p)
+        for label, matrix in zip(lmc.alphabet, lmc.matrices):
+            for j, p in enumerate(matrix[state]):
+                if p:
+                    outs.append((label, j))
+                    probs.append(p)
         pick = outs[reference_choose(stream, *reference_cumulative(probs))]
         if pick is None:
             return tuple(word)
@@ -472,8 +473,9 @@ def reference_equivalent(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistrib
         out = [ZERO] * n
         for i, x in enumerate(v):
             if x:
-                for j, p in rows[i]:
-                    out[j] += x * p
+                for j, p in enumerate(rows[i]):
+                    if p:
+                        out[j] += x * p
         return out
 
     basis: list[tuple[int, list[Fraction]]] = []  # (pivot index, pivot-normalized vector)
@@ -495,7 +497,7 @@ def reference_equivalent(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistrib
         basis.append((pivot, v))
         if len(basis) > n:  # cannot happen: dimensions are bounded by |Q|
             raise AssertionError("independent set exceeded the space dimension")
-        for rows in lmc.sparse_rows:
+        for rows in lmc.matrices:
             queue.append(times_matrix(v, rows))
     return True
 
@@ -624,21 +626,18 @@ def reference_validate(lmc: Lmc) -> list[str]:
     probability distribution over finite words.
     """
     problems: list[str] = []
-    for li, label in enumerate(lmc.alphabet):
-        for i, row in enumerate(lmc.sparse_rows[li]):
-            for j, p in row:
-                if not (0 <= p <= 1):
-                    problems.append(
-                        f"transition {lmc.states[i]} --{label}--> {lmc.states[j]} "
-                        f"has probability {p}, outside [0, 1]"
-                    )
+    for src, label, tgt, p in lmc.transition_records():
+        if not (0 <= p <= 1):
+            problems.append(
+                f"transition {src} --{label}--> {tgt} has probability {p}, outside [0, 1]"
+            )
     for i, e in enumerate(lmc.eow):
         if not (0 <= e <= 1):
             problems.append(
                 f"end-of-word probability at state {lmc.states[i]} is {e}, outside [0, 1]"
             )
     for i in range(lmc.n_states):
-        total = lmc.eow[i] + sum(p for rows in lmc.sparse_rows for _, p in rows[i])
+        total = lmc.eow[i] + sum(p for matrix in lmc.matrices for p in matrix[i])
         if total != 1:
             problems.append(
                 f"outgoing probability at state {lmc.states[i]} sums to {total}, expected 1"

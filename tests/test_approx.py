@@ -18,7 +18,6 @@ from lmcdist import (
     length_bound,
     ln_upper,
     sample_count,
-    sample_word,
     tail_mass,
     tv_bounded,
     tv_distance_acyclic,
@@ -155,10 +154,10 @@ def test_bitstream_refuses_a_negative_or_bool_seed():
     assert BitStream(0).bits(64) != BitStream(1).bits(64)
 
 
-def test_sample_word_distribution_on_fixture():
+def test_tally_distribution_on_fixture():
     lmc, pi1, _ = half_distance_instance()
     stream = BitStream(42)
-    counts = Counter(sample_word(lmc, pi1, stream, 5) for _ in range(2000))
+    counts = _Sampler(lmc).tally(pi1, stream, 5, 2000)
     assert set(counts) == {("a",), ("b",)}
     assert abs(counts[("a",)] / 2000 - 0.5) < 0.05
     # The a/b split needs exactly one bit; everything else is forced.
@@ -171,15 +170,15 @@ def test_single_outcome_consumes_no_bits():
     )
     pi = InitialDistribution.dirac(lmc, "u")
     stream = BitStream(1)
-    assert sample_word(lmc, pi, stream, 3) == ("a",)
+    assert _Sampler(lmc).tally(pi, stream, 3, 1) == {("a",): 1}
     assert stream.bits_consumed == 0
 
 
-def test_sample_word_length_cap():
+def test_tally_length_cap():
     lmc = Lmc.from_transitions(["u", "t"], ["a"], [("u", "a", "t", 1)], {"t": 1})
     pi = InitialDistribution.dirac(lmc, "u")
     with pytest.raises(LengthExceededError) as err:
-        sample_word(lmc, pi, BitStream(1), 0)
+        _Sampler(lmc).tally(pi, BitStream(1), 0, 1)
     assert err.value.prefix == ("a",)
     # A cycle with a choice at every state: the cap trips after bits were
     # drawn, and the stream still accounts for every one of them.
@@ -191,11 +190,12 @@ def test_sample_word_length_cap():
         {"u": third, "v": half},
     )
     pi = InitialDistribution.dirac(cyclic, "u")
+    sampler = _Sampler(cyclic)
     stream, ref = BitStream(5), BitStream(5)
     for _ in range(40):
         with pytest.raises(LengthExceededError) as err:
             while True:
-                sample_word(cyclic, pi, stream, 2)
+                sampler.tally(pi, stream, 2, 1)
         with pytest.raises(LengthExceededError) as ref_err:
             while True:
                 reference_draw(cyclic, pi, ref, 2)
@@ -205,19 +205,19 @@ def test_sample_word_length_cap():
     assert stream.bits(64) == ref.bits(64)
 
 
-def test_sample_word_rejects_a_bad_length_before_drawing():
+def test_tally_rejects_a_bad_length_before_drawing():
     lmc, pi1, _ = half_distance_instance()
+    sampler = _Sampler(lmc)
     stream = BitStream(1)
     for bad in (1.5, 1.0, -1):
         with pytest.raises(DomainError, match="word length cap"):
-            sample_word(lmc, pi1, stream, bad)
+            sampler.tally(pi1, stream, bad, 1)
     assert stream.bits_consumed == 0
 
 
 def test_window_entries_are_interned_and_built_on_a_first_visit():
     # u and v have equal tables (stop, or a or b to t, in thirds), so their
-    # windows share entries; w is never reached and gets no window, and a
-    # single draw builds none.
+    # windows share entries; w is never reached and gets no window.
     third = Fraction(1, 3)
     lmc = Lmc.from_transitions(
         ["u", "v", "t", "w"],
@@ -228,8 +228,6 @@ def test_window_entries_are_interned_and_built_on_a_first_visit():
     pi = InitialDistribution.from_map(lmc, {"u": Fraction(1, 2), "v": Fraction(1, 2)})
     other = InitialDistribution.dirac(lmc, "v")
     sampler = _Sampler(lmc)
-    sampler.tally(pi, BitStream(2), 2, 1)
-    assert not sampler._decoded
     sampler.tally(pi, BitStream(3), 2, 200)
     sampler.tally(other, BitStream(4), 2, 200)
     u, v, _, w = range(4)
@@ -253,7 +251,7 @@ def test_sampled_words_match_model_probabilities():
     lmc, pi, _ = random_acyclic_instance(rng)
     stream = BitStream(1234)
     n = 4000
-    counts = Counter(sample_word(lmc, pi, stream, 20) for _ in range(n))
+    counts = Counter(_Sampler(lmc).tally(pi, stream, 20, n))
     for word, seen in counts.most_common(3):
         expected = word_probability(lmc, pi, word)
         assert abs(seen / n - float(expected)) < 0.05

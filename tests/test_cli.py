@@ -332,12 +332,18 @@ def test_exit_code_1_on_domain_errors(tmp_path, half_files, capsys):
     assert "epsilon" in err
     code, out, err = run(capsys, "threshold", chain, pi1, pi2, "--tau", "3/2")
     assert (code, out) == (1, "")
-    # cyclic chain rejected by the acyclic-only command
+    # A cyclic chain is rejected by every acyclic-only command, with one message.
     cyc = write(tmp_path / "cyc.json", WORKED_EXAMPLE_CHAIN)
     cpi = write(tmp_path / "cpi.json", {"q1": 1})
-    code, out, err = run(capsys, "exact", cyc, cpi, cpi)
-    assert (code, out) == (1, "")
-    assert "cycle" in err
+    cycle = "error: chain has a positive-probability cycle; word support is unbounded\n"
+    for command, *options in (
+        ["exact"],
+        ["lk", "-k", "2"],
+        ["threshold", "--tau", "1/2"],
+        ["sample", "--eps", "1/2", "--delta", "1/2"],
+    ):
+        code, out, err = run(capsys, command, cyc, cpi, cpi, *options)
+        assert (code, out, err) == (1, "", cycle), command
 
 
 def test_version_flag(capsys):

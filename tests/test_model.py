@@ -86,12 +86,14 @@ def test_constructor_rejects_malformed_rows(rows, match):
 def test_a_chain_has_no_positional_constructor():
     with pytest.raises(TypeError):
         Lmc(("u",), ("a",), (((),),), (Fraction(1),))
+    with pytest.raises(TypeError, match="from_transitions, from_integer_form or a loader"):
+        Lmc()
 
 
 def test_zero_records_are_dropped_but_still_count_as_duplicates(tmp_path):
     records = [("u", "a", "v", 1), ("u", "a", "u", 0)]
     lmc = Lmc.from_transitions(["u", "v"], ["a"], records, {"v": 1})
-    assert lmc.sparse_rows == ((((1, Fraction(1)),), ()),)
+    assert lmc.integer_form == (1, ((((1, 1),), ()),), (0, 1))
     save_lmc(lmc, tmp_path / "lmc.json")
     assert load_lmc(tmp_path / "lmc.json") == lmc
     assert [t["prob"] for t in json.loads((tmp_path / "lmc.json").read_text())["transitions"]] == ["1"]

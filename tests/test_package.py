@@ -217,9 +217,8 @@ def test_readme_library_tour_shows_what_its_comments_state():
 
 def test_library_never_builds_the_dense_view(tmp_path):
     # The integer form is a chain's and a start's one stored form;
-    # ``Lmc.matrices``, ``Lmc.sparse_rows``, ``Lmc.eow`` and
-    # ``InitialDistribution.weights`` are views for outside readers, cached
-    # in the instance once built.
+    # ``Lmc.matrices``, ``Lmc.eow`` and ``InitialDistribution.weights``
+    # are views for outside readers, cached in the instance once built.
     chains = []
     starts = []
     for red in (nfa_to_lmc(example_nfa(), 3), pa_to_lmc(at_most_half_pa())):
@@ -269,7 +268,7 @@ def test_library_never_builds_the_dense_view(tmp_path):
         pi = InitialDistribution.dirac(lmc, lmc.states[0])
         fp_word_probability(lmc, pi, lmc.alphabet[:1], 8)
         starts.append(pi)
-    views = ("matrices", "sparse_rows", "eow")
+    views = ("matrices", "eow")
     assert [lmc for lmc in chains if any(view in vars(lmc) for view in views)] == []
     assert [pi for pi in starts if "weights" in vars(pi)] == []
 

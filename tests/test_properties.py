@@ -729,8 +729,8 @@ def test_sampler_tables_match_fraction_reference(seed, kind):
     choices = [([(None, i) for i in starts], [pi.weights[i] for i in starts], "the initial distribution")]
     for i, state in enumerate(lmc.states):
         outs, probs = ([None], [lmc.eow[i]]) if lmc.eow[i] > 0 else ([], [])
-        for label, rows in zip(lmc.alphabet, lmc.sparse_rows):
-            for j, p in rows[i]:
+        for label, matrix in zip(lmc.alphabet, lmc.matrices):
+            for j, p in enumerate(matrix[i]):
                 if p > 0:
                     outs.append((label, j))
                     probs.append(p)
