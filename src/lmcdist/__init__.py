@@ -52,7 +52,6 @@ _EXPORTS = {
         "ParseError",
     ),
     "exact": (
-        "DEFAULT_NODE_BUDGET",
         "DistanceReport",
         "ThresholdCertificate",
         "WitnessSummary",
@@ -84,6 +83,7 @@ _EXPORTS = {
         "save_pa",
     ),
     "model": (
+        "DEFAULT_NODE_BUDGET",
         "InitialDistribution",
         "Lmc",
         "disjoint_union",

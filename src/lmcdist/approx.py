@@ -60,14 +60,16 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, DomainError, LengthExceededError
-from .exact import DEFAULT_NODE_BUDGET, _difference, _pair_start
 from .floatk import floor_log2, precision_for
 from .model import (
+    DEFAULT_NODE_BUDGET,
     ZERO,
     InitialDistribution,
     Lmc,
     _check_budget,
+    _difference,
     _over_budget,
+    _pair_start,
     advance,
     as_fraction,
     check_distribution,

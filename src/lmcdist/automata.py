@@ -20,9 +20,10 @@ distance instances, pinning the hardness of distance computation:
   The bound is one exact linear solve on ``model.eliminate``, the package's
   one fraction-free elimination (shared with ``exact.are_equivalent``).
   ``find_majority_witness`` searches for such a word, shortest first, with
-  the package's merging breadth-first walk, skipping prefixes that can no
-  longer reach acceptance above 1/2; one witness yields an explicit event
-  separating the two distributions beyond the bound.
+  the package's merging breadth-first walk and its one step
+  (``model._vector_step``), dropping the children that can no longer reach
+  acceptance above 1/2; one witness yields an explicit event separating the
+  two distributions beyond the bound.
 
 A ``Pa`` is a chain, a start and an accepting set: an integer ``Lmc`` whose
 end-of-word vector is the acceptance flags, and an ``InitialDistribution``.
@@ -48,7 +49,7 @@ from .model import (
     Matrix,
     Word,
     _Frozen,
-    advance,
+    _vector_step,
     as_fraction,
     check_length,
     common_denominator,
@@ -288,7 +289,7 @@ def acceptance_probability(pa: Pa, word: Word) -> Fraction:
 
 def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...]]:
     """``live[r]``: 0/1 flags of the states that can reach an accepting state
-    within r letters (``rows`` as in ``advance``), for r = 0, 1, ... until
+    within r letters (``rows`` as in ``model.advance``), for r = 0, 1, ... until
     the flags stop growing; the last entry then holds for every larger r."""
     live = [tuple(accepting)]
     while True:
@@ -310,11 +311,12 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     A breadth-first walk of the prefix tree on ``(vector, word)`` nodes
     that merges prefixes with equal integer vectors (``model.walk_layers``),
     keeping the least word of each; layers are ordered by those words, so
-    the first witness in the first layer that has one is the answer.  A
-    prefix at depth d is dropped when twice its mass on the states that can
-    still reach an accepting state within the max_len - d letters left is at
-    most its scale, because no extension can then be accepted with more than
-    that mass.
+    the first witness in the first layer that has one is the answer.  The
+    children come from the walks' step (``model._vector_step``); a child
+    at depth d is dropped when it is empty or twice its mass on the states
+    that can still reach an accepting state within the max_len - d letters
+    left is at most its scale, because no extension can then be accepted
+    with more than that mass.
     """
     check_length(max_len, "word length")
     den, rows, eow = pa.chain.integer_form
@@ -322,20 +324,20 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
     den_pi, start = pa.start.integer_form
     live = _live_flags(rows, flags)
     scales = [den_pi]  # the denominator of a prefix vector, per depth
+    vector_step = _vector_step(rows, pa.chain.n_states, max_len)
 
     def step(node, depth):
-        if depth == max_len:
-            return None
         vec, word = node
+        children = vector_step(vec, depth)
+        if children is None:
+            return None
         left = live[min(max_len - depth - 1, len(live) - 1)]
         if depth + 1 == len(scales):
             scales.append(scales[-1] * den)
-        children = []
-        for letter, r in zip(pa.alphabet, rows):
-            child = advance(vec, r)
-            kept = 2 * stop_mass(child, left) > scales[depth + 1]
-            children.append((child, word + (letter,)) if kept else None)
-        return children
+        return [
+            (child, word + (letter,)) if child and 2 * stop_mass(child, left) > scales[depth + 1] else None
+            for letter, child in zip(pa.alphabet, children)
+        ]
 
     for layer in walk_layers((dict(start), ()), step, lambda node: vector_key(node[0])):
         for vec, word in layer.nodes:

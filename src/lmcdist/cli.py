@@ -154,7 +154,7 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{text!r} is not a rational number") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
 def _seed(text: str) -> int | None:
@@ -166,7 +166,7 @@ def _seed(text: str) -> int | None:
         seed = None
     if seed is None or seed < 0:
         # random.Random seeds with abs(seed): -5 would replay seed 5.
-        raise ValueError(f"seed must be a nonnegative integer or 'random', got {text!r}")
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer or 'random', got {text!r}")
     return seed
 
 

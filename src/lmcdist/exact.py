@@ -14,10 +14,11 @@ end.  The distance needs p1 and p2 apart for its witness, so its node is one
 vector on two copies of the states, p1's prefix vector on the first and
 p2's on the second (``_pair_start``); the power sums and the threshold need
 only p1 - p2 and walk the difference vector (``_difference``), which merges
-at least as often.  All of them advance by one step (``_vector_step``).  The
-exhaustive-subset oracle walks every word depth-first instead
-(``model.walk_prefixes``), which keeps it an independent route.  No vector
-here is a ``Fraction``; the Fraction paths that remain are named in ``model``.
+at least as often.  ``model`` sets each walk up, and all of them advance by
+one step (``_vector_step``).  The exhaustive-subset oracle walks every word
+depth-first instead (``model.walk_prefixes``), which keeps it an independent
+route.  No vector here is a ``Fraction``; the Fraction paths that remain are
+named in ``model``.
 
 Also here:
 
@@ -35,12 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import DomainError, OracleInfeasibleError
 from .model import (
+    DEFAULT_NODE_BUDGET,
     InitialDistribution,
     Lmc,
+    _difference,
+    _pair_start,
+    _vector_step,
     advance,
     as_fraction,
     check_distribution,
@@ -48,19 +52,13 @@ from .model import (
     depth_total,
     eliminate,
     is_acyclic,
-    rows_by_state,
     spell_words,
-    start_vector,
     stop_mass,
     support_lengths,
     vector_key,
     walk_layers,
     walk_prefixes,
 )
-
-#: Default cap on enumeration nodes: distinct prefix vectors per depth for
-#: the merged walks, prefixes for the depth-first ones.
-DEFAULT_NODE_BUDGET = 10**7
 
 #: Witness word lists larger than this are summarized by count/mass only.
 WITNESS_WORD_CAP = 10**4
@@ -113,59 +111,6 @@ def require_acyclic(lmc: Lmc) -> None:
         raise DomainError("chain has a positive-probability cycle; word support is unbounded")
 
 
-def _vector_step(by_state, labels: int, max_len: int | None):
-    """The walkers' ``step`` over integer vectors: one child per label, None
-    where it vanishes, and no children at ``max_len``.  ``by_state`` holds
-    the rows grouped by source state (``model.rows_by_state``), so one pass
-    over a node's support advances it over every letter, and a letter with
-    no row there costs nothing."""
-
-    def step(vec, depth):
-        if depth == max_len:
-            return None
-        children = [None] * labels
-        for i, x in vec.items():
-            for li, row in by_state[i]:
-                out = children[li]
-                if out is None:
-                    children[li] = out = {}
-                for j, p in row:
-                    out[j] = out.get(j, 0) + x * p
-        for li, out in enumerate(children):
-            # Difference vectors can cancel; sums of positive terms cannot.
-            if out is not None and 0 in out.values():
-                children[li] = {j: v for j, v in out.items() if v} or None
-        return children
-
-    return step
-
-
-def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, max_len: int | None):
-    """``(base, root, step, (eow1, eow2))`` of the walk under both starts, for
-    words up to ``max_len``: a node is p1's integer prefix vector on states
-    0..n-1 and p2's on n..2n-1, and ``eow1``/``eow2`` read off the two stop
-    masses, integers over ``base * L**d`` at depth d (L from ``integer_form``)."""
-    den, rows, eow = lmc.integer_form
-    n = lmc.n_states
-    den_pi = math.lcm(pi1.integer_form[0], pi2.integer_form[0])
-    root = start_vector(pi1, den_pi)
-    root.update(start_vector(pi2, den_pi, n))
-    by_state = rows_by_state(rows, n)
-    by_state += [[(li, tuple((j + n, p) for j, p in row)) for li, row in out] for out in by_state]
-    return den_pi * den, root, _vector_step(by_state, len(rows), max_len), (eow + (0,) * n, (0,) * n + eow)
-
-
-def _difference(pi1: InitialDistribution, pi2: InitialDistribution) -> tuple[int, dict[int, int]]:
-    """``(L_pi, v)``: L_pi the lcm of both starts' denominators and v the
-    integer vector of pi1 - pi2 times L_pi.  Advanced over a word w, v is
-    p1 - p2's prefix vector over ``L_pi * L**len(w)``."""
-    den_pi = math.lcm(pi1.integer_form[0], pi2.integer_form[0])
-    diff = start_vector(pi1, den_pi)
-    for i, x in start_vector(pi2, den_pi).items():
-        diff[i] = diff.get(i, 0) - x
-    return den_pi, {i: x for i, x in sorted(diff.items()) if x}
-
-
 def _power_sum(
     lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, k: int, budget: int, max_len: int | None = None
 ) -> Fraction:
@@ -174,39 +119,13 @@ def _power_sum(
     distinct difference vectors, and each sum is weighted by its words."""
     den, rows, eow = lmc.integer_form
     den_pi, diff = _difference(pi1, pi2)
-    step = _vector_step(rows_by_state(rows, lmc.n_states), len(rows), max_len)
+    step = _vector_step(rows, lmc.n_states, max_len)
     # Stop masses at depth d are integers over den_pi * den**(d+1).
     sums = {
         layer.depth: sum(c * abs(stop_mass(vec, eow)) ** k for vec, c in zip(layer.nodes, layer.counts))
         for layer in walk_layers(diff, step, vector_key, budget)
     }
     return depth_total(sums, (den_pi * den) ** k, den**k)
-
-
-def _pair_walk(
-    lmc: Lmc,
-    pi1: InitialDistribution,
-    pi2: InitialDistribution,
-    budget: int,
-    max_len: int | None = None,
-) -> tuple[int, Iterator[tuple[list[int], int, int]]]:
-    """The depth-first walk under both starts, one node per word.
-
-    Returns ``(base, words)``.  ``words`` yields ``(path, s1, s2)`` for every
-    word with positive probability under either start, where ``path`` is as
-    in ``walk_prefixes`` and s1, s2 are the two stop masses, integers over
-    ``base * L**len(path)``.  Every visited prefix counts against
-    ``budget``.
-    """
-    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, max_len)
-
-    def words():
-        for path, vec in walk_prefixes(root, step, budget):
-            s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
-            if s1 or s2:
-                yield path, s1, s2
-
-    return base, words()
 
 
 def tv_distance_acyclic(
@@ -221,14 +140,14 @@ def tv_distance_acyclic(
 
     Enumerates the full (finite) support, so the chain must be acyclic.  The
     report carries the maximizing event W = {w : p1(w) >= p2(w)} restricted to
-    support words; its masses satisfy distance = mass_1 - mass_2 exactly.
-    Words with equal prefix vectors under both starts are walked once
-    (``model.walk_layers``), and ``budget`` caps those distinct nodes, per
-    depth.  The listed witness words
-    are in the order of a depth-first walk: each word before its extensions,
-    siblings in alphabet order.  With ``list_words=False`` no word is spelled
-    and the witness's ``words`` is None whatever the event's size; its count
-    and masses are the same.
+    support words; when both word distributions have the same total mass, as
+    on every chain that ``validate`` accepts, distance = mass_1 - mass_2
+    exactly.  Words with equal prefix vectors under both starts are walked
+    once (``model.walk_layers``), and ``budget`` caps those distinct nodes,
+    per depth.  The listed witness words are in the order of a depth-first
+    walk: each word before its extensions, siblings in alphabet order.  With
+    ``list_words=False`` no word is spelled and the witness's ``words`` is
+    None whatever the event's size; its count and masses are the same.
     """
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
@@ -402,11 +321,15 @@ def brute_force_best_event(
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
     check_length(max_len, "length cutoff")
-    base, words = _pair_walk(lmc, pi1, pi2, budget, max_len=max_len)
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, max_len)
     ratio = lmc.integer_form[0]
-    # Gaps on the common scale base * ratio**max_len.
+    # Gaps on the common scale base * ratio**max_len; every visited prefix
+    # counts against ``budget``.
     found: list[tuple[tuple[str, ...], int]] = []
-    for path, s1, s2 in words:
+    for path, vec in walk_prefixes(root, step, budget):
+        s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
+        if not (s1 or s2):
+            continue
         word = tuple(lmc.alphabet[li] for li in path)
         found.append((word, (s1 - s2) * ratio ** (max_len - len(path))))
         if len(found) > support_cap:

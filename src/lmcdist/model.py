@@ -32,6 +32,10 @@ Contents:
   half from a table of suffix stop vectors (``approx._SuffixTable``).
 * Both walk integer vectors over a common denominator (``Lmc.integer_form``);
   ``depth_total`` reads per-depth sums out as one Fraction.
+* ``_vector_step`` -- the one step of every prefix-vector walk, pruned or not;
+  ``_pair_start`` and ``_difference`` set up the two node shapes (p1's
+  vector on states 0..n-1 and p2's on n..2n-1, or p1 - p2), and
+  ``DEFAULT_NODE_BUDGET`` is the walks' default node cap.
 * ``eliminate`` -- the one fraction-free elimination on the same integer
   vectors, behind equivalence and the PA reduction's linear solve.
 
@@ -501,18 +505,6 @@ def _times(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def rows_by_state(rows: Sequence[IntRows], n: int) -> list[list[tuple[int, tuple]]]:
-    """Per source state, the ``(label index, row)`` pairs of every label with
-    a nonempty row there: a step from a vector reads only the rows of its
-    support."""
-    out: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
-    for li, label_rows in enumerate(rows):
-        for group, row in zip(out, label_rows):
-            if row:
-                group.append((li, row))
-    return out
-
-
 def start_vector(pi: InitialDistribution, den: int, offset: int = 0) -> dict[int, int]:
     """``pi``'s weights times ``den`` as a sparse integer vector on states
     ``offset``.. ; the start's own denominator must divide ``den``."""
@@ -639,6 +631,11 @@ def walk_prefixes(
             stack.append(iter(enumerate(children)))
 
 
+#: Default cap on enumeration nodes: distinct prefix vectors per depth for
+#: the merged walks, prefixes for the depth-first ones.
+DEFAULT_NODE_BUDGET = 10**7
+
+
 def _check_budget(budget: int | None) -> None:
     if budget is not None and budget < 1:
         raise DomainError(f"node budget must be positive, got {budget}")
@@ -724,6 +721,65 @@ def walk_layers(
                     counts[at] += count
                     edges[at].append((parent, li))
         layer = Layer(depth, nodes, counts, edges)
+
+
+def _vector_step(rows: Sequence[IntRows], n: int, max_len: int | None):
+    """The walkers' ``step`` over integer vectors on ``n`` states, ``rows``
+    per label as in ``advance``: one child per label, None where it
+    vanishes, and no children at ``max_len``.  The rows are grouped by
+    source state first, so one pass over a node's support advances it over
+    every letter, and a letter with no row there costs nothing."""
+    by_state: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for li, label_rows in enumerate(rows):
+        for group, row in zip(by_state, label_rows):
+            if row:
+                group.append((li, row))
+    labels = len(rows)
+
+    def step(vec, depth):
+        if depth == max_len:
+            return None
+        children = [None] * labels
+        for i, x in vec.items():
+            for li, row in by_state[i]:
+                out = children[li]
+                if out is None:
+                    children[li] = out = {}
+                for j, p in row:
+                    out[j] = out.get(j, 0) + x * p
+        for li, out in enumerate(children):
+            # Difference vectors can cancel; sums of positive terms cannot.
+            if out is not None and 0 in out.values():
+                children[li] = {j: v for j, v in out.items() if v} or None
+        return children
+
+    return step
+
+
+def _pair_start(lmc: Lmc, pi1: InitialDistribution, pi2: InitialDistribution, max_len: int | None):
+    """``(base, root, step, (eow1, eow2))`` of the walk under both starts, for
+    words up to ``max_len``: a node is p1's integer prefix vector on states
+    0..n-1 and p2's on n..2n-1, each label's rows are written twice, the
+    second copy shifted by n, and ``eow1``/``eow2`` read off the two stop
+    masses, integers over ``base * L**d`` at depth d (L from ``integer_form``)."""
+    den, rows, eow = lmc.integer_form
+    n = lmc.n_states
+    den_pi = math.lcm(pi1.integer_form[0], pi2.integer_form[0])
+    root = start_vector(pi1, den_pi)
+    root.update(start_vector(pi2, den_pi, n))
+    doubled = [r + tuple(tuple((j + n, p) for j, p in row) for row in r) for r in rows]
+    return den_pi * den, root, _vector_step(doubled, 2 * n, max_len), (eow + (0,) * n, (0,) * n + eow)
+
+
+def _difference(pi1: InitialDistribution, pi2: InitialDistribution) -> tuple[int, dict[int, int]]:
+    """``(L_pi, v)``: L_pi the lcm of both starts' denominators and v the
+    integer vector of pi1 - pi2 times L_pi.  Advanced over a word w, v is
+    p1 - p2's prefix vector over ``L_pi * L**len(w)``."""
+    den_pi = math.lcm(pi1.integer_form[0], pi2.integer_form[0])
+    diff = start_vector(pi1, den_pi)
+    for i, x in start_vector(pi2, den_pi).items():
+        diff[i] = diff.get(i, 0) - x
+    return den_pi, {i: x for i, x in sorted(diff.items()) if x}
 
 
 def spell_words(

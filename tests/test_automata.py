@@ -188,24 +188,29 @@ def test_majority_witness_search_skips_dead_branches(monkeypatch):
     # that whole branch at the root.  A search that exhausts it first takes
     # about 2**16 prefix steps at this length.
     calls = 0
-    real_advance = automata.advance
+    real_vector_step = automata._vector_step
 
-    def counting_advance(vec, rows):
-        nonlocal calls
-        calls += 1
-        return real_advance(vec, rows)
+    def counting_vector_step(*args):
+        real_step = real_vector_step(*args)
 
-    monkeypatch.setattr(automata, "advance", counting_advance)
+        def step(vec, depth):
+            nonlocal calls
+            calls += 1
+            return real_step(vec, depth)
+
+        return step
+
+    monkeypatch.setattr(automata, "_vector_step", counting_vector_step)
     assert find_majority_witness(late_branch_pa(), 16) == ("y",)
     assert calls <= 16
 
 
 def test_lengths_must_be_nonnegative_ints(monkeypatch):
     # Refused before any prefix is walked: a float never equals a depth.
-    def no_advance(vec, rows):
+    def no_vector_step(*args):
         raise AssertionError("walked a prefix")
 
-    monkeypatch.setattr(automata, "advance", no_advance)
+    monkeypatch.setattr(automata, "_vector_step", no_vector_step)
     for bad in (1.5, 2.0):
         with pytest.raises(DomainError, match="nonnegative int"):
             find_majority_witness(late_branch_pa(), bad)

@@ -414,6 +414,27 @@ def test_negative_seed_is_rejected_like_a_malformed_one(half_files, capsys):
     assert code == 0 and "# param seed = 0" in out
 
 
+def test_argument_converters_print_their_own_fault_texts(half_files, capsys):
+    # Not argparse's generic "invalid _rational value: 'abc'".
+    sample = ("sample", *half_files, "--eps", "1/10", "--delta", "1/20")
+    cases = [
+        (("threshold", *half_files, "--tau"), "--tau"),
+        (("sample", *half_files, "--delta", "1/20", "--eps"), "--eps"),
+        (("bounded", *half_files, "--eps"), "--eps"),
+        (("sample", *half_files, "--eps", "1/10", "--delta"), "--delta"),
+    ]
+    for args, option in cases:
+        for bad in ("abc", "1/0"):
+            code, out, err = run(capsys, *args, bad)
+            assert (code, out, err) == (3, "", f"error: argument {option}: {bad!r} is not a rational number\n")
+    code, out, err = run(capsys, "extract-count", "--y", "abc", "--dtilde", "0", "-n", "1", "-k", "1", "-s", "1")
+    assert (code, out, err) == (3, "", "error: argument --y: 'abc' is not a rational number\n")
+    for bad in ("-1", "x"):
+        code, out, err = run(capsys, *sample, "--seed", bad)
+        expected = f"error: argument --seed: seed must be a nonnegative integer or 'random', got {bad!r}\n"
+        assert (code, out, err) == (3, "", expected)
+
+
 def test_bounded_cli_on_cyclic_union(tmp_path, capsys):
     union, u1, u2 = worked_example_union()
     chain = tmp_path / "union.json"

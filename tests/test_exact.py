@@ -261,3 +261,14 @@ def test_brute_force_rejects_a_non_int_length():
             brute_force_best_event(lmc, pi1, pi2, bad)
     with pytest.raises(DomainError, match="must be nonnegative, got -1"):
         brute_force_best_event(lmc, pi1, pi2, -1)
+
+
+def test_brute_force_budget_caps_the_prefixes_it_visits():
+    # Every visited prefix counts, the empty word too: depth first, the walk
+    # visits the empty word, "a" and then "aa", one too many, at depth 2.
+    first, pi1, second, pi2 = worked_example_pair()
+    union, u1, u2 = disjoint_union(first, pi1, second, pi2)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_best_event(union, u1, u2, max_len=3, budget=2)
+    assert (info.value.nodes_visited, info.value.depth) == (3, 2)
+    assert brute_force_best_event(union, u1, u2, max_len=2)[1] == Fraction(23, 64)

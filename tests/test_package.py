@@ -138,7 +138,7 @@ def test_automaton_readers_load_automata_and_no_estimator(tmp_path):
     steps = _fresh_python(_AUTOMATA_ROUND_TRIP, tmp_path)
     expected = ["lmcdist.automata", "lmcdist.errors", "lmcdist.formats", "lmcdist.model"]
     assert steps.pop("approx") == sorted(
-        [*expected, "lmcdist.approx", "lmcdist.exact", "lmcdist.floatk"])
+        [*expected, "lmcdist.approx", "lmcdist.floatk"])
     assert steps == dict.fromkeys(("load_nfa", "nfa_to_lmc", "load_pa", "save_pa"), expected)
 
 

@@ -42,7 +42,7 @@ from lmcdist import (
 )
 from lmcdist.approx import BitStream, _Sampler
 from lmcdist.automata import _solve_linear
-from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary, _pair_walk
+from lmcdist.exact import WITNESS_WORD_CAP, DistanceReport, WitnessSummary
 from lmcdist.formats import (
     InputFile,
     distribution_from_dict,
@@ -54,6 +54,7 @@ from lmcdist.formats import (
     load_pa,
     pa_to_dict,
 )
+from lmcdist.model import _pair_start, stop_mass, walk_prefixes
 
 from helpers import (
     all_two_state_nfas,
@@ -155,10 +156,13 @@ def _instance(kind, rng):
 
 def _depth_first_words(lmc, pi1, pi2):
     """(word, p1, p2) for every support word, one walker node per word."""
-    base, words = _pair_walk(lmc, pi1, pi2, budget=10**6)
+    base, root, step, (eow1, eow2) = _pair_start(lmc, pi1, pi2, None)
     ratio = lmc.integer_form[0]
     out = []
-    for path, s1, s2 in words:
+    for path, vec in walk_prefixes(root, step, 10**6):
+        s1, s2 = stop_mass(vec, eow1), stop_mass(vec, eow2)
+        if not (s1 or s2):
+            continue
         den = base * ratio ** len(path)
         out.append((tuple(lmc.alphabet[li] for li in path), Fraction(s1, den), Fraction(s2, den)))
     return out
