@@ -89,6 +89,7 @@ _EXPORTS = {
         "disjoint_union",
         "is_acyclic",
         "max_support_length",
+        "require_chain",
         "support_lengths",
         "tail_mass",
         "validate",

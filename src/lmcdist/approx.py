@@ -76,10 +76,9 @@ from .model import (
     check_length,
     depth_total,
     max_support_length,
-    no_digit_limit,
+    require_chain,
     state_tails,
     stop_mass,
-    unstoppable,
     walk_prefixes,
     word_probability,  # noqa: F401 -- kept importable here for callers and tracers
 )
@@ -193,18 +192,10 @@ class _Sampler:
         # Outcomes: None = stop or (label, target) per state.
         den, rows, eow = lmc.integer_form
         self._tables = []
-        for i in range(lmc.n_states):
-            outs: list[tuple[str, int] | None] = []
-            weights: list[int] = []
-            if eow[i] > 0:
-                outs.append(None)
-                weights.append(eow[i])
-            for label, label_rows in zip(lmc.alphabet, rows):
-                for j, x in label_rows[i]:
-                    if x > 0:
-                        outs.append((label, j))
-                        weights.append(x)
-            self._tables.append(self._table(outs, weights, den, f"state {lmc.states[i]!r}"))
+        for i, e in enumerate(eow):
+            choices = [(None, e)] if e else []
+            choices += [((label, j), x) for label, label_rows in zip(lmc.alphabet, rows) for j, x in label_rows[i]]
+            self._tables.append(self._table(choices, den))
         # An unbuilt window reads None everywhere, which sends the draw loop
         # to the one-choice path; a tally builds it there.
         self._unbuilt = [None] * (1 << _WINDOW_BITS)
@@ -213,30 +204,22 @@ class _Sampler:
         self._entries: dict[tuple, tuple] = {}
 
     @staticmethod
-    def _table(outs: list, weights: list[int], den: int, where: str) -> tuple:
-        """``(outcomes, uppers, total, width)`` for weights over ``den``:
-        ``total`` is their least common denominator (the same for any
-        ``den``), ``uppers`` the cumulative weights over it (cum[1:]), and
-        ``width`` the bits of the first read, 0 when ``total`` is 1."""
-        if not weights:
-            raise DomainError(f"cannot sample: {where} has no positive outcome")
-        unit = math.gcd(den, *weights)
+    def _table(choices: list[tuple], den: int) -> tuple:
+        """``(outcomes, uppers, total, width)`` for ``(outcome, weight)``
+        pairs whose weights sum to ``den``, as on a chain ``validate``
+        accepts: ``total`` is their least common denominator (the same for
+        any ``den``), ``uppers`` the cumulative weights over it (cum[1:]),
+        and ``width`` the bits of the first read, 0 when ``total`` is 1."""
+        unit = math.gcd(den, *(w for _, w in choices))
         total = den // unit
-        uppers = list(itertools.accumulate(w // unit for w in weights))
-        if uppers[-1] != total:
-            with no_digit_limit():
-                raise DomainError(
-                    f"cannot sample: probabilities at {where} sum to "
-                    f"{Fraction(uppers[-1], total)}, expected 1"
-                )
-        return outs, uppers, total, (total - 1).bit_length()
+        uppers = list(itertools.accumulate(w // unit for _, w in choices))
+        return [outcome for outcome, _ in choices], uppers, total, (total - 1).bit_length()
 
     @classmethod
     def _start_table(cls, pi: InitialDistribution) -> tuple:
         """The start's table; its outcomes are ``(None, state)``."""
         den_pi, start = pi.integer_form
-        outs = [(None, i) for i, _ in start]
-        return cls._table(outs, [x for _, x in start], den_pi, "the initial distribution")
+        return cls._table([((None, i), x) for i, x in start], den_pi)
 
     def _window(self, state: int, r: int = _WINDOW_BITS) -> list:
         """The ``r``-bit table of ``state`` (memoized): ``_decode`` of its
@@ -454,6 +437,7 @@ def tv_sample_acyclic(
     stream drives both sides, so a fixed seed replays exactly; the seed is
     a nonnegative int.
     """
+    require_chain(lmc)
     horizon = max_support_length(lmc)  # raises DomainError on a cycle
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
@@ -509,10 +493,10 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
     return the smallest such n found within ``step_cap`` steps.  If the cap
     is hit, fall back to the certified closed form k * |Q| with k >=
     -ln(tail_budget) / p_min^|Q| (p_min the smallest positive probability in
-    the chain), which is sufficient when every state can reach a stop but
-    usually far larger; a state that cannot raises ``DomainError`` there,
-    since no length bounds its tail.
+    the chain), which is sufficient since every state of a chain that
+    ``validate`` accepts can reach a stop, but usually far larger.
     """
+    require_chain(lmc)
     lam = as_fraction(tail_budget, "tail budget")
     if lam <= 0:
         raise DomainError(f"tail budget must be positive, got {lam}")
@@ -528,18 +512,10 @@ def length_bound(lmc: Lmc, tail_budget: Fraction | int, step_cap: int = 1024) ->
         over *= den
     # Certified fallback.
     n_states = lmc.n_states
-    preds: list[list[int]] = [[] for _ in range(n_states)]
-    for i, targets in enumerate(lmc.successors):
-        for j in targets:
-            preds[j].append(i)
-    stuck = unstoppable(preds, eow)
-    if stuck:
-        raise DomainError(f"state {lmc.states[stuck[0]]!r} cannot reach a stop; no length bounds its tail")
-    positives = [e for e in eow if e > 0]
-    positives.extend(x for label_rows in rows for row in label_rows for _, x in row if x > 0)
-    p_min = Fraction(min(positives), den)
+    entries = [x for label_rows in rows for row in label_rows for _, x in row]
+    p_min = Fraction(min(entries + [e for e in eow if e]), den)
     if p_min == 1:
-        return max(n_states - 1, 0)
+        return n_states - 1
     k = math.ceil(ln_upper(1 / lam) / p_min**n_states)
     return k * n_states
 
@@ -759,18 +735,14 @@ def tv_bounded(
     counts nodes in the order of the full depth-first walk and so visits,
     sums and raises exactly as that walk does.  The cutoff, the table and
     the walk see only the states either start can reach
-    (``_reachable_part``).  A chain with a negative transition or stop
-    entry raises ``DomainError``: its fields could borrow from their
-    neighbours.
+    (``_reachable_part``).
     """
+    require_chain(lmc)
     epsilon = as_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
-    _, rows, eow = lmc.integer_form
-    if any(e < 0 for e in eow) or any(p < 0 for label_rows in rows for row in label_rows for _, p in row):
-        raise DomainError("tv_bounded needs nonnegative transition and stop probabilities")
     n_states = lmc.n_states
     lmc, pi1, pi2 = _reachable_part(lmc, pi1, pi2)
     den = lmc.integer_form[0]

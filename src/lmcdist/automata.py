@@ -42,6 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, DomainError
 from .model import (
+    DEFAULT_NODE_BUDGET,
     ONE,
     ZERO,
     InitialDistribution,
@@ -303,10 +304,11 @@ def _live_flags(rows: Sequence, accepting: Sequence[int]) -> list[tuple[int, ...
         live.append(grown)
 
 
-def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
+def find_majority_witness(pa: Pa, max_len: int, budget: int = DEFAULT_NODE_BUDGET) -> Word | None:
     """Shortest word accepted with probability strictly above 1/2, trying
     lengths 0..max_len in alphabet order; None if none exists in that range,
-    and ``DomainError`` for a negative max_len.
+    and ``DomainError`` for a negative max_len.  ``budget`` caps the distinct
+    nodes the walk keeps, as in ``model.walk_layers``.
 
     A breadth-first walk of the prefix tree on ``(vector, word)`` nodes
     that merges prefixes with equal integer vectors (``model.walk_layers``),
@@ -339,7 +341,7 @@ def find_majority_witness(pa: Pa, max_len: int) -> Word | None:
             for letter, child in zip(pa.alphabet, children)
         ]
 
-    for layer in walk_layers((dict(start), ()), step, lambda node: vector_key(node[0])):
+    for layer in walk_layers((dict(start), ()), step, lambda node: vector_key(node[0]), budget):
         for vec, word in layer.nodes:
             if 2 * stop_mass(vec, flags) > scales[layer.depth]:
                 return word

@@ -56,6 +56,7 @@ from .exact import (
     tv_distance_acyclic,
 )
 from .formats import (
+    _PROB_RE,
     InputFile,
     decimal15,
     format_word,
@@ -151,10 +152,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rational(text: str) -> Fraction:
+    """An option's rational by the files' rule: "num/den" or an integer."""
+    match = _PROB_RE.fullmatch(text)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+        num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise argparse.ArgumentTypeError(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
+    if not den:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number")
+    return Fraction(num, den)
 
 
 def _seed(text: str) -> int | None:
@@ -416,7 +422,8 @@ def _cmd_extract_count(ns: argparse.Namespace, report: Report) -> int:
 def _cmd_pa_witness(ns: argparse.Namespace, report: Report) -> int:
     pa = load_pa(report.input_file("pa", ns.pa))
     report.param("max_len", ns.max_len)
-    witness = find_majority_witness(pa, ns.max_len)
+    report.param("budget", ns.budget)
+    witness = find_majority_witness(pa, ns.max_len, budget=ns.budget)
     if witness is None:
         report.field(
             "witness",
@@ -468,8 +475,8 @@ def build_parser() -> _Parser:
             "--budget",
             type=int,
             default=DEFAULT_NODE_BUDGET,
-            help="enumeration node budget: distinct prefix vectors for exact, lk "
-            "and threshold, prefixes for bounded (default %(default)s)",
+            help="enumeration node budget: distinct prefix vectors for exact, lk, "
+            "threshold and pa-witness, prefixes for bounded (default %(default)s)",
         )
 
     p = command("validate", _cmd_validate, "check a chain file; exit 1 if invalid")
@@ -609,6 +616,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--max-len", type=int, required=True, help="longest word length to try"
     )
+    budget_arg(p)
 
     return parser
 

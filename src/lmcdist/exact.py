@@ -18,7 +18,8 @@ at least as often.  ``model`` sets each walk up, and all of them advance by
 one step (``_vector_step``).  The exhaustive-subset oracle walks every word
 depth-first instead (``model.walk_prefixes``), which keeps it an independent
 route.  No vector here is a ``Fraction``; the Fraction paths that remain are
-named in ``model``.
+named in ``model``.  The distance routines refuse a chain that ``validate``
+rejects (``model.require_chain``); equivalence and the oracle take any chain.
 
 Also here:
 
@@ -52,6 +53,7 @@ from .model import (
     depth_total,
     eliminate,
     is_acyclic,
+    require_chain,
     spell_words,
     stop_mass,
     support_lengths,
@@ -140,15 +142,14 @@ def tv_distance_acyclic(
 
     Enumerates the full (finite) support, so the chain must be acyclic.  The
     report carries the maximizing event W = {w : p1(w) >= p2(w)} restricted to
-    support words; when both word distributions have the same total mass, as
-    on every chain that ``validate`` accepts, distance = mass_1 - mass_2
-    exactly.  Words with equal prefix vectors under both starts are walked
-    once (``model.walk_layers``), and ``budget`` caps those distinct nodes,
-    per depth.  The listed witness words are in the order of a depth-first
+    support words, and distance = mass_1 - mass_2 exactly.  Words with equal
+    prefix vectors under both starts are walked once (``model.walk_layers``),
+    and ``budget`` caps those distinct nodes, per depth.  The listed witness words are in the order of a depth-first
     walk: each word before its extensions, siblings in alphabet order.  With
     ``list_words=False`` no word is spelled and the witness's ``words`` is
     None whatever the event's size; its count and masses are the same.
     """
+    require_chain(lmc)
     require_acyclic(lmc)
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")
@@ -209,6 +210,7 @@ def lk_distance_acyclic(
     p1 - p2, so it walks the difference vector like the threshold decision
     (``_power_sum``), and ``budget`` caps the distinct difference vectors.
     """
+    require_chain(lmc)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"exponent must be an integer >= 1, got {k!r}")
     require_acyclic(lmc)
@@ -249,6 +251,7 @@ def threshold_decide_acyclic(
     the budget caps the distinct vectors).  Its sum is 2 * distance
     exactly, which is then rescaled to lhs.
     """
+    require_chain(lmc)
     lengths = support_lengths(lmc)  # raises DomainError on a cycle
     check_distribution(lmc, pi1, "first initial distribution")
     check_distribution(lmc, pi2, "second initial distribution")

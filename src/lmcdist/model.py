@@ -14,7 +14,8 @@ Contents:
   ``InitialDistribution.weights`` are Fraction views for readers outside
   the library, built on first use and read by no library code, and
   ``Lmc.transition_records()`` lists the sparse rows as Fractions.
-* ``validate`` -- semantic invariant violations, returned as data.
+* ``validate`` -- semantic invariant violations, returned as data;
+  ``require_chain`` raises the first, and every distance routine calls it.
 * ``word_probability`` -- exact probability of a single word.
 * ``is_acyclic`` / ``max_support_length`` -- shape of the word support.
 * ``tail_mass`` -- exact probability of emitting a word longer than n, from
@@ -886,6 +887,14 @@ def validate(lmc: Lmc) -> list[str]:
     return problems
 
 
+def require_chain(lmc: Lmc) -> None:
+    """Raise ``DomainError`` with ``validate``'s first violation: the one
+    precondition of every distance routine, whose words total 1 from every state."""
+    problems = validate(lmc)
+    if problems:
+        raise DomainError(problems[0])
+
+
 def unstoppable(preds: Sequence[Iterable[int]], eow: Sequence[int]) -> list[int]:
     """The states with no positive-probability path to a state that can stop,
     ascending: ``preds[j]`` holds the sources of every positive entry into j,
@@ -987,7 +996,8 @@ def state_tails(lmc: Lmc) -> Iterator[list[int]]:
 
 def tail_mass(lmc: Lmc, pi: InitialDistribution, n: int) -> Fraction:
     """Exact probability of emitting a word strictly longer than ``n``:
-    ``pi . T_n`` (``state_tails``)."""
+    ``pi . T_n`` (``state_tails``), on a chain ``validate`` accepts."""
+    require_chain(lmc)
     check_distribution(lmc, pi)
     check_length(n, "length cutoff")
     den_pi, start = pi.integer_form

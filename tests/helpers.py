@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import defaultdict, deque
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from lmcdist.model import (
     as_fraction,
     check_distribution,
     depth_total,
+    no_digit_limit,
     stop_mass,
     walk_prefixes,
 )
@@ -51,6 +53,18 @@ def half_distance_instance() -> tuple[Lmc, InitialDistribution, InitialDistribut
         InitialDistribution.dirac(lmc, "s"),
         InitialDistribution.dirac(lmc, "s2"),
     )
+
+
+def digit_limit_fault_chain() -> tuple[Lmc, str]:
+    """A chain that ``validate`` rejects, with the text of its one violation:
+    s steps to t with 1/D and stops with 1/(D+1), so its row sum, over
+    D(D+1), is past the interpreter's int/str digit limit."""
+    d = 10 ** ((sys.get_int_max_str_digits() or 4300) // 2 + 50)
+    den = d * (d + 1)
+    lmc = Lmc.from_integer_form(["s", "t"], ["a"], den, [[((1, d + 1),), ()]], [d, den])
+    with no_digit_limit():
+        total = str(Fraction(2 * d + 1, den))
+    return lmc, f"outgoing probability at state s sums to {total}, expected 1"
 
 
 def worked_example_pair() -> tuple[Lmc, InitialDistribution, Lmc, InitialDistribution]:
@@ -533,7 +547,10 @@ def reference_solve(matrix, rhs) -> list[Fraction]:
 # that no longer exist in the package: ``Lmc.combined_rows`` (now
 # ``_combined_rows`` below, built once per call), ``model.sparsify`` (now
 # ``_sparsify``), ``Pa.accepting_vector`` (now built inline) and
-# ``Pa.label_index`` (now built inline).
+# ``Pa.label_index`` (now built inline).  The sampler table's two refusals
+# are gone with the package's: every distance routine refuses a chain that
+# ``validate`` rejects (``model.require_chain``), so no table is built for
+# one.
 
 
 def _sparsify(weights) -> dict[int, Fraction]:
@@ -665,19 +682,13 @@ def reference_validate(lmc: Lmc) -> list[str]:
     return problems
 
 
-def reference_sampler_table(outs: list, probs: list[Fraction], where: str) -> tuple:
-    """``(outcomes, uppers, total, width, bounds)``: ``uppers`` are the
-    integer cumulative weights over ``total`` (cum[1:]), ``bounds`` the
-    same shifted left by the first read's ``width``."""
-    if not probs:
-        raise DomainError(f"cannot sample: {where} has no positive outcome")
+def reference_sampler_table(outs: list, probs: list[Fraction]) -> tuple:
+    """``(outcomes, uppers, total, width, bounds)`` for positive
+    probabilities summing to 1: ``uppers`` are the integer cumulative
+    weights over ``total`` (cum[1:]), ``bounds`` the same shifted left by
+    the first read's ``width``."""
     total = math.lcm(*(p.denominator for p in probs))
     uppers = list(itertools.accumulate(p.numerator * (total // p.denominator) for p in probs))
-    if uppers[-1] != total:
-        raise DomainError(
-            f"cannot sample: probabilities at {where} sum to "
-            f"{Fraction(uppers[-1], total)}, expected 1"
-        )
     width = max(1, (total - 1).bit_length())
     return outs, uppers, total, width, [u << width for u in uppers]
 

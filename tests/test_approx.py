@@ -22,14 +22,16 @@ from lmcdist import (
     tv_bounded,
     tv_distance_acyclic,
     tv_sample_acyclic,
+    validate,
     word_probability,
 )
 from lmcdist import approx, floatk
 from lmcdist.approx import _WINDOW_BITS, BitStream, _Sampler, _SuffixTable
 from lmcdist.floatk import RoundedModel, fp_word_probability, precision_for
-from lmcdist.model import advance, common_denominator, no_digit_limit, scale, stop_mass, walk_prefixes
+from lmcdist.model import advance, common_denominator, scale, stop_mass, walk_prefixes
 
 from helpers import (
+    digit_limit_fault_chain,
     half_distance_instance,
     worked_example_union,
     random_acyclic_instance,
@@ -280,19 +282,16 @@ def test_tv_sample_requires_acyclic():
 
 
 def test_a_sampler_fault_past_the_digit_limit_is_a_domain_error():
-    # s steps with 1/D and stops with 1/(D+1): its sum, over D(D+1), is past
-    # the int/str digit limit, and formatting it once raised ValueError.
+    # The row sum at s is past the int/str digit limit, and formatting it
+    # once raised ValueError.  The sampler refuses the chain with the
+    # contract's text, as the exact routines do.
     limit = sys.get_int_max_str_digits()
-    d = 10 ** ((limit or 4300) // 2 + 50)
-    den = d * (d + 1)
-    lmc = Lmc.from_integer_form(["s", "t"], ["a"], den, [[((1, d + 1),), ()]], [d, den])
+    lmc, text = digit_limit_fault_chain()
     pi = InitialDistribution.dirac(lmc, "s")
     with pytest.raises(DomainError) as exc:
         tv_sample_acyclic(lmc, pi, pi, Fraction(1, 2), Fraction(1, 2))
     assert sys.get_int_max_str_digits() == limit
-    with no_digit_limit():
-        total = str(Fraction(2 * d + 1, den))
-    assert str(exc.value) == f"cannot sample: probabilities at state 's' sum to {total}, expected 1"
+    assert str(exc.value) == text
 
 
 ###############################################################################
@@ -335,18 +334,20 @@ def test_length_bound_trivial_cases():
 
 def test_length_bound_refuses_a_state_that_cannot_stop():
     # u loops on itself forever, so its tail is 1 at every length and the
-    # closed form (k * |Q| = 1 here) bounds nothing.
+    # closed form (k * |Q| = 1 here) would bound nothing.  The chain is no
+    # word distribution, so every routine refuses it with validate's text,
+    # also from v alone, where u is out of reach.
     lmc = Lmc.from_transitions(["u", "v"], ["a"], [("u", "a", "u", 1)], {"v": 1})
     u, v = (InitialDistribution.dirac(lmc, s) for s in ("u", "v"))
-    assert tail_mass(lmc, u, 1) == 1
-    for cap in (0, 3, 1024):
-        with pytest.raises(DomainError, match="state 'u' cannot reach a stop"):
-            length_bound(lmc, Fraction(1, 4), step_cap=cap)
-    with pytest.raises(DomainError, match="state 'u' cannot reach a stop"):
-        tv_bounded(lmc, u, v, Fraction(1, 4))
-    # From v alone u is out of reach, so it is dropped before the bound.
-    est = tv_bounded(lmc, v, v, Fraction(1, 4))
-    assert (est.estimate, est.length_cutoff) == (0, 0)
+    text = "state u has no positive-probability path to a state that can end the word"
+    assert validate(lmc) == [text]
+    refused = [lambda: tail_mass(lmc, u, 1), lambda: tv_bounded(lmc, u, v, Fraction(1, 4))]
+    refused += [lambda cap=cap: length_bound(lmc, Fraction(1, 4), step_cap=cap) for cap in (0, 3, 1024)]
+    refused.append(lambda: tv_bounded(lmc, v, v, Fraction(1, 4)))
+    for call in refused:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == text
 
 
 ###############################################################################
@@ -400,7 +401,8 @@ def test_tv_bounded_budget_and_epsilon_checks():
 def test_tv_bounded_refuses_negative_entries(monkeypatch):
     # A negative entry would make a packed field borrow from its neighbour.
     # Such a chain has no word distribution (the strict loader refuses it),
-    # so the estimator refuses it before it builds or packs a table.
+    # so the estimator refuses it with validate's first violation, before it
+    # builds or packs a table.
     def refuse(*args):
         raise AssertionError("suffix table built")
 
@@ -414,8 +416,11 @@ def test_tv_bounded_refuses_negative_entries(monkeypatch):
     for lmc in (negative_move, negative_stop):
         pi1 = InitialDistribution.from_map(lmc, {"s0": 1})
         pi2 = InitialDistribution.from_map(lmc, {"s1": 1})
-        with pytest.raises(DomainError, match="nonnegative transition and stop probabilities"):
+        with pytest.raises(DomainError) as exc:
             tv_bounded(lmc, pi1, pi2, Fraction(1, 8))
+        assert str(exc.value) == validate(lmc)[0]
+    assert validate(negative_move)[0] == "transition s0 --a--> s1 has probability -1/4, outside [0, 1]"
+    assert validate(negative_stop)[0] == "transition s0 --a--> s1 has probability 5/4, outside [0, 1]"
 
 
 def test_tv_bounded_reads_only_the_states_the_starts_reach(monkeypatch):

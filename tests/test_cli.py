@@ -77,6 +77,25 @@ HALF_PA = {
     "accepting": ["f"],
 }
 
+#: A PA none of whose prefixes the witness search prunes: every letter
+#: reaches the accepting state a with probability below 1/2, yet every state
+#: can reach it, so the search keeps 2**d distinct vectors at depth d.
+DOUBLING_PA = {
+    "states": ["a", "b", "c"],
+    "alphabet": ["x", "y"],
+    "transitions": [
+        {"from": src, "label": label, "to": tgt, "prob": prob}
+        for label, rows in (
+            ("x", (("1/3", "1/2", "1/6"), ("2/5", "1/5", "2/5"), ("1/7", "3/7", "3/7"))),
+            ("y", (("2/7", "4/7", "1/7"), ("1/4", "1/4", "1/2"), ("3/8", "1/8", "1/2"))),
+        )
+        for src, row in zip("abc", rows)
+        for tgt, prob in zip("abc", row)
+    ],
+    "initial_dist": {"b": "1"},
+    "accepting": ["a"],
+}
+
 
 def write(path, data):
     path.write_text(json.dumps(data))
@@ -414,25 +433,47 @@ def test_negative_seed_is_rejected_like_a_malformed_one(half_files, capsys):
     assert code == 0 and "# param seed = 0" in out
 
 
-def test_argument_converters_print_their_own_fault_texts(half_files, capsys):
-    # Not argparse's generic "invalid _rational value: 'abc'".
-    sample = ("sample", *half_files, "--eps", "1/10", "--delta", "1/20")
-    cases = [
+def _rational_options(half_files):
+    """Each rational option: the command line up to it, and its name."""
+    return [
         (("threshold", *half_files, "--tau"), "--tau"),
         (("sample", *half_files, "--delta", "1/20", "--eps"), "--eps"),
         (("bounded", *half_files, "--eps"), "--eps"),
         (("sample", *half_files, "--eps", "1/10", "--delta"), "--delta"),
+        (("extract-count", "--dtilde", "0", "-n", "1", "-k", "1", "-s", "1", "--y"), "--y"),
+        (("extract-count", "--y", "0", "-n", "1", "-k", "1", "-s", "1", "--dtilde"), "--dtilde"),
     ]
-    for args, option in cases:
-        for bad in ("abc", "1/0"):
+
+
+def test_argument_converters_print_their_own_fault_texts(half_files, capsys):
+    # Not argparse's generic "invalid _rational value: 'abc'".  A rational is
+    # written as in the files, "num/den" or an integer: no decimal, exponent,
+    # sign or surrounding space, so "1e-1000000" is refused before a
+    # million-digit denominator is built.
+    for args, option in _rational_options(half_files):
+        for bad in ("abc", "1/0", "0.5", "1e-3", " 1/2 ", "-1", "1e-1000000"):
             code, out, err = run(capsys, *args, bad)
             assert (code, out, err) == (3, "", f"error: argument {option}: {bad!r} is not a rational number\n")
-    code, out, err = run(capsys, "extract-count", "--y", "abc", "--dtilde", "0", "-n", "1", "-k", "1", "-s", "1")
-    assert (code, out, err) == (3, "", "error: argument --y: 'abc' is not a rational number\n")
+    sample = ("sample", *half_files, "--eps", "1/10", "--delta", "1/20")
     for bad in ("-1", "x"):
         code, out, err = run(capsys, *sample, "--seed", bad)
         expected = f"error: argument --seed: seed must be a nonnegative integer or 'random', got {bad!r}\n"
         assert (code, out, err) == (3, "", expected)
+
+
+def test_a_rational_option_past_the_digit_limit_is_one_error_line(half_files, capsys):
+    # Under the live limit, or under the default one where there is none.
+    saved = sys.get_int_max_str_digits()
+    limit = saved or 4300
+    sys.set_int_max_str_digits(limit)
+    try:
+        for args, option in _rational_options(half_files):
+            for bad in ("1" * (limit + 1), f"1/{'1' * (limit + 1)}"):
+                code, out, err = run(capsys, *args, bad)
+                assert (code, out) == (3, "")
+                assert err == f"error: argument {option}: a number has more than {limit} digits\n"
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_bounded_cli_on_cyclic_union(tmp_path, capsys):
@@ -560,6 +601,18 @@ def test_pa_witness_rejects_a_negative_max_len(tmp_path, capsys):
     code, out, err = run(capsys, "pa-witness", half, "--max-len", "-1")
     assert (code, out) == (1, "")
     assert "must be nonnegative, got -1" in err
+
+
+def test_pa_witness_stops_at_its_budget(tmp_path, capsys):
+    # Without a budget the walk doubles with each letter of --max-len.
+    pa = write(tmp_path / "pa.json", DOUBLING_PA)
+    code, out, err = run(capsys, "pa-witness", pa, "--max-len", "17", "--budget", "1000")
+    assert (code, out, err) == (2, "", "error: enumeration exceeded the node budget of 1000 at depth 9\n")
+    code, out, err = run(capsys, "pa-witness", pa, "--max-len", "8", "--budget", "1000")
+    assert code == 0 and "# param budget = 1000\n" in out
+    assert "no word of length <= 8" in out
+    code, out, err = run(capsys, "pa-witness", pa, "--max-len", "8", "--budget", "0")
+    assert (code, out, err) == (1, "", "error: node budget must be positive, got 0\n")
 
 
 def test_from_pa_rejects_an_empty_alphabet(tmp_path, capsys):

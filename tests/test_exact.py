@@ -1,6 +1,7 @@
 """Exact distance, threshold certificates, equivalence, and the subset oracle."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from lmcdist import (
 from lmcdist.exact import DistanceReport, WitnessSummary
 
 from helpers import (
+    digit_limit_fault_chain,
     half_distance_instance,
     twin_letter_instance,
     worked_example_pair,
@@ -31,6 +33,23 @@ from helpers import (
 ###############################################################################
 # Total variation distance
 ###############################################################################
+
+
+def test_the_chain_contract_past_the_digit_limit_prints_in_full():
+    # Each exact distance routine refuses a chain that validate rejects with
+    # its first violation, here a row sum past the int/str digit limit.
+    limit = sys.get_int_max_str_digits()
+    lmc, text = digit_limit_fault_chain()
+    pi1, pi2 = (InitialDistribution.dirac(lmc, s) for s in ("s", "t"))
+    for call in (
+        lambda: tv_distance_acyclic(lmc, pi1, pi2),
+        lambda: lk_distance_acyclic(lmc, pi1, pi2, 1),
+        lambda: threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 2)),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == text
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_half_distance_fixture():

@@ -6,7 +6,9 @@ The enumerating digests were recorded before the exact commands moved from
 the depth-first walker to the layered one, and the ``sample`` digests before
 the sampler's draw loop was inlined, and the ``bounded`` digests once
 ``--step-cap`` was gone (each equals the earlier report with only
-``step_cap`` dropped from its manifest), and the ``equiv`` and ``from-pa``
+``step_cap`` dropped from its manifest), and the ``pa-witness`` digests
+once it took ``--budget`` (each equals the earlier report with only
+``budget`` added to its manifest), and the ``equiv`` and ``from-pa``
 digests before both moved onto the one integer elimination, so any change to
 a report (a field, a digit, the order of the witness words, one bit more or
 less drawn from a seeded stream) fails here.  Inputs are written under fixed relative names,
@@ -43,8 +45,8 @@ PAIR_GOLDEN = {
 }
 
 PA_GOLDEN = {
-    ("late.json", "--max-len", "6"): "6b88488eb7387e53401d154050f0842e001759b12fbe340055b7923d7f8c2def",
-    ("half.json", "--max-len", "6"): "95b2770b9808344905bda829adace650095c6976c4811bbbbf65311a007f4e38",
+    ("late.json", "--max-len", "6"): "b901c3a744048a77cd0b866c7a2f1d4d85a5915cfd3b1ace2cbfa51341027bd9",
+    ("half.json", "--max-len", "6"): "b3b4265d1cabab59ac4be1a5595d36913a4e548e803f745b95832cc6d8e4d5ac",
 }
 
 #: sample arguments (the chain prefix, then options) -> SHA-256 of the stdout.

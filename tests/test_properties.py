@@ -484,6 +484,118 @@ def test_length_bound_matches_reference(seed, kind, lam, step_cap):
     assert length_bound(lmc, lam, step_cap) == reference_length_bound(lmc, lam, step_cap)
 
 
+def _quarter_chain(rng):
+    """A random chain that ``validate`` accepts, on one to three states over
+    one or two letters: each row splits d <= 4 units among at most d
+    outcomes, so every positive probability is at least 1/4.  A state need
+    not stop itself, and cycles are allowed."""
+    n = rng.randint(1, 3)
+    states = [f"q{i}" for i in range(n)]
+    alphabet = ["a", "b"][: rng.randint(1, 2)]
+    outcomes = [None] + [(label, tgt) for label in alphabet for tgt in states]
+    while True:
+        transitions, eow = [], {}
+        for src in states:
+            d = rng.randint(1, 4)
+            picks = rng.sample(outcomes, rng.randint(1, min(d, len(outcomes))))
+            cuts = [0, *sorted(rng.sample(range(1, d), len(picks) - 1)), d]
+            for pick, lo, hi in zip(picks, cuts, cuts[1:]):
+                if pick is None:
+                    eow[src] = Fraction(hi - lo, d)
+                else:
+                    transitions.append((src, *pick, Fraction(hi - lo, d)))
+        lmc = Lmc.from_transitions(states, alphabet, transitions, eow)
+        if not validate(lmc):
+            return lmc
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_length_bound_fallback_bounds_every_valid_chain(seed):
+    # With no step allowed, length_bound returns 0 or its closed form, which
+    # must bound the tail from every state of every chain validate accepts.
+    lmc = _quarter_chain(random.Random(seed))
+    for lam in (Fraction(1, 4), Fraction(1, 16)):
+        n = length_bound(lmc, lam, step_cap=0)
+        for state in lmc.states:
+            assert tail_mass(lmc, InitialDistribution.dirac(lmc, state), n) <= lam
+
+
+def _contract_calls(lmc, pi1, pi2):
+    """Every routine that requires a chain ``validate`` accepts, on one
+    instance."""
+    return [
+        lambda: tv_distance_acyclic(lmc, pi1, pi2),
+        lambda: lk_distance_acyclic(lmc, pi1, pi2, 1),
+        lambda: threshold_decide_acyclic(lmc, pi1, pi2, Fraction(1, 2)),
+        lambda: tv_sample_acyclic(lmc, pi1, pi2, Fraction(1, 2), Fraction(1, 2)),
+        lambda: tv_bounded(lmc, pi1, pi2, Fraction(1, 16)),
+        lambda: length_bound(lmc, Fraction(1, 4)),
+        lambda: tail_mass(lmc, pi1, 0),
+    ]
+
+
+def test_a_row_summing_to_one_half_reaches_no_distance_routine():
+    # s moves to t on a with 1/2 and t stops with 1.  Unchecked, the exact
+    # distance read 3/4, the threshold at 1/2 said yes, tv_bounded gave 1
+    # within 1/32, and the mass past length 0 from s read 1, not 1/2.
+    lmc = Lmc.from_transitions(["s", "t"], ["a"], [("s", "a", "t", Fraction(1, 2))], {"t": 1})
+    s, t = (InitialDistribution.dirac(lmc, q) for q in ("s", "t"))
+    for call in _contract_calls(lmc, s, t):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "outgoing probability at state s sums to 1/2, expected 1"
+    assert word_probability(lmc, s, ("a",)) == Fraction(1, 2)
+    assert are_equivalent(lmc, s, t) is False
+
+
+def _rejected_chain(fault, rng):
+    """A random acyclic or cyclic chain broken on purpose, with a piece of
+    the text of ``validate``'s first violation: a stop probability halved
+    (or 1/2 where there was none), so its row sum is off; one entry
+    negated; or an extra state that loops on itself with probability 1, so
+    it cannot stop."""
+    base = random_acyclic_lmc(rng) if rng.random() < 0.5 else random_cyclic_lmc(rng)
+    states = list(base.states)
+    records = [list(r) for r in base.transition_records()]
+    eow = dict(zip(base.states, base.eow))
+    if fault == "row-sum":
+        state = rng.choice(states)
+        eow[state] = eow[state] / 2 or Fraction(1, 2)
+        text = f"outgoing probability at state {state} sums to"
+    elif fault == "negative":
+        if records and rng.random() < 0.5:
+            record = rng.choice(records)
+            record[3] = -record[3]
+        else:
+            state = rng.choice([q for q in states if eow[q]])
+            eow[state] = -eow[state]
+        text = "outside [0, 1]"
+    else:
+        states.append("z")
+        records.append(("z", base.alphabet[0], "z", 1))
+        text = "state z has no positive-probability path"
+    return Lmc.from_transitions(states, base.alphabet, records, eow), text
+
+
+@settings(max_examples=90, deadline=None)
+@given(seeds, st.sampled_from(["row-sum", "negative", "cannot-stop"]))
+def test_every_distance_routine_refuses_a_chain_that_validate_rejects(seed, fault):
+    rng = random.Random(seed)
+    lmc, text = _rejected_chain(fault, rng)
+    pi1, pi2 = random_distribution(rng, lmc), random_distribution(rng, lmc)
+    problems = validate(lmc)
+    assert problems and text in problems[0]
+    for call in _contract_calls(lmc, pi1, pi2):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == problems[0]
+    # The general routines still answer.
+    assert isinstance(word_probability(lmc, pi1, lmc.alphabet[:1]), Fraction)
+    assert are_equivalent(lmc, pi1, pi1) is True
+    assert are_equivalent(lmc, pi1, pi2) in (True, False)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seeds, st.integers(0, 5))
 def test_acceptance_probability_matches_reference(seed, length):
@@ -722,32 +834,31 @@ def test_validate_matches_fraction_reference(seed, kind):
 @settings(max_examples=150, deadline=None)
 @given(seeds, st.sampled_from(CHAIN_KINDS))
 def test_sampler_tables_match_fraction_reference(seed, kind):
-    # Every choice's outcomes, uppers and total, or the first refusal (a
-    # start never refuses, so it is the chain's), equal
-    # those built from Fractions with the per-table lcm of reduced
-    # denominators; its first read is ceil(log2(total)) bits, none at total 1.
+    # On a chain that validate accepts, every choice's outcomes, uppers and
+    # total equal those built from Fractions with the per-table lcm of
+    # reduced denominators; its first read is ceil(log2(total)) bits, none
+    # at total 1.  A chain that validate rejects gets no table: the sampler
+    # refuses it with the first violation.
     rng = random.Random(seed)
     lmc = _chain_of_kind(kind, rng)
     pi = random_distribution(rng, lmc)
+    problems = validate(lmc)
+    if problems:
+        with pytest.raises(DomainError) as got:
+            tv_sample_acyclic(lmc, pi, pi, Fraction(1, 2), Fraction(1, 2))
+        assert str(got.value) == problems[0]
+        return
     starts = [i for i, w in enumerate(pi.weights) if w > 0]
-    choices = [([(None, i) for i in starts], [pi.weights[i] for i in starts], "the initial distribution")]
-    for i, state in enumerate(lmc.states):
+    choices = [([(None, i) for i in starts], [pi.weights[i] for i in starts])]
+    for i in range(lmc.n_states):
         outs, probs = ([None], [lmc.eow[i]]) if lmc.eow[i] > 0 else ([], [])
         for label, matrix in zip(lmc.alphabet, lmc.matrices):
             for j, p in enumerate(matrix[i]):
                 if p > 0:
                     outs.append((label, j))
                     probs.append(p)
-        choices.append((outs, probs, f"state {state!r}"))
-    expected = []
-    try:
-        for choice in choices:
-            expected.append(reference_sampler_table(*choice))
-    except DomainError as exc:
-        with pytest.raises(DomainError) as got:
-            _Sampler(lmc)
-        assert str(got.value) == str(exc)
-        return
+        choices.append((outs, probs))
+    expected = [reference_sampler_table(*choice) for choice in choices]
     tables = [_Sampler._start_table(pi), *_Sampler(lmc)._tables]
     assert [table[:3] for table in tables] == [table[:3] for table in expected]
     assert all(width == (total - 1).bit_length() for _, _, total, width in tables)
